@@ -33,9 +33,10 @@ from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
     SelectionPolicy,
-    WindowRecord,
+    class_scores,
     selection_order,
     selection_size,
+    update_window,
 )
 from atlas.rng import normal_pair_stream, uniform01
 from atlas.summarize import (
@@ -97,13 +98,6 @@ def pose_error_proxy(
             raise ValueError("need either rng or z")
         z = float(rng.standard_normal())
     return abs(z) * pose_error_sigma(n_observed, params)
-
-
-def simulate_observation(
-    kernel: ObservabilityKernel, condition: float, rng: np.random.Generator
-) -> bool:
-    """One Bernoulli detection attempt under the given condition."""
-    return bool(rng.random() < kernel.p_detect(condition))
 
 
 @dataclass(frozen=True)
@@ -178,6 +172,7 @@ def localize_dataset(
     ids, pos = m.landmark_array()
     n_lm = len(ids)
     poses = dataset.poses
+    class_of_row = index.classes_of(ids)
     # Candidate mask for all iterations at once: planar query lifted to z=0.
     if n_lm:
         dx = poses[:, 0:1] - pos[None, :, 0]
@@ -186,16 +181,11 @@ def localize_dataset(
         within = d2 <= dataset.sensor_range * dataset.sensor_range
         centers, widths, peaks = _kernel_arrays(ids, kernels)
         p_det = detection_probabilities(centers, widths, peaks, dataset.condition)
-        class_of_row = np.fromiter(
-            (index.class_of[int(i)] for i in ids), dtype=np.int64, count=n_lm
-        )
     else:
         within = np.zeros((len(poses), 0), dtype=bool)
         p_det = np.empty(0)
-        class_of_row = np.empty(0, dtype=np.int64)
 
     stats = RollingSelectionStats(policy.window_len)
-    use_scores = policy.ranking in (RankingKind.CLASS_RATIO, RankingKind.SESSION_WEIGHT)
     iterations: list[IterationRecord] = []
     observed_counts = np.zeros(len(poses), dtype=np.int64)
     errors = np.zeros(len(poses))
@@ -205,25 +195,7 @@ def localize_dataset(
     for k in range(len(poses)):
         cand_rows = np.flatnonzero(within[k])
         ids_c = ids[cand_rows]
-        if use_scores and len(cand_rows):
-            cids = class_of_row[cand_rows]
-            uniq, inv = np.unique(cids, return_inverse=True)
-            if policy.ranking is RankingKind.CLASS_RATIO:
-                vals = np.fromiter(
-                    (stats.class_ratio(int(c)) for c in uniq), dtype=np.float64, count=len(uniq)
-                )
-            else:
-                vals = np.fromiter(
-                    (
-                        max((stats.session_weight(s) for s in index.class_key(int(c))), default=0.0)
-                        for c in uniq
-                    ),
-                    dtype=np.float64,
-                    count=len(uniq),
-                )
-            scores = vals[inv]
-        else:
-            scores = np.zeros(len(cand_rows))
+        scores = class_scores(policy, stats, index, class_of_row[cand_rows])
 
         if k == 0 and cfg.bootstrap_full_first:
             sel_rows = cand_rows  # warm-up: select the whole candidate set
@@ -236,11 +208,10 @@ def localize_dataset(
         if len(sel_rows):
             u = uniform01(dataset.observation_seed, k, sel_ids)
             obs_mask = u < p_det[sel_rows]
-            obs_rows = sel_rows[obs_mask]
         else:
-            obs_rows = sel_rows
-        obs_ids = np.sort(ids[obs_rows])
-        n_obs = len(obs_rows)
+            obs_mask = np.zeros(0, dtype=bool)
+        obs_ids = np.sort(sel_ids[obs_mask])
+        n_obs = len(obs_ids)
         observed_counts[k] = n_obs
         if n_obs < cfg.proxy.min_landmarks:
             errors[k] = cfg.proxy.failure_error_m
@@ -249,29 +220,7 @@ def localize_dataset(
             z = normal_pair_stream(dataset.error_seed, k)
             errors[k] = pose_error_proxy(n_obs, cfg.proxy, z=z)
 
-        # Rolling-window update with tallies resolved against this map's index.
-        sel_cids, sel_cnt = np.unique(class_of_row[sel_rows], return_counts=True)
-        obs_cids, obs_cnt = np.unique(class_of_row[obs_rows], return_counts=True)
-        class_sel = dict(zip(sel_cids.tolist(), sel_cnt.tolist()))
-        class_obs = dict(zip(obs_cids.tolist(), obs_cnt.tolist()))
-        sess_sel: dict[int, int] = {}
-        sess_obs: dict[int, int] = {}
-        for cid, c in class_sel.items():
-            for s in index.class_key(cid):
-                sess_sel[s] = sess_sel.get(s, 0) + c
-        for cid, c in class_obs.items():
-            for s in index.class_key(cid):
-                sess_obs[s] = sess_obs.get(s, 0) + c
-        stats.push_record(
-            WindowRecord(
-                selected=tuple(np.sort(sel_ids).tolist()),
-                observed=tuple(obs_ids.tolist()),
-                class_selected=class_sel,
-                class_observed=class_obs,
-                session_selected=sess_sel,
-                session_observed=sess_obs,
-            )
-        )
+        update_window(stats, sel_ids, class_of_row[sel_rows], obs_mask, index)
         for lid in obs_ids.tolist():
             tallies.setdefault(int(lid), {})[k] = tallies.get(int(lid), {}).get(k, 0) + 1
         iterations.append(IterationRecord(ids_c, sel_ids, obs_ids, float(errors[k])))
@@ -362,15 +311,6 @@ class SortieReport:
     n_proposals: int
 
 
-def _nearest_vertices(m: MultiSessionMap, poses: np.ndarray, pose_indices: list[int]) -> dict[int, int]:
-    vids, vxy = m.vertex_array()
-    out: dict[int, int] = {}
-    for k in pose_indices:
-        d2 = np.sum((vxy - poses[k, :2]) ** 2, axis=1)
-        out[k] = int(vids[int(np.argmin(d2))])
-    return out
-
-
 def process_sortie(
     m: MultiSessionMap,
     dataset: SortieDataset,
@@ -415,7 +355,7 @@ def process_sortie(
             objective = solution.objective
     elif cfg.use_observation_sessions:
         pose_indices = sorted({k for per in run.tallies_by_pose.values() for k in per})
-        nearest = _nearest_vertices(work, dataset.poses, pose_indices) if pose_indices else {}
+        nearest = {k: work.nearest_vertex(dataset.poses[k]) for k in pose_indices}
         observed: dict[int, dict[int, int]] = {}
         for lid, per_pose in run.tallies_by_pose.items():
             per_vertex: dict[int, int] = {}

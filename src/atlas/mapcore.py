@@ -155,6 +155,17 @@ class EquivalenceClassIndex:
         except KeyError:
             raise KeyError(f"landmark {landmark_id} is not in the index") from None
 
+    def classes_of(self, landmark_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Class id of each landmark, in input order, as an int64 array."""
+        try:
+            return np.fromiter(
+                (self.class_of[int(i)] for i in landmark_ids),
+                dtype=np.int64,
+                count=len(landmark_ids),
+            )
+        except KeyError as exc:
+            raise KeyError(f"landmark {exc.args[0]} is not in the index") from None
+
 
 class MultiSessionMap:
     """The landmark map shared by all sessions.

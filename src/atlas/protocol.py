@@ -29,7 +29,6 @@ or ``error``.
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -187,13 +186,6 @@ def read_message(stream) -> Message | None:
     if raw is None:
         return None
     return decode_body(raw)
-
-
-def send_message(sock: socket.socket, message: Message) -> int:
-    """Write one message to a socket; returns total bytes on the wire."""
-    frame = encode_frame(message)
-    sock.sendall(frame)
-    return len(frame)
 
 
 def frame_size(message: Message) -> int:

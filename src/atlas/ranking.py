@@ -13,14 +13,13 @@ uniform random and an unranked reference policy.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from atlas.mapcore import EquivalenceClassIndex, MultiSessionMap
+from atlas.mapcore import EquivalenceClassIndex
 from atlas.rng import hash_stream
 
 # max_selected for reference runs: effectively "no budget".
@@ -191,26 +190,42 @@ class RollingSelectionStats:
         return t[1] / t[0]
 
 
+def _tallies(
+    class_ids: np.ndarray, index: EquivalenceClassIndex
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Per-class counts of class_ids, and per-session counts expanded from the class keys."""
+    uniq, counts = np.unique(class_ids, return_counts=True)
+    per_class = dict(zip(uniq.tolist(), counts.tolist()))
+    per_session: dict[int, int] = {}
+    for cid, c in per_class.items():
+        for s in index.class_key(cid):
+            per_session[s] = per_session.get(s, 0) + c
+    return per_class, per_session
+
+
 def update_window(
     stats: RollingSelectionStats,
-    selected: Iterable[int],
-    observed: Iterable[int],
+    selected: np.ndarray,
+    class_ids: np.ndarray,
+    observed_mask: np.ndarray,
     index: EquivalenceClassIndex,
-    m: MultiSessionMap,
 ) -> RollingSelectionStats:
-    """Push one iteration, resolving classes and sessions with the given index."""
-    selected = tuple(sorted(selected))
-    observed = tuple(sorted(observed))
-    class_sel: Counter[int] = Counter(index.class_of_landmark(l) for l in selected)
-    class_obs: Counter[int] = Counter(index.class_of_landmark(l) for l in observed)
-    sess_sel: Counter[int] = Counter()
-    sess_obs: Counter[int] = Counter()
-    for lid in selected:
-        sess_sel.update(m.landmarks[lid].sessions)
-    for lid in observed:
-        sess_obs.update(m.landmarks[lid].sessions)
+    """Push one iteration: distinct selected ids, their class ids, and a boolean observed mask.
+
+    Class ids must come from the given index, whose class keys resolve the
+    session tallies.
+    """
+    class_sel, sess_sel = _tallies(class_ids, index)
+    class_obs, sess_obs = _tallies(class_ids[observed_mask], index)
     stats.push_record(
-        WindowRecord(selected, observed, dict(class_sel), dict(class_obs), dict(sess_sel), dict(sess_obs))
+        WindowRecord(
+            tuple(np.sort(selected).tolist()),
+            tuple(np.sort(selected[observed_mask]).tolist()),
+            class_sel,
+            class_obs,
+            sess_sel,
+            sess_obs,
+        )
     )
     return stats
 
@@ -222,32 +237,28 @@ def class_ratio_score(
     return stats.class_ratio(index.class_of_landmark(landmark_id))
 
 
-def session_weight_score(
-    stats: RollingSelectionStats, m: MultiSessionMap, landmark_id: int
-) -> float:
-    """Score of a landmark: the best weight among the sessions that saw it."""
-    sessions = m.landmarks[landmark_id].sessions
-    return max((stats.session_weight(s) for s in sessions), default=0.0)
-
-
-def select(
+def class_scores(
     policy: SelectionPolicy,
-    candidates: Sequence[int] | np.ndarray,
-    scores: Mapping[int, float] | None = None,
-    salt: int = 0,
+    stats: RollingSelectionStats,
+    index: EquivalenceClassIndex,
+    class_ids: np.ndarray,
 ) -> np.ndarray:
-    """Pick min(ceil(ratio * |C|), max_selected) candidates, best first.
+    """Rank score for each entry of class_ids; each distinct class is scored once.
 
-    Ties (and the random ranking) are broken by a hash stream keyed on
-    (policy.seed, salt, landmark id), then by ascending id, so the result is
-    a pure function of its inputs.  The unranked policy returns lowest ids.
+    class_ratio scores a class by its observed/selected ratio and
+    session_weight by the best weight among the sessions that define it;
+    the unranked and random policies score everything 0.
     """
-    ids = np.fromiter(candidates, dtype=np.int64)
-    if scores is None:
-        values = np.zeros(len(ids))
+    if policy.ranking is RankingKind.CLASS_RATIO:
+        score = stats.class_ratio
+    elif policy.ranking is RankingKind.SESSION_WEIGHT:
+        def score(cid: int) -> float:
+            return max((stats.session_weight(s) for s in index.class_key(cid)), default=0.0)
     else:
-        values = np.fromiter((scores.get(int(i), 0.0) for i in ids), dtype=np.float64, count=len(ids))
-    return select_from_arrays(policy, ids, values, salt)
+        return np.zeros(len(class_ids))
+    uniq, inv = np.unique(class_ids, return_inverse=True)
+    values = np.fromiter((score(int(c)) for c in uniq), dtype=np.float64, count=len(uniq))
+    return values[inv]
 
 
 def selection_order(
@@ -265,6 +276,12 @@ def selection_order(
 def select_from_arrays(
     policy: SelectionPolicy, ids: np.ndarray, scores: np.ndarray, salt: int = 0
 ) -> np.ndarray:
+    """Pick min(ceil(ratio * |ids|), max_selected) ids, best first.
+
+    Ties (and the random ranking) are broken by a hash stream keyed on
+    (policy.seed, salt, landmark id), then by ascending id, so the result is
+    a pure function of its inputs.  The unranked policy returns lowest ids.
+    """
     k = selection_size(policy.selection_ratio, len(ids), policy.max_selected)
     if k == 0:
         return np.empty(0, dtype=np.int64)

@@ -27,7 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .locsim import DEFAULT_THRESHOLD_M, PipelineConfig, process_sortie
-from .mapcore import MultiSessionMap, SessionKind
+from .mapcore import EquivalenceClassIndex, MultiSessionMap, SessionKind
 from .protocol import (
     ERR_BAD_REPORT,
     ERR_BAD_REQUEST,
@@ -40,9 +40,9 @@ from .protocol import (
     read_frame,
 )
 from .ranking import (
-    RankingKind,
     RollingSelectionStats,
     SelectionPolicy,
+    class_scores,
     parse_policy,
     reference_policy,
     select_from_arrays,
@@ -81,8 +81,9 @@ class BandwidthLedger:
 class _Pending:
     """A selection sent to the vehicle and not yet reported back."""
 
-    selected: tuple[int, ...]
-    snapshot: MultiSessionMap  # the map the selection was ranked against
+    selected: np.ndarray
+    class_ids: np.ndarray
+    index: EquivalenceClassIndex  # of the map the selection was ranked against
 
 
 @dataclass
@@ -96,29 +97,6 @@ class _Session:
     n_queries: int = 0
     closed: bool = False
     ledger: BandwidthLedger = field(default_factory=BandwidthLedger)
-
-
-def _landmark_scores(
-    m: MultiSessionMap, policy: SelectionPolicy, stats: RollingSelectionStats, ids: np.ndarray
-) -> np.ndarray:
-    """Rank scores for candidate ids, mirroring the localization loop."""
-    if policy.ranking is RankingKind.CLASS_RATIO:
-        index = m.index
-        return np.fromiter(
-            (stats.class_ratio(index.class_of_landmark(int(i))) for i in ids),
-            dtype=np.float64,
-            count=len(ids),
-        )
-    if policy.ranking is RankingKind.SESSION_WEIGHT:
-        return np.fromiter(
-            (
-                max((stats.session_weight(s) for s in m.landmarks[int(i)].sessions), default=0.0)
-                for i in ids
-            ),
-            dtype=np.float64,
-            count=len(ids),
-        )
-    return np.zeros(len(ids))
 
 
 class MapBackend:
@@ -287,12 +265,15 @@ class MapBackend:
             session.stats.clear()
             session.seen_version = snap.version
         candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
-        scores = _landmark_scores(snap, session.policy, session.stats, candidates)
+        index = snap.index
+        candidate_classes = index.classes_of(candidates)
+        scores = class_scores(session.policy, session.stats, index, candidate_classes)
         salt = session.n_queries
         session.n_queries += 1
         selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
-        session.pending = _Pending(tuple(int(i) for i in selected), snap)
-        index = snap.index
+        # Candidates are ascending, so searchsorted finds each selected row.
+        class_ids = candidate_classes[np.searchsorted(candidates, selected)]
+        session.pending = _Pending(selected, class_ids, index)
         return Message(
             MessageKind.LANDMARKS,
             cid=msg.cid,
@@ -300,7 +281,7 @@ class MapBackend:
             body={
                 "landmark_ids": [int(i) for i in selected],
                 "positions": [[float(x) for x in snap.landmarks[int(i)].position] for i in selected],
-                "class_ids": [index.class_of_landmark(int(i)) for i in selected],
+                "class_ids": class_ids.tolist(),
                 "n_candidates": int(len(candidates)),
                 "map_version": snap.version,
             },
@@ -317,10 +298,12 @@ class MapBackend:
         ):
             return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
         pending = session.pending
-        if not set(observed) <= set(pending.selected):
+        if not set(observed) <= set(pending.selected.tolist()):
             # Reject without touching the window; the selection stays pending.
             return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
-        update_window(session.stats, pending.selected, observed, pending.snapshot.index, pending.snapshot)
+        # The mask credits each distinct observed id once, however often it is named.
+        observed_mask = np.isin(pending.selected, observed)
+        update_window(session.stats, pending.selected, pending.class_ids, observed_mask, pending.index)
         session.pending = None
         return Message(
             MessageKind.UPDATE_ACK,
@@ -444,9 +427,9 @@ class MapServer:
             conn.close()
 
     def serve_forever(self) -> None:
-        self.start()
-        assert self._accept_thread is not None
         try:
+            self.start()
+            assert self._accept_thread is not None
             while self._accept_thread.is_alive():
                 self._accept_thread.join(timeout=0.5)
         except KeyboardInterrupt:

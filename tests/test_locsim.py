@@ -18,11 +18,10 @@ from atlas.locsim import (
     pose_error_proxy,
     pose_error_sigma,
     process_sortie,
-    simulate_observation,
 )
 from atlas.ranking import parse_policy, reference_policy
 from atlas.rng import normal_pair_stream
-from atlas.worldgen import ObservabilityKernel, generate_sortie, generate_world
+from atlas.worldgen import generate_sortie, generate_world
 
 from helpers import tiny_scenario
 
@@ -48,15 +47,6 @@ def test_error_proxy_failure_and_scale():
     b = pose_error_proxy(10, PARAMS, rng=np.random.default_rng(0))
     assert a == b
     del rng
-
-
-def test_simulate_observation():
-    k = ObservabilityKernel(0.5, 0.05, 0.9)
-    rng = np.random.default_rng(1)
-    hits = sum(simulate_observation(k, 0.5, rng) for _ in range(2000))
-    assert 0.85 <= hits / 2000 <= 0.95
-    # beyond the matchability horizon nothing ever matches
-    assert not any(simulate_observation(k, 0.8, rng) for _ in range(200))
 
 
 def make_run(errors, n_failures=0):

@@ -14,18 +14,18 @@ from atlas.ranking import (
     SelectionPolicy,
     WindowRecord,
     class_ratio_score,
+    class_scores,
     parse_policy,
     parse_ranking,
     reference_policy,
-    select,
     select_from_arrays,
     selection_size,
-    session_weight_score,
     update_window,
 )
+from atlas.mapcore import MultiSessionMap, NewLandmark
 from atlas.rng import hash_stream
 
-from helpers import two_session_map
+from helpers import LINE_POSES, two_session_map
 
 
 # -- selection_size --
@@ -153,11 +153,18 @@ def test_window_tallies_match_recount_oracle(steps, window_len):
     del rng
 
 
+def push(stats, m, selected, observed):
+    """update_window for plain id lists, with classes resolved by the map's index."""
+    ids = np.asarray(selected, dtype=np.int64)
+    index = m.index
+    return update_window(stats, ids, index.classes_of(ids), np.isin(ids, observed), index)
+
+
 def test_update_window_resolves_classes_and_sessions():
     m = two_session_map()
     index = m.index
     stats = RollingSelectionStats()
-    update_window(stats, [1, 2, 3], [3], index, m)
+    push(stats, m, [1, 2, 3], [3])
     cid_12 = index.class_of_landmark(1)
     cid_3 = index.class_of_landmark(3)
     assert stats.class_tallies[cid_12] == [2, 0]
@@ -168,17 +175,96 @@ def test_update_window_resolves_classes_and_sessions():
     assert class_ratio_score(stats, index, 1) == 0.0
     assert class_ratio_score(stats, index, 3) == 1.0
     # best session weight wins for multi-session landmarks
-    assert session_weight_score(stats, m, 3) == 1.0
-    assert session_weight_score(stats, m, 1) == 1 / 3
+    got = class_scores(parse_policy("session_weight"), stats, index, index.classes_of([3, 1]))
+    assert got.tolist() == [1.0, 1 / 3]
 
 
 def test_class_constancy_within_a_class():
     m = two_session_map()
     index = m.index
     stats = RollingSelectionStats()
-    update_window(stats, [1, 2, 4, 5], [1, 4], index, m)
+    push(stats, m, [1, 2, 4, 5], [1, 4])
     assert class_ratio_score(stats, index, 1) == class_ratio_score(stats, index, 2)
     assert class_ratio_score(stats, index, 4) == class_ratio_score(stats, index, 5)
+
+
+def test_class_scores_per_policy():
+    m = two_session_map()
+    index = m.index
+    stats = RollingSelectionStats()
+    push(stats, m, [1, 2, 3, 4], [1, 3])
+    cids = index.classes_of([1, 2, 3, 4, 5])
+    ratio = class_scores(parse_policy("class_ratio"), stats, index, cids)
+    assert ratio.tolist() == [class_ratio_score(stats, index, i) for i in (1, 2, 3, 4, 5)]
+    assert ratio.tolist() == [0.5, 0.5, 1.0, 0.0, 0.0]
+    # sessions: 1 backs landmarks 1-3 (2 of 3 observed), 2 backs 3-4 (1 of 2)
+    weight = class_scores(parse_policy("session_weight"), stats, index, cids)
+    assert weight.tolist() == [2 / 3, 2 / 3, 2 / 3, 0.5, 0.5]
+    for spec in ("all", "random"):
+        assert class_scores(parse_policy(spec), stats, index, cids).tolist() == [0.0] * 5
+    assert len(class_scores(parse_policy("class_ratio"), stats, index, cids[:0])) == 0
+
+
+def many_class_map(seed: int) -> MultiSessionMap:
+    """One rich session of 12 landmarks, then observation sessions over random subsets."""
+    rng = np.random.default_rng(seed)
+    m = MultiSessionMap()
+    m.add_rich_session(
+        LINE_POSES,
+        [NewLandmark(np.array([float(i), 1.0, 0.0]), {0: 1, 1: 1}) for i in range(12)],
+    )
+    for _ in range(4):
+        seen = [lid for lid in m.landmarks if rng.random() < 0.5]
+        m.add_observation_session({lid: {1: 1} for lid in seen})
+    return m
+
+
+def per_landmark_recount(m, records):
+    """The tallies of a window resolved one landmark at a time from the map itself."""
+    index = m.index
+    classes: dict[int, list[int]] = {}
+    sessions: dict[int, list[int]] = {}
+    for selected, observed in records:
+        for slot, ids in ((0, selected), (1, observed)):
+            for lid in ids:
+                classes.setdefault(index.class_of_landmark(lid), [0, 0])[slot] += 1
+                for s in m.landmarks[lid].sessions:
+                    sessions.setdefault(s, [0, 0])[slot] += 1
+    return classes, sessions
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 6), st.lists(st.integers(0, 2**16), min_size=1, max_size=12))
+def test_update_window_matches_per_landmark_recount(map_seed, window_len, step_seeds):
+    m = many_class_map(map_seed)
+    stats = RollingSelectionStats(window_len)
+    pushed = []
+    for seed in step_seeds:
+        rng = np.random.default_rng(seed)
+        ids = np.array(sorted(lid for lid in m.landmarks if rng.random() < 0.6), dtype=np.int64)
+        observed = [int(i) for i in ids if rng.random() < 0.5]
+        push(stats, m, rng.permutation(ids), observed)
+        pushed.append((ids.tolist(), observed))
+        classes, sessions = per_landmark_recount(m, pushed[-window_len:])
+        assert stats.class_tallies == classes
+        assert stats.session_tallies == sessions
+        assert (stats.class_tallies, stats.session_tallies) == stats.recount()
+
+
+def test_classes_of_agrees_with_class_of_landmark():
+    m = many_class_map(3)
+    index = m.index
+    ids = sorted(m.landmarks)
+    assert len(index) >= 3
+    assert index.classes_of(ids).tolist() == [index.class_of_landmark(i) for i in ids]
+    assert index.classes_of(np.array(ids[::-1])).tolist() == [
+        index.class_of_landmark(i) for i in ids[::-1]
+    ]
+    assert index.classes_of([]).dtype == np.int64
+    with pytest.raises(KeyError, match="landmark 999"):
+        index.classes_of([ids[0], 999])
+    with pytest.raises(KeyError):
+        index.class_of_landmark(999)
 
 
 # -- selection --
@@ -186,26 +272,27 @@ def test_class_constancy_within_a_class():
 
 def test_select_all_policy_returns_lowest_ids():
     policy = SelectionPolicy(RankingKind.ALL, selection_ratio=1.0)
-    got = select(policy, [9, 2, 7, 1])
+    got = select_from_arrays(policy, np.array([9, 2, 7, 1]), np.zeros(4))
     assert got.tolist() == [1, 2, 7, 9]
 
 
 def test_select_budget_and_determinism():
     policy = SelectionPolicy(RankingKind.RANDOM, selection_ratio=0.5, seed=3)
-    ids = list(range(20))
-    a = select(policy, ids, salt=11)
-    b = select(policy, ids, salt=11)
+    ids = np.arange(20)
+    scores = np.zeros(20)
+    a = select_from_arrays(policy, ids, scores, salt=11)
+    b = select_from_arrays(policy, ids, scores, salt=11)
     assert np.array_equal(a, b)
     assert len(a) == 10
-    c = select(policy, ids, salt=12)
+    c = select_from_arrays(policy, ids, scores, salt=12)
     assert not np.array_equal(a, c)  # a new draw reshuffles
 
 
 def test_tie_break_matches_hash_stream_oracle():
     policy = SelectionPolicy(RankingKind.CLASS_RATIO, selection_ratio=1.0, seed=5)
     ids = np.array([4, 8, 15, 16, 23, 42], dtype=np.int64)
-    scores = {int(i): 0.5 for i in ids}  # all tied
-    got = select(policy, ids, scores, salt=9).tolist()
+    scores = np.full(len(ids), 0.5)  # all tied
+    got = select_from_arrays(policy, ids, scores, salt=9).tolist()
     tiebreak = hash_stream(5, 9, ids)
     want = [int(i) for _, _, i in sorted(zip(tiebreak, ids, ids))]
     assert got == want
@@ -213,14 +300,14 @@ def test_tie_break_matches_hash_stream_oracle():
 
 def test_ranked_selection_prefers_high_scores():
     policy = SelectionPolicy(RankingKind.CLASS_RATIO, selection_ratio=0.5, seed=0)
-    ids = [1, 2, 3, 4]
-    scores = {1: 0.1, 2: 0.9, 3: 0.5, 4: 0.2}
-    assert select(policy, ids, scores).tolist() == [2, 3]
+    ids = np.array([1, 2, 3, 4])
+    scores = np.array([0.1, 0.9, 0.5, 0.2])
+    assert select_from_arrays(policy, ids, scores).tolist() == [2, 3]
 
 
 def test_max_selected_budget():
     policy = SelectionPolicy(RankingKind.ALL, selection_ratio=1.0, max_selected=3)
-    assert len(select(policy, list(range(10)))) == 3
+    assert len(select_from_arrays(policy, np.arange(10), np.zeros(10))) == 3
 
 
 def test_select_from_arrays_empty():

@@ -1,5 +1,6 @@
 """Map backend service: session semantics, accounting, transport parity."""
 
+import json
 import socket
 import struct
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from atlas.client import BackendError, VehicleClient, drive_sortie
-from atlas.locsim import PipelineConfig, localize_dataset, process_sortie
+from atlas.locsim import LocalizeConfig, PipelineConfig, localize_dataset, process_sortie
 from atlas.mapcore import MultiSessionMap
 from atlas.protocol import (
     MessageKind,
@@ -18,7 +19,7 @@ from atlas.protocol import (
     encode_frame,
     read_frame,
 )
-from atlas.ranking import reference_policy
+from atlas.ranking import parse_policy, reference_policy
 from atlas.server import MapBackend, MapServer
 from atlas.worldgen import generate_sortie, generate_world, sortie_to_doc
 
@@ -128,6 +129,21 @@ def test_report_validation_and_deduplication():
     assert bad_bool.body["code"] == "bad_request"
     got = wire.send(MessageKind.REPORT, {"observed": [1, 1]}, token=token)
     assert got.body["n_recorded"] == 1
+
+
+def test_report_credits_duplicate_ids_once():
+    backend = fresh_backend()
+    wire = Wire(backend)
+    token = open_session(wire, policy="class_ratio@1")
+    got = wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
+    assert sorted(got.body["landmark_ids"]) == [1, 2, 3, 4, 5]
+    ack = wire.send(MessageKind.REPORT, {"observed": [3, 3, 3]}, token=token)
+    assert ack.body["n_recorded"] == 1
+    stats = backend.sessions[token].stats
+    # landmark 3 is alone in its class and carries sessions {1, 2}
+    assert stats.class_tallies[backend.snapshot.index.class_of_landmark(3)] == [1, 1]
+    assert stats.session_tallies == {1: [3, 1], 2: [3, 1]}
+    assert all(observed <= selected for selected, observed in stats.class_tallies.values())
 
 
 def test_unknown_or_missing_token_paths():
@@ -374,6 +390,57 @@ def test_driven_sortie_matches_local_simulation(grown):
     assert np.array_equal(drive.errors_m, local.errors_m)
     assert drive.n_failures == local.n_failures
     assert drive.rms_translation_m == pytest.approx(local.rms_translation_m)
+
+
+@pytest.fixture(scope="module")
+def many_classes():
+    """A map grown by seven sorties under varying conditions, with a revisit."""
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=11)
+    cfg = PipelineConfig(threshold_m=sc.threshold_m)
+    m = MultiSessionMap()
+    for i, condition in enumerate((0.10, 0.12, 0.45, 0.5, 0.11, 0.3, 0.13)):
+        sortie = generate_sortie(world, condition, seed=700 + i, label=f"s{i}")
+        m, _ = process_sortie(m, sortie, reference_policy(), cfg)
+    revisit = generate_sortie(world, 0.12, seed=799, label="revisit")
+    return sc, m, cfg.kernels, revisit
+
+
+@pytest.mark.parametrize("spec", ["class_ratio@0.2", "session_weight@0.3", "random@0.4"])
+def test_served_selection_matches_simulated_selection(many_classes, spec):
+    sc, m, kernels, revisit = many_classes
+    assert len(m.index) >= 5
+    local = localize_dataset(
+        m, revisit, parse_policy(spec), kernels, LocalizeConfig(bootstrap_full_first=False)
+    )
+    backend = MapBackend(m.copy(), dict(kernels), threshold_m=sc.threshold_m)
+    with MapServer(backend) as server:
+        host, port = server.address
+        with VehicleClient(host, port) as client:
+            client.open_session(policy=spec, sensor_range=revisit.sensor_range)
+            for k, it in enumerate(local.iterations):
+                result = client.query(revisit.poses[k])
+                assert result.landmark_ids == it.selected.tolist(), f"iteration {k}"
+                assert result.class_ids == [m.index.class_of_landmark(i) for i in it.selected]
+                client.report(it.observed.tolist())
+
+
+def test_serve_forever_returns_cleanly_on_interrupt_after_listening(monkeypatch):
+    lines = []
+    server = MapServer(fresh_backend(), log=lines.append)
+    real_start = server.start
+
+    def start_then_interrupt():
+        real_start()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(server, "start", start_then_interrupt)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        server.shutdown()
+        pytest.fail("KeyboardInterrupt escaped serve_forever")
+    assert [json.loads(line)["event"] for line in lines] == ["listening", "stopped"]
 
 
 def test_vehicle_client_drive_with_upload_extends_sidecar():
