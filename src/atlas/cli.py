@@ -37,6 +37,7 @@ from .experiment import (
     converged_policy_probe,
     observation_session_gap,
     run_experiment,
+    write_csv,
 )
 from .locsim import DEFAULT_THRESHOLD_M
 from .mapcore import MultiSessionMap, UNBOUNDED_CAP
@@ -212,18 +213,8 @@ def cmd_regress(args: argparse.Namespace) -> int:
                 "scenario": scenario.name, "seed": seed, "policy": name, "mean_r_obs": r,
             })
 
-    def _fmt(v) -> str:
-        return repr(v) if isinstance(v, float) else str(v)
-
-    for path, cols, rows in (
-        (out / "gaps.csv", GAP_COLUMNS, gap_rows),
-        (out / "converged.csv", CONVERGED_COLUMNS, converged_rows),
-    ):
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row in rows:
-                w.writerow([_fmt(row[c]) for c in cols])
+    write_csv(out / "gaps.csv", GAP_COLUMNS, gap_rows)
+    write_csv(out / "converged.csv", CONVERGED_COLUMNS, converged_rows)
 
     stage_means = {st: float(np.mean(g)) for st, g in sorted(stage_gaps.items())}
     by_policy: dict[str, list[float]] = {}

@@ -374,7 +374,7 @@ def converged_policy_probe(
     return out
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
@@ -448,8 +448,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         "metrics_columns": METRICS_COLUMNS,
         "composition_columns": COMPOSITION_COLUMNS,
     }
-    _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics)
-    _write_csv(out / "composition.csv", COMPOSITION_COLUMNS, composition)
+    write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics)
+    write_csv(out / "composition.csv", COMPOSITION_COLUMNS, composition)
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -79,24 +79,14 @@ def pose_error_sigma(n_observed: int, params: PoseErrorParams) -> float:
     return params.floor + params.sigma0 / math.sqrt(n_observed)
 
 
-def pose_error_proxy(
-    n_observed: int,
-    params: PoseErrorParams,
-    rng: np.random.Generator | None = None,
-    z: float | None = None,
-) -> float:
+def pose_error_proxy(n_observed: int, params: PoseErrorParams, z: float) -> float:
     """Translation error for one iteration given how many landmarks matched.
 
     With fewer than min_landmarks the iteration fails at the fixed failure
-    magnitude; otherwise the error is |z| * sigma(n) where z is standard
-    normal, drawn from rng unless an explicit z is supplied.
+    magnitude; otherwise the error is |z| * sigma(n) for a standard normal z.
     """
     if n_observed < params.min_landmarks:
         return params.failure_error_m
-    if z is None:
-        if rng is None:
-            raise ValueError("need either rng or z")
-        z = float(rng.standard_normal())
     return abs(z) * pose_error_sigma(n_observed, params)
 
 
@@ -169,21 +159,12 @@ def localize_dataset(
     """Run the full selection/observation/error loop over one sortie."""
     cfg = cfg or LocalizeConfig()
     index = m.index
-    ids, pos = m.landmark_array()
-    n_lm = len(ids)
+    ids, _ = m.landmark_array()
     poses = dataset.poses
     class_of_row = index.classes_of(ids)
-    # Candidate mask for all iterations at once: planar query lifted to z=0.
-    if n_lm:
-        dx = poses[:, 0:1] - pos[None, :, 0]
-        dy = poses[:, 1:2] - pos[None, :, 1]
-        d2 = dx * dx + dy * dy + pos[None, :, 2] ** 2
-        within = d2 <= dataset.sensor_range * dataset.sensor_range
-        centers, widths, peaks = _kernel_arrays(ids, kernels)
-        p_det = detection_probabilities(centers, widths, peaks, dataset.condition)
-    else:
-        within = np.zeros((len(poses), 0), dtype=bool)
-        p_det = np.empty(0)
+    within = m.candidate_mask(poses, dataset.sensor_range)  # all iterations at once
+    centers, widths, peaks = _kernel_arrays(ids, kernels)
+    p_det = detection_probabilities(centers, widths, peaks, dataset.condition)
 
     stats = RollingSelectionStats(policy.window_len)
     iterations: list[IterationRecord] = []
@@ -220,7 +201,7 @@ def localize_dataset(
             z = normal_pair_stream(dataset.error_seed, k)
             errors[k] = pose_error_proxy(n_obs, cfg.proxy, z=z)
 
-        update_window(stats, sel_ids, class_of_row[sel_rows], obs_mask, index)
+        update_window(stats, class_of_row[sel_rows], obs_mask, index)
         for lid in obs_ids.tolist():
             tallies.setdefault(int(lid), {})[k] = tallies.get(int(lid), {}).get(k, 0) + 1
         iterations.append(IterationRecord(ids_c, sel_ids, obs_ids, float(errors[k])))
@@ -350,7 +331,10 @@ def process_sortie(
                 obs_weight=cfg.obs_weight,
             )
             solution = solve(problem, exact_limit=cfg.exact_limit)
-            work = apply_summarization(work, solution)
+            kept = apply_summarization(work, solution)
+            for lid in work.landmarks.keys() - kept.landmarks.keys():
+                cfg.kernels.pop(lid, None)  # landmark ids are never reused
+            work = kept
             summarized = True
             objective = solution.objective
     elif cfg.use_observation_sessions:

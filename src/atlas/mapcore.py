@@ -126,7 +126,10 @@ class EquivalenceClassIndex:
     Two landmarks are equivalent when they were observed by exactly the same
     set of sessions.  Class ids are assigned by sorting the canonical session
     tuples, so the numbering is deterministic for a given map state.  The
-    index is rebuilt eagerly after every ingestion or removal.
+    index is rebuilt lazily after every ingestion or removal.
+
+    The class keys are also held in CSR form: the sessions of class c are
+    key_sessions[key_ptr[c]:key_ptr[c + 1]], ascending.
     """
 
     def __init__(self, landmarks: Mapping[int, Landmark]):
@@ -142,6 +145,11 @@ class EquivalenceClassIndex:
         for cid, ids in self.members.items():
             for lid in ids:
                 self.class_of[lid] = cid
+        self.key_ptr = np.zeros(len(self.keys) + 1, dtype=np.int64)
+        np.cumsum([len(k) for k in self.keys], out=self.key_ptr[1:])
+        self.key_sessions = np.fromiter(
+            (s for k in self.keys for s in k), dtype=np.int64, count=int(self.key_ptr[-1])
+        )
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -211,12 +219,6 @@ class MultiSessionMap:
     def n_observation_sessions(self) -> int:
         return sum(1 for s in self.sessions if s.kind is SessionKind.OBSERVATION)
 
-    def session_record(self, session_id: int) -> SessionRecord:
-        for rec in self.sessions:
-            if rec.id == session_id:
-                return rec
-        raise KeyError(f"no session {session_id}")
-
     def landmarks_created_by(self, session_id: int) -> list[int]:
         """Ids of landmarks whose origin is the given session, insertion order."""
         return [lm.id for lm in self.landmarks.values() if lm.origin_session == session_id]
@@ -245,20 +247,26 @@ class MultiSessionMap:
             self._vertex_cache = (ids, xy)
         return self._vertex_cache
 
-    def candidate_set(self, query_pose: Sequence[float], radius: float) -> np.ndarray:
-        """Ids of landmarks within `radius` (inclusive) of the query position.
+    def candidate_mask(
+        self, query_poses: Sequence[Sequence[float]] | np.ndarray, radius: float
+    ) -> np.ndarray:
+        """Row k marks the landmarks within `radius` (inclusive) of query pose k.
 
-        Distance is Euclidean between the landmark position and the planar
-        query point lifted to z = 0.  Returns ids ascending.
+        Columns follow landmark_array order.  Distance is Euclidean between
+        the landmark position and the planar query point lifted to z = 0.
         """
         if radius < 0 or not np.isfinite(radius):
             raise ValueError("radius must be finite and non-negative")
-        ids, pos = self.landmark_array()
-        if len(ids) == 0:
-            return ids.copy()
-        q = np.array([query_pose[0], query_pose[1], 0.0])
-        d2 = np.sum((pos - q) ** 2, axis=1)
-        return ids[d2 <= radius * radius]
+        _, pos = self.landmark_array()
+        q = np.asarray(query_poses, dtype=np.float64)
+        dx = q[:, 0:1] - pos[None, :, 0]
+        dy = q[:, 1:2] - pos[None, :, 1]
+        return dx * dx + dy * dy + pos[None, :, 2] ** 2 <= radius * radius
+
+    def candidate_set(self, query_pose: Sequence[float], radius: float) -> np.ndarray:
+        """Ids of landmarks within `radius` (inclusive) of the query position, ascending."""
+        ids, _ = self.landmark_array()
+        return ids[self.candidate_mask([query_pose], radius)[0]]
 
     def nearest_vertex(self, query_pose: Sequence[float]) -> int:
         """Id of the vertex closest (planar) to the query pose; lowest id wins ties."""

@@ -186,8 +186,3 @@ def read_message(stream) -> Message | None:
     if raw is None:
         return None
     return decode_body(raw)
-
-
-def frame_size(message: Message) -> int:
-    """On-the-wire size of a message: body bytes plus the 4-byte prefix."""
-    return _LENGTH_PREFIX.size + len(encode_body(message))

@@ -3,11 +3,14 @@
 Scores are defined on appearance equivalence classes, never on individual
 landmarks, so two landmarks with the same observing-session set always score
 identically.  A rolling window over the last few localization iterations
-tracks, per class, how often members were selected and how often they were
-then actually observed; the class ratio observed/selected is the ranking
-signal.  A per-session variant (the max over the landmark's sessions of the
-session's observed/selected weight) is kept as a baseline, along with a
-uniform random and an unranked reference policy.
+keeps one row of per-class count arrays per iteration: how many members of
+each class were selected and how many of those were then actually
+observed.  The class ratio observed/selected is the ranking signal.  A
+per-session variant (the max over the class's sessions of the session's
+observed/selected weight) is kept as a baseline; its session counts are
+derived from the class counts through the index's class keys, so the
+window holds no second table.  A uniform random and an unranked reference
+policy complete the set.
 """
 
 from __future__ import annotations
@@ -99,133 +102,107 @@ def selection_size(selection_ratio: float, n_candidates: int, max_selected: int)
     return max(1, min(k, max_selected, n_candidates))
 
 
-@dataclass
-class WindowRecord:
-    """One localization iteration, with its tallies resolved at push time."""
-
-    selected: tuple[int, ...]
-    observed: tuple[int, ...]
-    class_selected: dict[int, int]
-    class_observed: dict[int, int]
-    session_selected: dict[int, int]
-    session_observed: dict[int, int]
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
 
 
 class RollingSelectionStats:
-    """Sliding window of selection/observation incidences.
+    """Sliding window of per-class selection/observation counts.
 
-    Aggregate tallies are maintained incrementally on push and eviction and
-    always equal a full recount over the stored records (`recount`).  Class
-    tallies are keyed by the equivalence-class ids of the index that was
-    current when the record was pushed; users reset the stats when the map,
-    and therefore the class numbering, changes.
+    Each row is a pair of count arrays indexed by class id: how many members
+    of each class one localization iteration selected and how many of those
+    it then observed.  The running sums are kept incrementally on push and
+    eviction and always equal a sum over the stored rows (`recount`).  Class
+    ids belong to the index that was current when the rows were pushed;
+    users clear the stats when the map, and therefore the class numbering,
+    changes.
     """
 
     def __init__(self, window_len: int = 10):
         if window_len < 1:
             raise ValueError("window_len must be >= 1")
         self.window_len = window_len
-        self.records: deque[WindowRecord] = deque()
-        self.class_tallies: dict[int, list[int]] = {}
-        self.session_tallies: dict[int, list[int]] = {}
+        self.rows: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        self.selected = np.zeros(0, dtype=np.int64)
+        self.observed = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     def clear(self) -> None:
-        self.records.clear()
-        self.class_tallies.clear()
-        self.session_tallies.clear()
+        self.rows.clear()
+        self.selected = np.zeros(0, dtype=np.int64)
+        self.observed = np.zeros(0, dtype=np.int64)
 
-    def push_record(self, rec: WindowRecord) -> None:
-        if not set(rec.observed) <= set(rec.selected):
-            raise ValueError("observed landmarks must be a subset of selected landmarks")
-        self.records.append(rec)
-        self._apply(rec, +1)
-        while len(self.records) > self.window_len:
-            self._apply(self.records.popleft(), -1)
+    def push_record(self, selected: np.ndarray, observed: np.ndarray) -> None:
+        """Append one iteration's per-class (selected, observed) counts."""
+        if not self.rows:
+            self.selected = np.zeros(len(selected), dtype=np.int64)
+            self.observed = np.zeros(len(observed), dtype=np.int64)
+        elif len(selected) != len(self.selected):
+            raise ValueError("a window holds rows of one class index only")
+        self.rows.append((selected, observed))
+        self.selected += selected
+        self.observed += observed
+        while len(self.rows) > self.window_len:
+            sel, obs = self.rows.popleft()
+            self.selected -= sel
+            self.observed -= obs
 
-    def _apply(self, rec: WindowRecord, sign: int) -> None:
-        for tallies, sel, obs in (
-            (self.class_tallies, rec.class_selected, rec.class_observed),
-            (self.session_tallies, rec.session_selected, rec.session_observed),
-        ):
-            for key, c in sel.items():
-                t = tallies.setdefault(key, [0, 0])
-                t[0] += sign * c
-            for key, c in obs.items():
-                tallies[key][1] += sign * c
-            if sign < 0:
-                for key in set(sel) | set(obs):
-                    if tallies.get(key) == [0, 0]:
-                        del tallies[key]
+    def recount(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-class sums recomputed from the stored rows (the oracle for push_record)."""
+        if not self.rows:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        sel, obs = zip(*self.rows)
+        return np.sum(sel, axis=0), np.sum(obs, axis=0)
 
-    def recount(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """Recompute both tally tables from scratch (the oracle for _apply)."""
-        classes: dict[int, list[int]] = {}
-        sessions: dict[int, list[int]] = {}
-        for rec in self.records:
-            for tallies, sel, obs in (
-                (classes, rec.class_selected, rec.class_observed),
-                (sessions, rec.session_selected, rec.session_observed),
-            ):
-                for key, c in sel.items():
-                    tallies.setdefault(key, [0, 0])[0] += c
-                for key, c in obs.items():
-                    tallies.setdefault(key, [0, 0])[1] += c
-        return classes, sessions
+    def class_ratio(self, class_ids: np.ndarray | int) -> np.ndarray:
+        """Observed/selected ratio of each class in class_ids; 0 when never selected."""
+        if not self.rows:
+            return np.zeros(np.shape(class_ids))
+        return _ratio(self.observed, self.selected)[class_ids]
 
-    def class_ratio(self, class_id: int) -> float:
-        """Observed/selected ratio for one class; 0 when never selected."""
-        t = self.class_tallies.get(class_id)
-        if t is None or t[0] == 0:
-            return 0.0
-        return t[1] / t[0]
+    def session_counts(self, index: EquivalenceClassIndex) -> tuple[np.ndarray, np.ndarray]:
+        """Per-session (selected, observed) counts, indexed by session id.
 
-    def session_weight(self, session_id: int) -> float:
-        """Observed/selected weight of one session; 0 when never selected."""
-        t = self.session_tallies.get(session_id)
-        if t is None or t[0] == 0:
-            return 0.0
-        return t[1] / t[0]
+        A class's counts go to every session of its key, so a session's
+        count is the number of selections of landmarks it observed.
+        """
+        n = int(index.key_sessions.max()) + 1 if len(index.key_sessions) else 0
+        lens = np.diff(index.key_ptr)
+        if not self.rows:
+            return np.zeros(n), np.zeros(n)
+        return tuple(
+            np.bincount(index.key_sessions, weights=np.repeat(c, lens), minlength=n)
+            for c in (self.selected, self.observed)
+        )
 
-
-def _tallies(
-    class_ids: np.ndarray, index: EquivalenceClassIndex
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-class counts of class_ids, and per-session counts expanded from the class keys."""
-    uniq, counts = np.unique(class_ids, return_counts=True)
-    per_class = dict(zip(uniq.tolist(), counts.tolist()))
-    per_session: dict[int, int] = {}
-    for cid, c in per_class.items():
-        for s in index.class_key(cid):
-            per_session[s] = per_session.get(s, 0) + c
-    return per_class, per_session
+    def session_weight(
+        self, index: EquivalenceClassIndex, class_ids: np.ndarray | int
+    ) -> np.ndarray:
+        """Best observed/selected weight among the sessions of each class in class_ids."""
+        if not self.rows:
+            return np.zeros(np.shape(class_ids))
+        selected, observed = self.session_counts(index)
+        weight = _ratio(observed, selected)
+        best = np.maximum.reduceat(weight[index.key_sessions], index.key_ptr[:-1])
+        return best[class_ids]
 
 
 def update_window(
     stats: RollingSelectionStats,
-    selected: np.ndarray,
     class_ids: np.ndarray,
     observed_mask: np.ndarray,
     index: EquivalenceClassIndex,
 ) -> RollingSelectionStats:
-    """Push one iteration: distinct selected ids, their class ids, and a boolean observed mask.
+    """Push one iteration: the class ids of its distinct selected landmarks and an observed mask.
 
-    Class ids must come from the given index, whose class keys resolve the
-    session tallies.
+    Class ids must come from the given index, which sizes the count rows.
     """
-    class_sel, sess_sel = _tallies(class_ids, index)
-    class_obs, sess_obs = _tallies(class_ids[observed_mask], index)
+    n = len(index)
     stats.push_record(
-        WindowRecord(
-            tuple(np.sort(selected).tolist()),
-            tuple(np.sort(selected[observed_mask]).tolist()),
-            class_sel,
-            class_obs,
-            sess_sel,
-            sess_obs,
-        )
+        np.bincount(class_ids, minlength=n), np.bincount(class_ids[observed_mask], minlength=n)
     )
     return stats
 
@@ -234,7 +211,7 @@ def class_ratio_score(
     stats: RollingSelectionStats, index: EquivalenceClassIndex, landmark_id: int
 ) -> float:
     """Score of a landmark: its appearance class's observed/selected ratio."""
-    return stats.class_ratio(index.class_of_landmark(landmark_id))
+    return float(stats.class_ratio(index.class_of_landmark(landmark_id)))
 
 
 def class_scores(
@@ -243,22 +220,17 @@ def class_scores(
     index: EquivalenceClassIndex,
     class_ids: np.ndarray,
 ) -> np.ndarray:
-    """Rank score for each entry of class_ids; each distinct class is scored once.
+    """Rank score for each entry of class_ids.
 
     class_ratio scores a class by its observed/selected ratio and
     session_weight by the best weight among the sessions that define it;
     the unranked and random policies score everything 0.
     """
     if policy.ranking is RankingKind.CLASS_RATIO:
-        score = stats.class_ratio
-    elif policy.ranking is RankingKind.SESSION_WEIGHT:
-        def score(cid: int) -> float:
-            return max((stats.session_weight(s) for s in index.class_key(cid)), default=0.0)
-    else:
-        return np.zeros(len(class_ids))
-    uniq, inv = np.unique(class_ids, return_inverse=True)
-    values = np.fromiter((score(int(c)) for c in uniq), dtype=np.float64, count=len(uniq))
-    return values[inv]
+        return stats.class_ratio(class_ids)
+    if policy.ranking is RankingKind.SESSION_WEIGHT:
+        return stats.session_weight(index, class_ids)
+    return np.zeros(len(class_ids))
 
 
 def selection_order(

@@ -62,12 +62,6 @@ class BandwidthLedger:
     bytes_down: int = 0
     bytes_up: int = 0
 
-    def merge(self, other: "BandwidthLedger") -> None:
-        self.queries += other.queries
-        self.landmarks_sent += other.landmarks_sent
-        self.bytes_down += other.bytes_down
-        self.bytes_up += other.bytes_up
-
     def to_doc(self) -> dict:
         return {
             "queries": self.queries,
@@ -131,6 +125,7 @@ class MapBackend:
         self.sessions: dict[int, _Session] = {}
         self._next_token = 1
         self._session_lock = threading.Lock()
+        self._ledger_lock = threading.Lock()
         self._write_lock = threading.Lock()
 
     # -- Snapshot access --
@@ -162,7 +157,7 @@ class MapBackend:
             return self._account(None, bytes_up, reply)
         session = self._resolve(msg.token)
         reply = self.handle_message(msg, session)
-        return self._account(session, bytes_up, reply)
+        return self._account(session, bytes_up, reply, msg.kind is MessageKind.QUERY)
 
     def handle_message(self, msg: Message, session: _Session | None = None) -> Message:
         """Dispatch one decoded request; always returns exactly one reply."""
@@ -191,7 +186,15 @@ class MapBackend:
             return None
         return session
 
-    def _account(self, session: _Session | None, bytes_up: int, reply: Message) -> bytes:
+    def _account(
+        self, session: _Session | None, bytes_up: int, reply: Message, query: bool = False
+    ) -> bytes:
+        """Charge one request/reply exchange to the totals and to its session.
+
+        Every ledger update happens here, under one lock, because each
+        connection runs on its own thread.  A query counts even when it was
+        rejected; its session ledger counts it only if the token was live.
+        """
         frame = encode_frame(reply)
         n_landmarks = (
             len(reply.body["landmark_ids"]) if reply.kind is MessageKind.LANDMARKS else 0
@@ -199,10 +202,12 @@ class MapBackend:
         if session is None and reply.token is not None:
             # open_session: the reply names the token it just created.
             session = self._resolve(reply.token)
-        for ledger in (self.ledger,) + ((session.ledger,) if session else ()):
-            ledger.bytes_up += bytes_up
-            ledger.bytes_down += len(frame)
-            ledger.landmarks_sent += n_landmarks
+        with self._ledger_lock:
+            for ledger in (self.ledger,) + ((session.ledger,) if session else ()):
+                ledger.queries += query
+                ledger.bytes_up += bytes_up
+                ledger.bytes_down += len(frame)
+                ledger.landmarks_sent += n_landmarks
         return frame
 
     # -- Request handlers --
@@ -243,11 +248,8 @@ class MapBackend:
         )
 
     def _query(self, msg: Message, session: _Session | None) -> Message:
-        # Query traffic is counted even when the query itself is rejected.
-        self.ledger.queries += 1
         if session is None:
             return msg.error(ERR_NO_SESSION, "unknown or closed session token")
-        session.ledger.queries += 1
         pose = msg.body.get("pose")
         if (
             not isinstance(pose, (list, tuple))
@@ -303,7 +305,7 @@ class MapBackend:
             return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
         # The mask credits each distinct observed id once, however often it is named.
         observed_mask = np.isin(pending.selected, observed)
-        update_window(session.stats, pending.selected, pending.class_ids, observed_mask, pending.index)
+        update_window(session.stats, pending.class_ids, observed_mask, pending.index)
         session.pending = None
         return Message(
             MessageKind.UPDATE_ACK,
@@ -361,9 +363,9 @@ class MapBackend:
 
     def ledger_doc(self) -> dict:
         """Total and per-session traffic, for logs and the serve verb."""
-        with self._session_lock:
+        with self._session_lock, self._ledger_lock:
             sessions = {str(t): s.ledger.to_doc() for t, s in sorted(self.sessions.items())}
-        return {"total": self.ledger.to_doc(), "sessions": sessions}
+            return {"total": self.ledger.to_doc(), "sessions": sessions}
 
 
 class MapServer:

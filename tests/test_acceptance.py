@@ -190,7 +190,7 @@ def test_04_ranking_arithmetic_and_full_selection_equivalence():
     stats = RollingSelectionStats(10)
     selected = np.array([1, 2])
     for _ in range(2):
-        update_window(stats, selected, index.classes_of(selected), selected == 1, index)
+        update_window(stats, index.classes_of(selected), selected == 1, index)
     cid = index.class_of_landmark(1)
     ratio_exact = stats.class_ratio(cid) == 0.5  # 2 observed over 4 selected
     constancy = class_ratio_score(stats, index, 1) == class_ratio_score(stats, index, 2)

@@ -40,13 +40,6 @@ def test_error_proxy_failure_and_scale():
     assert pose_error_proxy(3, PARAMS, z=0.5) == 1.0  # below min_landmarks
     assert pose_error_proxy(4, PARAMS, z=-2.0) == pytest.approx(2.0 * (0.035 + 0.075))
     assert pose_error_proxy(16, PARAMS, z=1.0) == pytest.approx(0.035 + 0.0375)
-    with pytest.raises(ValueError):
-        pose_error_proxy(10, PARAMS)  # no z, no rng
-    rng = np.random.default_rng(0)
-    a = pose_error_proxy(10, PARAMS, rng=np.random.default_rng(0))
-    b = pose_error_proxy(10, PARAMS, rng=np.random.default_rng(0))
-    assert a == b
-    del rng
 
 
 def make_run(errors, n_failures=0):
@@ -240,6 +233,18 @@ def test_process_sortie_enforces_cap_by_summarizing():
     assert len(m.landmarks) == 40
     assert rep.n_landmarks_after == 40
     m.validate()
+
+
+def test_summarization_prunes_kernels_of_dropped_landmarks():
+    sc = tiny_scenario(landmark_cap=40)
+    world = generate_world(sc, seed=31)
+    cfg = PipelineConfig(threshold_m=sc.threshold_m)
+    m = MultiSessionMap(landmark_cap=40)
+    for condition, seed in ((0.10, 301), (0.50, 302)):
+        dataset = generate_sortie(world, condition, seed=seed)
+        m, rep = process_sortie(m, dataset, reference_policy(), cfg)
+        assert rep.summarized
+        assert set(cfg.kernels) == set(m.landmarks)
 
 
 def test_uncapped_map_never_summarizes():

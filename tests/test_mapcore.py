@@ -158,7 +158,7 @@ def test_observation_session_adds_no_geometry():
     n_vertices, n_landmarks = len(m.vertices), len(m.landmarks)
     sid = m.add_observation_session({2: {2: 3}}, label="drive-by")
     assert (len(m.vertices), len(m.landmarks)) == (n_vertices, n_landmarks)
-    assert m.session_record(sid).kind is SessionKind.OBSERVATION
+    assert m.sessions[-1].id == sid and m.sessions[-1].kind is SessionKind.OBSERVATION
     assert m.landmarks[2].sessions == [1, sid]
     assert m.landmarks[2].obs_counts[2] == 4  # 1 original + 3 new
     m.validate()
@@ -274,10 +274,12 @@ def test_property_grown_maps_valid_and_partitioned(m):
         assert not (set(members) & seen)
         seen.update(members)
         key = index.class_key(cid)
+        assert tuple(index.key_sessions[index.key_ptr[cid]:index.key_ptr[cid + 1]]) == key
         for lid in members:
             assert tuple(sorted(m.landmarks[lid].sessions)) == key
     assert seen == set(m.landmarks)
     assert brute_force_classes(m).keys() == set(index.keys)
+    assert len(index.key_ptr) == len(index) + 1 and index.key_ptr[-1] == len(index.key_sessions)
 
 
 @settings(max_examples=30, deadline=None)

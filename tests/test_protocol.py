@@ -20,7 +20,6 @@ from atlas.protocol import (
     decode_body,
     encode_body,
     encode_frame,
-    frame_size,
     read_frame,
     read_message,
 )
@@ -38,7 +37,6 @@ def test_thousand_message_fuzz_round_trip_is_byte_identical():
         decoded = decode_body(raw)
         assert decoded == msg
         assert encode_frame(decoded) == frame
-        assert frame_size(msg) == len(frame)
 
 
 def test_envelope_is_canonical_json():

@@ -12,7 +12,6 @@ from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
     SelectionPolicy,
-    WindowRecord,
     class_ratio_score,
     class_scores,
     parse_policy,
@@ -70,94 +69,107 @@ def test_selection_size_matches_oracle(ratio, n, m):
 # -- rolling window --
 
 
-def rec(selected, observed, cls_of, sess_of):
-    """Build a WindowRecord from id lists plus class/session lookups."""
-    def tally(ids, key_of):
-        out: dict[int, int] = {}
-        for i in ids:
-            for key in key_of(i):
-                out[key] = out.get(key, 0) + 1
-        return out
+def push(stats, m, selected, observed):
+    """update_window for plain id lists, with classes resolved by the map's index."""
+    ids = np.asarray(selected, dtype=np.int64)
+    index = m.index
+    return update_window(stats, index.classes_of(ids), np.isin(ids, observed), index)
 
-    return WindowRecord(
-        tuple(sorted(selected)),
-        tuple(sorted(observed)),
-        tally(selected, lambda i: [cls_of[i]]),
-        tally(observed, lambda i: [cls_of[i]]),
-        tally(selected, lambda i: sess_of[i]),
-        tally(observed, lambda i: sess_of[i]),
-    )
+
+def session_weights(stats, m, landmark_ids):
+    index = m.index
+    policy = parse_policy("session_weight")
+    return class_scores(policy, stats, index, index.classes_of(landmark_ids))
 
 
 def test_ratio_arithmetic_by_hand():
+    # classes: {1, 2} (session 1), {3} (sessions 1, 2), {4, 5} (session 2)
+    m = two_session_map()
+    index = m.index
     stats = RollingSelectionStats(window_len=10)
-    cls_of = {1: 0, 2: 0, 3: 1}
-    sess_of = {1: [1], 2: [1], 3: [1, 2]}
-    stats.push_record(rec([1, 2, 3], [1, 3], cls_of, sess_of))
-    stats.push_record(rec([1, 2], [2], cls_of, sess_of))
-    # class 0: selected 4 times (1,2,1,2), observed 2 times (1,2) -> 0.5
-    assert stats.class_ratio(0) == 0.5
-    # class 1: selected once, observed once -> 1.0
-    assert stats.class_ratio(1) == 1.0
-    # session 1 backs every landmark: 5 selected, 3 observed
-    assert stats.session_weight(1) == 3 / 5
-    # session 2 backs only landmark 3
-    assert stats.session_weight(2) == 1.0
+    push(stats, m, [1, 2, 3], [1, 3])
+    push(stats, m, [1, 2], [2])
+    # class {1, 2}: selected 4 times (1,2,1,2), observed 2 times (1,2) -> 0.5
+    assert stats.class_ratio(index.class_of_landmark(1)) == 0.5
+    # class {3}: selected once, observed once -> 1.0
+    assert stats.class_ratio(index.class_of_landmark(3)) == 1.0
+    # session 1 backs every selected landmark: 5 selected, 3 observed
+    selected, observed = stats.session_counts(index)
+    assert (selected[1], observed[1]) == (5, 3)
+    # session 2 backs only landmark 3 among them
+    assert (selected[2], observed[2]) == (1, 1)
+    # landmarks 1-2 have session 1 only; 3 takes its best session, 2; 4 has 2 as well
+    assert session_weights(stats, m, [1, 3, 4]).tolist() == [3 / 5, 1.0, 1.0]
 
 
 def test_zero_when_never_selected():
+    m = two_session_map()
+    index = m.index
     stats = RollingSelectionStats()
-    assert stats.class_ratio(7) == 0.0
-    assert stats.session_weight(7) == 0.0
-    stats.push_record(rec([1], [], {1: 0}, {1: [1]}))
-    assert stats.class_ratio(0) == 0.0 or stats.class_ratio(0) >= 0.0
-    assert stats.class_ratio(99) == 0.0  # still unknown class
+    every_class = np.arange(len(index))
+    assert stats.class_ratio(every_class).tolist() == [0.0] * len(index)
+    assert stats.class_ratio(0) == 0.0
+    assert session_weights(stats, m, [1, 3, 4]).tolist() == [0.0] * 3
+    push(stats, m, [1], [])
+    assert stats.class_ratio(index.class_of_landmark(1)) == 0.0  # selected, never observed
+    assert stats.class_ratio(index.class_of_landmark(4)) == 0.0  # never selected
+    assert session_weights(stats, m, [1, 4]).tolist() == [0.0, 0.0]
 
 
 def test_window_eviction():
+    m = two_session_map()
+    cid = m.index.class_of_landmark(1)
     stats = RollingSelectionStats(window_len=2)
-    cls_of = {1: 0}
-    sess_of = {1: [1]}
-    stats.push_record(rec([1], [1], cls_of, sess_of))
-    stats.push_record(rec([1], [], cls_of, sess_of))
-    stats.push_record(rec([1], [], cls_of, sess_of))
+    push(stats, m, [1], [1])
+    push(stats, m, [1], [])
+    push(stats, m, [1], [])
     assert len(stats) == 2
-    assert stats.class_ratio(0) == 0.0  # the observing record fell out
+    assert stats.class_ratio(cid) == 0.0  # the observing row fell out
+    assert (stats.selected[cid], stats.observed[cid]) == (2, 0)
     stats.clear()
-    assert len(stats) == 0 and stats.class_tallies == {}
+    assert len(stats) == 0 and len(stats.selected) == 0 and len(stats.observed) == 0
 
 
 def test_observed_must_be_subset_of_selected():
+    # The observed row is counted from the selection's own class ids, so an
+    # observed count can never exceed the selected count of its class.
+    m = two_session_map()
     stats = RollingSelectionStats()
+    for observed in ([1, 2, 3, 4, 5], [3], [], [2, 4]):
+        push(stats, m, [1, 2, 3, 4, 5], observed)
+        assert np.all(stats.observed <= stats.selected)
+    assert stats.observed.tolist() == [3, 2, 3] and stats.selected.tolist() == [8, 4, 8]
+
+
+def test_window_rejects_rows_of_another_index():
+    m = two_session_map()
+    stats = RollingSelectionStats()
+    push(stats, m, [1], [1])
+    other = many_class_map(0)
+    assert len(other.index) != len(m.index)
     with pytest.raises(ValueError):
-        stats.push_record(rec([1], [1, 2], {1: 0, 2: 0}, {1: [1], 2: [1]}))
+        push(stats, other, [1], [1])
+    assert len(stats) == 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)), min_size=1, max_size=40),
        st.integers(min_value=1, max_value=8))
 def test_window_tallies_match_recount_oracle(steps, window_len):
-    rng = np.random.default_rng(0)
+    n_classes = 4
     stats = RollingSelectionStats(window_len=window_len)
     for n_sel, seed in steps:
         local = np.random.default_rng(seed)
-        ids = list(range(n_sel))
-        observed = [i for i in ids if local.random() < 0.5]
-        cls_of = {i: i % 3 for i in ids}
-        sess_of = {i: [1 + (i % 2)] for i in ids}
-        stats.push_record(rec(ids, observed, cls_of, sess_of))
-        classes, sessions = stats.recount()
-        assert stats.class_tallies == classes
-        assert stats.session_tallies == sessions
+        class_ids = local.integers(0, n_classes, size=n_sel)
+        observed = local.random(n_sel) < 0.5
+        stats.push_record(
+            np.bincount(class_ids, minlength=n_classes),
+            np.bincount(class_ids[observed], minlength=n_classes),
+        )
+        selected_sum, observed_sum = stats.recount()
+        assert stats.selected.tolist() == selected_sum.tolist()
+        assert stats.observed.tolist() == observed_sum.tolist()
         assert len(stats) <= window_len
-    del rng
-
-
-def push(stats, m, selected, observed):
-    """update_window for plain id lists, with classes resolved by the map's index."""
-    ids = np.asarray(selected, dtype=np.int64)
-    index = m.index
-    return update_window(stats, ids, index.classes_of(ids), np.isin(ids, observed), index)
 
 
 def test_update_window_resolves_classes_and_sessions():
@@ -167,11 +179,12 @@ def test_update_window_resolves_classes_and_sessions():
     push(stats, m, [1, 2, 3], [3])
     cid_12 = index.class_of_landmark(1)
     cid_3 = index.class_of_landmark(3)
-    assert stats.class_tallies[cid_12] == [2, 0]
-    assert stats.class_tallies[cid_3] == [1, 1]
+    assert (stats.selected[cid_12], stats.observed[cid_12]) == (2, 0)
+    assert (stats.selected[cid_3], stats.observed[cid_3]) == (1, 1)
     # landmark 3 carries sessions {1, 2}; 1 and 2 carry {1}
-    assert stats.session_tallies[1] == [3, 1]
-    assert stats.session_tallies[2] == [1, 1]
+    selected, observed = stats.session_counts(index)
+    assert (selected[1], observed[1]) == (3, 1)
+    assert (selected[2], observed[2]) == (1, 1)
     assert class_ratio_score(stats, index, 1) == 0.0
     assert class_ratio_score(stats, index, 3) == 1.0
     # best session weight wins for multi-session landmarks
@@ -203,6 +216,7 @@ def test_class_scores_per_policy():
     for spec in ("all", "random"):
         assert class_scores(parse_policy(spec), stats, index, cids).tolist() == [0.0] * 5
     assert len(class_scores(parse_policy("class_ratio"), stats, index, cids[:0])) == 0
+    assert len(class_scores(parse_policy("session_weight"), stats, index, cids[:0])) == 0
 
 
 def many_class_map(seed: int) -> MultiSessionMap:
@@ -222,12 +236,12 @@ def many_class_map(seed: int) -> MultiSessionMap:
 def per_landmark_recount(m, records):
     """The tallies of a window resolved one landmark at a time from the map itself."""
     index = m.index
-    classes: dict[int, list[int]] = {}
+    classes = np.zeros((2, len(index)), dtype=np.int64)
     sessions: dict[int, list[int]] = {}
     for selected, observed in records:
         for slot, ids in ((0, selected), (1, observed)):
             for lid in ids:
-                classes.setdefault(index.class_of_landmark(lid), [0, 0])[slot] += 1
+                classes[slot, index.class_of_landmark(lid)] += 1
                 for s in m.landmarks[lid].sessions:
                     sessions.setdefault(s, [0, 0])[slot] += 1
     return classes, sessions
@@ -237,6 +251,7 @@ def per_landmark_recount(m, records):
 @given(st.integers(0, 2**16), st.integers(1, 6), st.lists(st.integers(0, 2**16), min_size=1, max_size=12))
 def test_update_window_matches_per_landmark_recount(map_seed, window_len, step_seeds):
     m = many_class_map(map_seed)
+    index = m.index
     stats = RollingSelectionStats(window_len)
     pushed = []
     for seed in step_seeds:
@@ -246,9 +261,15 @@ def test_update_window_matches_per_landmark_recount(map_seed, window_len, step_s
         push(stats, m, rng.permutation(ids), observed)
         pushed.append((ids.tolist(), observed))
         classes, sessions = per_landmark_recount(m, pushed[-window_len:])
-        assert stats.class_tallies == classes
-        assert stats.session_tallies == sessions
-        assert (stats.class_tallies, stats.session_tallies) == stats.recount()
+        assert stats.selected.tolist() == classes[0].tolist()
+        assert stats.observed.tolist() == classes[1].tolist()
+        selected, observed_s = stats.session_counts(index)
+        derived = {
+            s: [int(selected[s]), int(observed_s[s])] for s in range(len(selected)) if selected[s]
+        }
+        assert derived == {s: t for s, t in sessions.items() if t[0]}
+        assert all(observed_s[s] == 0 for s in range(len(selected)) if not selected[s])
+        assert [a.tolist() for a in stats.recount()] == classes.tolist()
 
 
 def test_classes_of_agrees_with_class_of_landmark():

@@ -3,6 +3,7 @@
 import json
 import socket
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -140,10 +141,13 @@ def test_report_credits_duplicate_ids_once():
     ack = wire.send(MessageKind.REPORT, {"observed": [3, 3, 3]}, token=token)
     assert ack.body["n_recorded"] == 1
     stats = backend.sessions[token].stats
+    index = backend.snapshot.index
     # landmark 3 is alone in its class and carries sessions {1, 2}
-    assert stats.class_tallies[backend.snapshot.index.class_of_landmark(3)] == [1, 1]
-    assert stats.session_tallies == {1: [3, 1], 2: [3, 1]}
-    assert all(observed <= selected for selected, observed in stats.class_tallies.values())
+    cid = index.class_of_landmark(3)
+    assert (stats.selected[cid], stats.observed[cid]) == (1, 1)
+    selected, observed = stats.session_counts(index)
+    assert selected.tolist() == [0, 3, 3] and observed.tolist() == [0, 1, 1]
+    assert np.all(stats.observed <= stats.selected)
 
 
 def test_unknown_or_missing_token_paths():
@@ -247,6 +251,41 @@ def test_close_ack_ledger_excludes_the_close_exchange():
     assert final["bytes_up"] == wire.bytes_up
     assert final["bytes_down"] == wire.bytes_down
     assert final == backend.ledger.to_doc()  # single session carries all traffic
+
+
+def test_ledger_exact_under_concurrent_connections():
+    backend = fresh_backend()
+    wires = [Wire(backend) for _ in range(4)]
+    done = []
+
+    def hammer(wire, seed):
+        token = open_session(wire, policy="class_ratio@0.4", seed=seed)
+        for k in range(150):
+            got = wire.send(MessageKind.QUERY, {"pose": [float(k % 5), 1.0]}, token=token)
+            wire.send(MessageKind.REPORT, {"observed": got.body["landmark_ids"][:1]}, token=token)
+        wire.send(MessageKind.QUERY, {"pose": "bad"}, token=token)  # rejected, still counted
+        done.append(seed)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often so unlocked updates would collide
+    try:
+        threads = [threading.Thread(target=hammer, args=(w, i)) for i, w in enumerate(wires)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    total = backend.ledger
+    assert total.bytes_up == sum(w.bytes_up for w in wires)
+    assert total.bytes_down == sum(w.bytes_down for w in wires)
+    assert total.landmarks_sent == sum(w.landmarks_seen for w in wires)
+    assert total.queries == 4 * 151
+    sessions = backend.ledger_doc()["sessions"].values()
+    for field in ("queries", "landmarks_sent", "bytes_down", "bytes_up"):
+        assert getattr(total, field) == sum(doc[field] for doc in sessions)
 
 
 @pytest.fixture(scope="module")
