@@ -29,6 +29,7 @@ from atlas.locsim import (
     localize_dataset,
     observation_ratio,
     process_sortie,
+    sortie_draws,
 )
 from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.ranking import SelectionPolicy, parse_policy, reference_policy
@@ -171,12 +172,14 @@ def run_chronological(
 
     for i in range(len(scenario.schedule)):
         ds = build_dataset(world, i, seed)
-        ref_run = localize_dataset(m, ds, ref, cfg.kernels, cfg.localize)
+        draws = sortie_draws(m, ds, cfg.kernels)
+        ref_run = localize_dataset(m, ds, ref, cfg.kernels, cfg.localize, draws)
         probe_runs = []
         if len(m.landmarks):
             for p in policies:
-                run = localize_dataset(m, ds, p, cfg.kernels, cfg.localize)
+                run = localize_dataset(m, ds, p, cfg.kernels, cfg.localize, draws)
                 probe_runs.append((p, run, observation_ratio(run, ref_run)))
+        del draws  # released before ingest and summarization raise the peak
         m, report = process_sortie(m, ds, ref, cfg, run=ref_run)
         if cap != UNBOUNDED_CAP and len(m.landmarks) > cap:
             violations += 1
@@ -326,15 +329,17 @@ def observation_session_gap(
         n_obs = twins[True].n_observation_sessions
         r: dict[bool, float] = {}
         for w, m in twins.items():
-            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels)
+            draws = sortie_draws(m, ds, cfgs[w].kernels)
+            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels, draws=draws)
             is_probe = (
                 stage >= 1
                 and n_obs >= 1
                 and decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
             )
             if is_probe:
-                run = localize_dataset(m, ds, policy, cfgs[w].kernels)
+                run = localize_dataset(m, ds, policy, cfgs[w].kernels, draws=draws)
                 r[w] = observation_ratio(run, ref_run).mean_of_ratios
+            del draws
             twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
         if sorted(twins[True].landmarks) != sorted(twins[False].landmarks):
             raise RuntimeError("twin maps diverged; observation sessions must not add landmarks")
@@ -366,10 +371,11 @@ def converged_policy_probe(
     probe = generate_sortie(
         world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
     )
-    ref_run = localize_dataset(m, probe, ref, cfg.kernels)
+    draws = sortie_draws(m, probe, cfg.kernels)
+    ref_run = localize_dataset(m, probe, ref, cfg.kernels, draws=draws)
     out = {}
     for p in policies:
-        run = localize_dataset(m, probe, p, cfg.kernels)
+        run = localize_dataset(m, probe, p, cfg.kernels, draws=draws)
         out[p.name] = observation_ratio(run, ref_run).mean_of_ratios
     return out
 

@@ -6,6 +6,9 @@ selected landmarks are actually matched.  Detection draws are keyed by
 (sortie observation seed, iteration, landmark id) so that every policy
 evaluated on the same sortie sees the same outcome for the same landmark:
 observation ratios between policies then measure selection quality alone.
+Everything a run draws that no policy changes (candidate sets, detection
+outcomes, error draws, tie-break words) is held in one SortieDraws per
+(map, sortie), which the reference run and every probe policy share.
 
 Translation error is a proxy, not an integrated estimator: the per-iteration
 error is |N(0, sigma)| with sigma shrinking in the number of observed
@@ -24,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from atlas.mapcore import (
+    EquivalenceClassIndex,
     MultiSessionMap,
     NewLandmark,
     SessionKind,
@@ -38,7 +42,7 @@ from atlas.ranking import (
     selection_size,
     update_window,
 )
-from atlas.rng import normal_pair_stream, uniform01
+from atlas.rng import hash_stream, normal_pair_stream, uniform01
 from atlas.summarize import (
     DEFAULT_OBS_WEIGHT,
     DEFAULT_SLACK_PENALTY,
@@ -114,7 +118,6 @@ class LocalizationRun:
     iterations: list[IterationRecord]
     observed_counts: np.ndarray
     errors_m: np.ndarray
-    tallies_by_pose: dict[int, dict[int, int]]  # landmark -> pose index -> count
     n_failures: int
 
     @property
@@ -133,6 +136,19 @@ class LocalizationRun:
     def total_observed(self) -> int:
         return int(self.observed_counts.sum())
 
+    @property
+    def tallies_by_pose(self) -> dict[int, dict[int, int]]:
+        """Landmark -> pose index -> observation count, built from the iterations.
+
+        Each iteration observes a landmark at most once, so every count is 1;
+        landmarks appear in order of first observation.
+        """
+        tallies: dict[int, dict[int, int]] = {}
+        for k, it in enumerate(self.iterations):
+            for lid in it.observed.tolist():
+                tallies.setdefault(lid, {})[k] = 1
+        return tallies
+
 
 def _kernel_arrays(
     ids: np.ndarray, kernels: Mapping[int, ObservabilityKernel]
@@ -149,61 +165,91 @@ def _kernel_arrays(
     return centers, widths, peaks
 
 
+@dataclass
+class SortieDraws:
+    """What localizing one sortie against one map state draws, whatever the policy.
+
+    Per pose k: the candidate ids within sensor range (ascending) and their
+    class ids in `index`, whether each candidate is detected if selected,
+    and the standard normal of the error draw.  Tie-break words are hashed
+    on first use and kept per (policy seed, pose).
+    """
+
+    fingerprint: tuple
+    index: EquivalenceClassIndex
+    candidates: list[np.ndarray]
+    classes: list[np.ndarray]
+    detected: list[np.ndarray]
+    error_z: np.ndarray
+    _tiebreaks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False)
+
+    def tiebreak(self, policy: SelectionPolicy, k: int) -> np.ndarray | None:
+        """hash_stream(policy.seed, k, candidates[k]); None for the unranked policy."""
+        if policy.ranking is RankingKind.ALL:
+            return None
+        key = (policy.seed, k)
+        if key not in self._tiebreaks:
+            self._tiebreaks[key] = hash_stream(policy.seed, k, self.candidates[k])
+        return self._tiebreaks[key]
+
+
+def sortie_draws(
+    m: MultiSessionMap, dataset: SortieDataset, kernels: Mapping[int, ObservabilityKernel]
+) -> SortieDraws:
+    """Candidates, detection outcomes and error draws of every pose of the dataset on m."""
+    index = m.index
+    ids, _ = m.landmark_array()
+    class_of_row = index.classes_of(ids)
+    p_det = detection_probabilities(*_kernel_arrays(ids, kernels), dataset.condition)
+    within = m.candidate_mask(dataset.poses, dataset.sensor_range)  # all poses at once
+    candidates, classes, detected = [], [], []
+    for k, row in enumerate(within):
+        rows = np.flatnonzero(row)
+        candidates.append(ids[rows])
+        classes.append(class_of_row[rows])
+        detected.append(uniform01(dataset.observation_seed, k, candidates[k]) < p_det[rows])
+    error_z = np.array([normal_pair_stream(dataset.error_seed, k) for k in range(len(within))])
+    return SortieDraws(dataset.fingerprint(), index, candidates, classes, detected, error_z)
+
+
 def localize_dataset(
     m: MultiSessionMap,
     dataset: SortieDataset,
     policy: SelectionPolicy,
     kernels: Mapping[int, ObservabilityKernel],
     cfg: LocalizeConfig | None = None,
+    draws: SortieDraws | None = None,
 ) -> LocalizationRun:
-    """Run the full selection/observation/error loop over one sortie."""
-    cfg = cfg or LocalizeConfig()
-    index = m.index
-    ids, _ = m.landmark_array()
-    poses = dataset.poses
-    class_of_row = index.classes_of(ids)
-    within = m.candidate_mask(poses, dataset.sensor_range)  # all iterations at once
-    centers, widths, peaks = _kernel_arrays(ids, kernels)
-    p_det = detection_probabilities(centers, widths, peaks, dataset.condition)
+    """Run the full selection/observation/error loop over one sortie.
 
+    Runs of several policies over the same map state and dataset may share
+    one `sortie_draws(m, dataset, kernels)`; without one it is built here.
+    """
+    cfg = cfg or LocalizeConfig()
+    if draws is None:
+        draws = sortie_draws(m, dataset, kernels)
+    elif draws.index is not m.index or draws.fingerprint != dataset.fingerprint():
+        raise ValueError("draws were made for another map state or dataset")
+    index = draws.index
+    n_poses = len(draws.candidates)
     stats = RollingSelectionStats(policy.window_len)
     iterations: list[IterationRecord] = []
-    observed_counts = np.zeros(len(poses), dtype=np.int64)
-    errors = np.zeros(len(poses))
-    tallies: dict[int, dict[int, int]] = {}
-    n_failures = 0
+    observed_counts = np.zeros(n_poses, dtype=np.int64)
+    errors = np.zeros(n_poses)
 
-    for k in range(len(poses)):
-        cand_rows = np.flatnonzero(within[k])
-        ids_c = ids[cand_rows]
-        scores = class_scores(policy, stats, index, class_of_row[cand_rows])
-
+    for k, (ids_c, classes_c) in enumerate(zip(draws.candidates, draws.classes)):
+        scores = class_scores(policy, stats, index, classes_c)
         if k == 0 and cfg.bootstrap_full_first:
-            sel_rows = cand_rows  # warm-up: select the whole candidate set
+            top = np.arange(len(ids_c))  # warm-up: select the whole candidate set
         else:
-            ksel = selection_size(policy.selection_ratio, len(cand_rows), policy.max_selected)
-            order = selection_order(policy, ids_c, scores, salt=k)
-            sel_rows = cand_rows[order[:ksel]]
-        sel_ids = ids[sel_rows]
-
-        if len(sel_rows):
-            u = uniform01(dataset.observation_seed, k, sel_ids)
-            obs_mask = u < p_det[sel_rows]
-        else:
-            obs_mask = np.zeros(0, dtype=bool)
+            ksel = selection_size(policy.selection_ratio, len(ids_c), policy.max_selected)
+            top = selection_order(policy, ids_c, scores, draws.tiebreak(policy, k))[:ksel]
+        sel_ids = ids_c[top]
+        obs_mask = draws.detected[k][top]
         obs_ids = np.sort(sel_ids[obs_mask])
-        n_obs = len(obs_ids)
-        observed_counts[k] = n_obs
-        if n_obs < cfg.proxy.min_landmarks:
-            errors[k] = cfg.proxy.failure_error_m
-            n_failures += 1
-        else:
-            z = normal_pair_stream(dataset.error_seed, k)
-            errors[k] = pose_error_proxy(n_obs, cfg.proxy, z=z)
-
-        update_window(stats, class_of_row[sel_rows], obs_mask, index)
-        for lid in obs_ids.tolist():
-            tallies.setdefault(int(lid), {})[k] = tallies.get(int(lid), {}).get(k, 0) + 1
+        observed_counts[k] = len(obs_ids)
+        errors[k] = pose_error_proxy(len(obs_ids), cfg.proxy, z=draws.error_z[k])
+        update_window(stats, classes_c[top], obs_mask, index)
         iterations.append(IterationRecord(ids_c, sel_ids, obs_ids, float(errors[k])))
 
     return LocalizationRun(
@@ -214,8 +260,7 @@ def localize_dataset(
         iterations=iterations,
         observed_counts=observed_counts,
         errors_m=errors,
-        tallies_by_pose=tallies,
-        n_failures=n_failures,
+        n_failures=int(np.sum(observed_counts < cfg.proxy.min_landmarks)),
     )
 
 
@@ -338,8 +383,11 @@ def process_sortie(
             summarized = True
             objective = solution.objective
     elif cfg.use_observation_sessions:
-        pose_indices = sorted({k for per in run.tallies_by_pose.values() for k in per})
-        nearest = {k: work.nearest_vertex(dataset.poses[k]) for k in pose_indices}
+        nearest = {
+            k: work.nearest_vertex(dataset.poses[k])
+            for k, it in enumerate(run.iterations)
+            if len(it.observed)
+        }
         observed: dict[int, dict[int, int]] = {}
         for lid, per_pose in run.tallies_by_pose.items():
             per_vertex: dict[int, int] = {}

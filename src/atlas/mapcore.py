@@ -154,9 +154,6 @@ class EquivalenceClassIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def class_key(self, class_id: int) -> tuple[int, ...]:
-        return self.keys[class_id]
-
     def class_of_landmark(self, landmark_id: int) -> int:
         try:
             return self.class_of[landmark_id]

@@ -207,13 +207,6 @@ def update_window(
     return stats
 
 
-def class_ratio_score(
-    stats: RollingSelectionStats, index: EquivalenceClassIndex, landmark_id: int
-) -> float:
-    """Score of a landmark: its appearance class's observed/selected ratio."""
-    return float(stats.class_ratio(index.class_of_landmark(landmark_id)))
-
-
 def class_scores(
     policy: SelectionPolicy,
     stats: RollingSelectionStats,
@@ -234,12 +227,15 @@ def class_scores(
 
 
 def selection_order(
-    policy: SelectionPolicy, ids: np.ndarray, scores: np.ndarray, salt: int = 0
+    policy: SelectionPolicy, ids: np.ndarray, scores: np.ndarray, tiebreak: np.ndarray | None
 ) -> np.ndarray:
-    """Indices into ids, best candidate first, before the budget is applied."""
+    """Indices into ids, best candidate first, before the budget is applied.
+
+    tiebreak holds one hash_stream(policy.seed, salt, ids) word per id; the
+    unranked policy orders by id alone and takes None.
+    """
     if policy.ranking is RankingKind.ALL:
         return np.argsort(ids, kind="stable")
-    tiebreak = hash_stream(policy.seed, salt, ids)
     if policy.ranking is RankingKind.RANDOM:
         return np.lexsort((ids, tiebreak))
     return np.lexsort((ids, tiebreak, -np.asarray(scores, dtype=np.float64)))
@@ -257,5 +253,5 @@ def select_from_arrays(
     k = selection_size(policy.selection_ratio, len(ids), policy.max_selected)
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    order = selection_order(policy, ids, scores, salt)
-    return ids[order[:k]]
+    tiebreak = None if policy.ranking is RankingKind.ALL else hash_stream(policy.seed, salt, ids)
+    return ids[selection_order(policy, ids, scores, tiebreak)[:k]]

@@ -31,7 +31,6 @@ from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.protocol import Message, MessageKind, decode_body, encode_frame, read_frame
 from atlas.ranking import (
     RollingSelectionStats,
-    class_ratio_score,
     parse_policy,
     reference_policy,
     update_window,
@@ -193,7 +192,9 @@ def test_04_ranking_arithmetic_and_full_selection_equivalence():
         update_window(stats, index.classes_of(selected), selected == 1, index)
     cid = index.class_of_landmark(1)
     ratio_exact = stats.class_ratio(cid) == 0.5  # 2 observed over 4 selected
-    constancy = class_ratio_score(stats, index, 1) == class_ratio_score(stats, index, 2)
+    constancy = stats.class_ratio(index.class_of_landmark(1)) == stats.class_ratio(
+        index.class_of_landmark(2)
+    )
     unselected_zero = stats.class_ratio(index.class_of_landmark(4)) == 0.0
 
     scenario = tiny_scenario()

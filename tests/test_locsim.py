@@ -18,10 +18,11 @@ from atlas.locsim import (
     pose_error_proxy,
     pose_error_sigma,
     process_sortie,
+    sortie_draws,
 )
 from atlas.ranking import parse_policy, reference_policy
-from atlas.rng import normal_pair_stream
-from atlas.worldgen import generate_sortie, generate_world
+from atlas.rng import normal_pair_stream, uniform01
+from atlas.worldgen import detection_probabilities, generate_sortie, generate_world
 
 from helpers import tiny_scenario
 
@@ -52,7 +53,6 @@ def make_run(errors, n_failures=0):
         iterations=[IterationRecord(np.empty(0), np.empty(0), np.empty(0), e) for e in errs],
         observed_counts=np.zeros(len(errs), dtype=np.int64),
         errors_m=errs,
-        tallies_by_pose={},
         n_failures=n_failures,
     )
 
@@ -104,6 +104,57 @@ def test_localize_invariants(built):
             z = normal_pair_stream(dataset.error_seed, k)
             assert run.errors_m[k] == pytest.approx(abs(z) * pose_error_sigma(n, proxy))
     assert run.n_failures == int(np.sum(run.errors_m == proxy.failure_error_m))
+
+
+def test_shared_draws_give_the_runs_built_alone(built):
+    m, cfg, dataset = built
+    policies = [reference_policy()] + [
+        parse_policy(f"{name}@{ratio}")
+        for name in ("class_ratio", "session_weight", "random")
+        for ratio in (0.2, 0.4)
+    ] + [parse_policy("random@0.4", seed=7)]  # tie-break words are kept per seed
+    draws = sortie_draws(m, dataset, cfg.kernels)
+    shared = [localize_dataset(m, dataset, p, cfg.kernels, draws=draws) for p in policies]
+    for policy, run in zip(policies, shared):
+        alone = localize_dataset(m, dataset, policy, cfg.kernels)
+        assert np.array_equal(run.errors_m, alone.errors_m)
+        for a, b in zip(run.iterations, alone.iterations):
+            assert np.array_equal(a.candidates, b.candidates)
+            assert np.array_equal(a.selected, b.selected)
+            assert np.array_equal(a.observed, b.observed)
+    other = generate_sortie(generate_world(tiny_scenario(), seed=11), 0.11, seed=999)
+    with pytest.raises(ValueError):
+        localize_dataset(m, other, policies[1], cfg.kernels, draws=draws)
+    with pytest.raises(ValueError):
+        localize_dataset(m.copy(), dataset, policies[1], cfg.kernels, draws=draws)
+
+
+def test_detection_matches_keyed_uniform_oracle(built):
+    m, cfg, dataset = built
+    for spec in ("all", "class_ratio@0.2", "random@0.4"):
+        run = localize_dataset(m, dataset, parse_policy(spec), cfg.kernels)
+        for k, it in enumerate(run.iterations):
+            kern = [cfg.kernels[int(i)] for i in it.selected]
+            p_det = detection_probabilities(
+                np.array([q.center for q in kern]),
+                np.array([q.width for q in kern]),
+                np.array([q.peak for q in kern]),
+                dataset.condition,
+            )
+            hit = uniform01(dataset.observation_seed, k, it.selected) < p_det
+            assert it.observed.tolist() == sorted(it.selected[hit].tolist())
+
+
+def test_tallies_by_pose_matches_per_iteration_recount(built):
+    m, cfg, dataset = built
+    for policy in (reference_policy(), parse_policy("class_ratio@0.3")):
+        run = localize_dataset(m, dataset, policy, cfg.kernels)
+        recount: dict[int, dict[int, int]] = {}
+        for k, it in enumerate(run.iterations):
+            for lid in it.observed.tolist():
+                recount.setdefault(lid, {})[k] = recount.get(lid, {}).get(k, 0) + 1
+        assert list(run.tallies_by_pose.items()) == list(recount.items())
+        assert sum(map(len, recount.values())) == run.total_observed > 0
 
 
 def test_bootstrap_selects_everything_first(built):

@@ -48,7 +48,7 @@ def test_index_matches_brute_force_and_is_deterministic():
     for key, members in groups.items():
         cid = index.key_to_class[key]
         assert set(index.members[cid]) == members
-        assert index.class_key(cid) == key
+        assert index.keys[cid] == key
         for lid in members:
             assert index.class_of_landmark(lid) == cid
     # class ids follow the sorted key order
@@ -273,7 +273,7 @@ def test_property_grown_maps_valid_and_partitioned(m):
     for cid, members in index.members.items():
         assert not (set(members) & seen)
         seen.update(members)
-        key = index.class_key(cid)
+        key = index.keys[cid]
         assert tuple(index.key_sessions[index.key_ptr[cid]:index.key_ptr[cid + 1]]) == key
         for lid in members:
             assert tuple(sorted(m.landmarks[lid].sessions)) == key

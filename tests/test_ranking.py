@@ -12,7 +12,6 @@ from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
     SelectionPolicy,
-    class_ratio_score,
     class_scores,
     parse_policy,
     parse_ranking,
@@ -185,8 +184,8 @@ def test_update_window_resolves_classes_and_sessions():
     selected, observed = stats.session_counts(index)
     assert (selected[1], observed[1]) == (3, 1)
     assert (selected[2], observed[2]) == (1, 1)
-    assert class_ratio_score(stats, index, 1) == 0.0
-    assert class_ratio_score(stats, index, 3) == 1.0
+    assert stats.class_ratio(index.class_of_landmark(1)) == 0.0
+    assert stats.class_ratio(index.class_of_landmark(3)) == 1.0
     # best session weight wins for multi-session landmarks
     got = class_scores(parse_policy("session_weight"), stats, index, index.classes_of([3, 1]))
     assert got.tolist() == [1.0, 1 / 3]
@@ -197,8 +196,12 @@ def test_class_constancy_within_a_class():
     index = m.index
     stats = RollingSelectionStats()
     push(stats, m, [1, 2, 4, 5], [1, 4])
-    assert class_ratio_score(stats, index, 1) == class_ratio_score(stats, index, 2)
-    assert class_ratio_score(stats, index, 4) == class_ratio_score(stats, index, 5)
+    assert stats.class_ratio(index.class_of_landmark(1)) == stats.class_ratio(
+        index.class_of_landmark(2)
+    )
+    assert stats.class_ratio(index.class_of_landmark(4)) == stats.class_ratio(
+        index.class_of_landmark(5)
+    )
 
 
 def test_class_scores_per_policy():
@@ -208,7 +211,9 @@ def test_class_scores_per_policy():
     push(stats, m, [1, 2, 3, 4], [1, 3])
     cids = index.classes_of([1, 2, 3, 4, 5])
     ratio = class_scores(parse_policy("class_ratio"), stats, index, cids)
-    assert ratio.tolist() == [class_ratio_score(stats, index, i) for i in (1, 2, 3, 4, 5)]
+    assert ratio.tolist() == [
+        stats.class_ratio(index.class_of_landmark(i)) for i in (1, 2, 3, 4, 5)
+    ]
     assert ratio.tolist() == [0.5, 0.5, 1.0, 0.0, 0.0]
     # sessions: 1 backs landmarks 1-3 (2 of 3 observed), 2 backs 3-4 (1 of 2)
     weight = class_scores(parse_policy("session_weight"), stats, index, cids)
