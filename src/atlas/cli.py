@@ -34,7 +34,6 @@ from .experiment import (
     ExperimentSpec,
     build_dataset,
     build_world,
-    converged_policy_probe,
     observation_session_gap,
     run_experiment,
     write_csv,
@@ -197,7 +196,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     converged_rows: list[dict] = []
     stage_gaps: dict[int, list[float]] = {}
     for seed in seeds:
-        study = observation_session_gap(scenario, seed, policy)
+        study = observation_session_gap(scenario, seed, policy, converged_policies)
         for stage in sorted(study.gaps_by_stage):
             for j, gap in enumerate(study.gaps_by_stage[stage]):
                 gap_rows.append({
@@ -208,7 +207,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
                     "gap": gap,
                 })
                 stage_gaps.setdefault(stage, []).append(gap)
-        for name, r in converged_policy_probe(scenario, seed, converged_policies).items():
+        for name, r in study.converged.items():
             converged_rows.append({
                 "scenario": scenario.name, "seed": seed, "policy": name, "mean_r_obs": r,
             })

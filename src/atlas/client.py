@@ -10,7 +10,7 @@ finally uploads the sortie so the backend can grow or annotate the map.
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -134,7 +134,6 @@ class DriveResult:
     errors_m: np.ndarray
     n_failures: int
     upload_ack: dict
-    ledger: dict = field(default_factory=dict)
 
     @property
     def rms_translation_m(self) -> float:

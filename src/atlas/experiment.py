@@ -8,7 +8,9 @@ contain wall-clock time for the same reason.
 The map-building decisions of a run are always taken from the unranked
 full-selection reference run, never from a policy under evaluation; policy
 runs are probes on the side.  That keeps the map trajectory identical across
-whatever policy grid is being compared.
+whatever policy grid is being compared.  Each (scenario, seed) schedule is
+walked once: regression re-localizes the sorties the chronological run kept,
+and the converged probe reads the map the gap study already built.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +119,15 @@ class ChronologicalResult:
     final_map: MultiSessionMap
     kernels: dict
     reports: list[SortieReport]
-    reference_rms: list[float]
+    # the schedule's sorties in order, proposals dropped: what regression re-localizes
+    datasets: list[SortieDataset]
     metrics_rows: list[dict]
     composition_rows: list[dict]
     cap_violations: int
+
+    @property
+    def reference_rms(self) -> list[float]:
+        return [r.rms_m for r in self.reports]
 
 
 def _policy_fields(p: SelectionPolicy) -> dict:
@@ -147,7 +154,6 @@ def run_chronological(
     seed: int,
     cap: int | None = None,
     policies: tuple[SelectionPolicy, ...] = (),
-    use_observation_sessions: bool = True,
 ) -> ChronologicalResult:
     """Process the scenario's schedule in order, probing policies on the side.
 
@@ -159,13 +165,11 @@ def run_chronological(
     cap = scenario.landmark_cap if cap is None else cap
     world = build_world(scenario, seed)
     m = MultiSessionMap(landmark_cap=cap)
-    cfg = PipelineConfig(
-        threshold_m=scenario.threshold_m, use_observation_sessions=use_observation_sessions
-    )
+    cfg = PipelineConfig(threshold_m=scenario.threshold_m)
     ref = reference_policy()
     base = {"scenario": scenario.name, "seed": seed, "cap": _cap_str(cap)}
     reports: list[SortieReport] = []
-    reference_rms: list[float] = []
+    datasets: list[SortieDataset] = []
     metrics: list[dict] = []
     composition: list[dict] = []
     violations = 0
@@ -173,18 +177,18 @@ def run_chronological(
     for i in range(len(scenario.schedule)):
         ds = build_dataset(world, i, seed)
         draws = sortie_draws(m, ds, cfg.kernels)
-        ref_run = localize_dataset(m, ds, ref, cfg.kernels, cfg.localize, draws)
+        ref_run = localize_dataset(m, ds, ref, cfg.kernels, draws=draws)
         probe_runs = []
         if len(m.landmarks):
             for p in policies:
-                run = localize_dataset(m, ds, p, cfg.kernels, cfg.localize, draws)
+                run = localize_dataset(m, ds, p, cfg.kernels, draws=draws)
                 probe_runs.append((p, run, observation_ratio(run, ref_run)))
         del draws  # released before ingest and summarization raise the peak
         m, report = process_sortie(m, ds, ref, cfg, run=ref_run)
         if cap != UNBOUNDED_CAP and len(m.landmarks) > cap:
             violations += 1
         reports.append(report)
-        reference_rms.append(report.rms_m)
+        datasets.append(replace(ds, proposals=[]))  # regression ingests nothing
         sortie_base = base | {
             "sortie_index": i,
             "label": ds.label,
@@ -227,7 +231,7 @@ def run_chronological(
             )
 
     return ChronologicalResult(
-        scenario, seed, cap, m, cfg.kernels, reports, reference_rms,
+        scenario, seed, cap, m, cfg.kernels, reports, datasets,
         metrics, composition, violations,
     )
 
@@ -235,23 +239,20 @@ def run_chronological(
 def run_regression(chrono: ChronologicalResult) -> list[dict]:
     """Re-localize every dataset of the run against the final map.
 
-    Uses the same per-sortie seeds, so error draws and observation outcomes
-    are paired with the chronological run and the RMS comparison isolates
+    Reads the sorties the chronological run kept, so error draws and
+    observation outcomes are paired with it and the RMS comparison isolates
     what the final map changed.  Datasets whose label matches a rich session
     of the final map are flagged as self-localization: their surviving
     landmarks are part of the map being localized against.
     """
-    scenario, seed = chrono.scenario, chrono.seed
-    world = build_world(scenario, seed)
     m = chrono.final_map
     rich_labels = {
         s.label for s in m.sessions if s.kind is SessionKind.RICH
     }
     ref = reference_policy()
-    base = {"scenario": scenario.name, "seed": seed, "cap": _cap_str(chrono.cap)}
+    base = {"scenario": chrono.scenario.name, "seed": chrono.seed, "cap": _cap_str(chrono.cap)}
     rows = []
-    for i in range(len(scenario.schedule)):
-        ds = build_dataset(world, i, seed)
+    for i, ds in enumerate(chrono.datasets):
         run = localize_dataset(m, ds, ref, chrono.kernels)
         ratio = observation_ratio(run, run)
         rows.append(
@@ -289,6 +290,8 @@ class GapStudy:
     gaps_by_stage: dict[int, list[float]]
     with_by_stage: dict[int, list[float]]
     without_by_stage: dict[int, list[float]]
+    # policy name -> mean observation ratio on the fully built map
+    converged: dict[str, float]
 
     def stage_means(self) -> dict[int, float]:
         return {st: float(np.mean(g)) for st, g in sorted(self.gaps_by_stage.items())}
@@ -298,6 +301,7 @@ def observation_session_gap(
     scenario: Scenario,
     seed: int,
     policy: SelectionPolicy,
+    converged_policies: tuple[SelectionPolicy, ...] = (),
 ) -> GapStudy:
     """Measure what ingesting observation sessions buys the given policy.
 
@@ -309,6 +313,10 @@ def observation_session_gap(
     shared full-selection reference; the probe counts when the map already
     has a rich and an observation session and the sortie itself localizes
     well enough to be an observation session, i.e. a genuine revisit.
+
+    Each converged policy is then probed on the fully built twin that
+    ingested observation sessions, with one fresh sortie at the final
+    condition; its mean observation ratio lands in `converged`.
 
     Runs without a landmark cap: summarization depends on the session lists
     and would let the twins drift apart.
@@ -347,37 +355,19 @@ def observation_session_gap(
             gaps.setdefault(stage, []).append(r[True] - r[False])
             with_r.setdefault(stage, []).append(r[True])
             without_r.setdefault(stage, []).append(r[False])
-    return GapStudy(seed, gaps, with_r, without_r)
 
-
-def converged_policy_probe(
-    scenario: Scenario,
-    seed: int,
-    policies: tuple[SelectionPolicy, ...],
-) -> dict[str, float]:
-    """Mean observation ratio of each policy on the fully built map.
-
-    The map is built uncapped over the whole schedule (observation sessions
-    included), then probed with one fresh sortie at the final condition.
-    """
-    sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
-    world = build_world(sc, seed)
-    m = MultiSessionMap()
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    ref = reference_policy()
-    for i in range(len(sc.schedule)):
-        ds = build_dataset(world, i, seed)
-        m, _ = process_sortie(m, ds, ref, cfg)
-    probe = generate_sortie(
-        world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
-    )
-    draws = sortie_draws(m, probe, cfg.kernels)
-    ref_run = localize_dataset(m, probe, ref, cfg.kernels, draws=draws)
-    out = {}
-    for p in policies:
-        run = localize_dataset(m, probe, p, cfg.kernels, draws=draws)
-        out[p.name] = observation_ratio(run, ref_run).mean_of_ratios
-    return out
+    converged: dict[str, float] = {}
+    if converged_policies:
+        m, kernels = twins[True], cfgs[True].kernels
+        probe = generate_sortie(
+            world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
+        )
+        draws = sortie_draws(m, probe, kernels)
+        ref_run = localize_dataset(m, probe, ref, kernels, draws=draws)
+        for p in converged_policies:
+            run = localize_dataset(m, probe, p, kernels, draws=draws)
+            converged[p.name] = observation_ratio(run, ref_run).mean_of_ratios
+    return GapStudy(seed, gaps, with_r, without_r, converged)
 
 
 def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:

@@ -43,14 +43,7 @@ from atlas.ranking import (
     update_window,
 )
 from atlas.rng import hash_stream, normal_pair_stream, uniform01
-from atlas.summarize import (
-    DEFAULT_OBS_WEIGHT,
-    DEFAULT_SLACK_PENALTY,
-    EXACT_SIZE_LIMIT,
-    build_problem,
-    apply_summarization,
-    solve,
-)
+from atlas.summarize import build_problem, apply_summarization, solve
 from atlas.worldgen import (
     KernelRegistry,
     ObservabilityKernel,
@@ -313,11 +306,6 @@ class PipelineConfig:
 
     kernels: KernelRegistry = field(default_factory=dict)
     threshold_m: float = DEFAULT_THRESHOLD_M
-    localize: LocalizeConfig = field(default_factory=LocalizeConfig)
-    min_per_vertex: int = COVERAGE_FLOOR_PER_VERTEX
-    slack_penalty: float = DEFAULT_SLACK_PENALTY
-    obs_weight: float = DEFAULT_OBS_WEIGHT
-    exact_limit: int = EXACT_SIZE_LIMIT
     use_observation_sessions: bool = True
 
 
@@ -346,20 +334,23 @@ def process_sortie(
 ) -> tuple[MultiSessionMap, SortieReport]:
     """Localize, decide rich vs observation, ingest, and re-summarize.
 
-    Returns a new map; the input map is never mutated, so a failure at any
-    point leaves the caller's state untouched.  A pre-computed run for this
+    The input map is never mutated, so a failure at any point leaves the
+    caller's state untouched.  Ingestion works on a copy that is returned;
+    an observation sortie with observation sessions disabled ingests
+    nothing and returns the input map itself.  A pre-computed run for this
     (map, dataset, policy) may be passed to avoid localizing twice.
     """
     if run is None:
-        run = localize_dataset(m, dataset, policy, cfg.kernels, cfg.localize)
+        run = localize_dataset(m, dataset, policy, cfg.kernels)
     kind = decide_update(run, cfg.threshold_m)
     n_before = len(m.landmarks)
-    work = m.copy()
+    work = m  # replaced by a copy only when there is something to ingest
     summarized = False
     objective = None
     session_id: int | None = None
 
     if kind is SessionKind.RICH:
+        work = m.copy()
         proposals = dataset.proposals
         new_landmarks = [NewLandmark(p.position, p.observations) for p in proposals]
         session_id = work.add_rich_session(
@@ -369,13 +360,9 @@ def process_sortie(
             cfg.kernels[lid] = prop.kernel
         if work.landmark_cap != UNBOUNDED_CAP and len(work.landmarks) > work.landmark_cap:
             problem = build_problem(
-                work,
-                keep_count=work.landmark_cap,
-                min_per_vertex=cfg.min_per_vertex,
-                slack_penalty=cfg.slack_penalty,
-                obs_weight=cfg.obs_weight,
+                work, keep_count=work.landmark_cap, min_per_vertex=COVERAGE_FLOOR_PER_VERTEX
             )
-            solution = solve(problem, exact_limit=cfg.exact_limit)
+            solution = solve(problem)
             kept = apply_summarization(work, solution)
             for lid in work.landmarks.keys() - kept.landmarks.keys():
                 cfg.kernels.pop(lid, None)  # landmark ids are never reused
@@ -383,6 +370,7 @@ def process_sortie(
             summarized = True
             objective = solution.objective
     elif cfg.use_observation_sessions:
+        work = m.copy()
         nearest = {
             k: work.nearest_vertex(dataset.poses[k])
             for k, it in enumerate(run.iterations)

@@ -109,7 +109,6 @@ class MapBackend:
         *,
         threshold_m: float = DEFAULT_THRESHOLD_M,
         default_sensor_range: float = DEFAULT_SENSOR_RANGE,
-        update_policy: SelectionPolicy | None = None,
         on_session_close: Callable[[dict], None] | None = None,
     ):
         m.validate()
@@ -117,9 +116,6 @@ class MapBackend:
         self.kernels: KernelRegistry = dict(kernels) if kernels else {}
         self.threshold_m = threshold_m
         self.default_sensor_range = default_sensor_range
-        # Map updates are decided from an unranked full-selection run so the
-        # rich/observation choice never depends on which vehicle uploaded.
-        self.update_policy = update_policy if update_policy is not None else reference_policy()
         self.on_session_close = on_session_close
         self.ledger = BandwidthLedger()
         self.sessions: dict[int, _Session] = {}
@@ -328,7 +324,9 @@ class MapBackend:
             base = self._snapshot
             cfg = PipelineConfig(kernels=self.kernels, threshold_m=self.threshold_m)
             try:
-                new_map, report = process_sortie(base, dataset, self.update_policy, cfg)
+                # Map updates are decided from an unranked full-selection run so the
+                # rich/observation choice never depends on which vehicle uploaded.
+                new_map, report = process_sortie(base, dataset, reference_policy(), cfg)
             except (TypeError, ValueError) as exc:
                 return msg.error(ERR_BAD_REQUEST, f"sortie rejected: {exc}")
             new_ids = (

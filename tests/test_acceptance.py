@@ -20,7 +20,6 @@ from atlas.experiment import (
     ExperimentSpec,
     build_dataset,
     build_world,
-    converged_policy_probe,
     observation_session_gap,
     run_chronological,
     run_experiment,
@@ -92,16 +91,11 @@ def parking_run():
 
 @pytest.fixture(scope="module")
 def gap_studies():
+    """Twin studies with the converged probe on each finished map, one walk per seed."""
     scenario = get_scenario("parking_year")
     policy = parse_policy("class_ratio@0.2")
-    return [observation_session_gap(scenario, seed, policy) for seed in range(20)]
-
-
-@pytest.fixture(scope="module")
-def converged_probes():
-    scenario = get_scenario("parking_year")
-    policies = (parse_policy("class_ratio@0.2"), parse_policy("random@0.2"))
-    return [converged_policy_probe(scenario, seed, policies) for seed in range(20)]
+    converged = (policy, parse_policy("random@0.2"))
+    return [observation_session_gap(scenario, seed, policy, converged) for seed in range(20)]
 
 
 # -- 1: exact solver vs exhaustive enumeration --
@@ -245,7 +239,8 @@ def test_05_observation_session_gap(gap_studies):
 
 # -- 6: converged-map selection quality --
 
-def test_06_converged_ranked_selection_near_full(converged_probes):
+def test_06_converged_ranked_selection_near_full(gap_studies):
+    converged_probes = [study.converged for study in gap_studies]
     ranked = float(np.mean([p["class_ratio@0.2"] for p in converged_probes]))
     rand = float(np.mean([p["random@0.2"] for p in converged_probes]))
     criterion(

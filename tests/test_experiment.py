@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +15,17 @@ from atlas.experiment import (
     ExperimentSpec,
     build_dataset,
     build_world,
-    converged_policy_probe,
     observation_session_gap,
     run_chronological,
     run_experiment,
     run_regression,
     sortie_seed,
 )
-from atlas.mapcore import UNBOUNDED_CAP
+from atlas.locsim import PipelineConfig, localize_dataset, observation_ratio, process_sortie
+from atlas.mapcore import MultiSessionMap, UNBOUNDED_CAP
 from atlas.ranking import parse_policy, reference_policy
+from atlas.rng import derive_seed
+from atlas.worldgen import SortieSpec, generate_sortie, with_overrides
 
 from helpers import tiny_scenario
 
@@ -91,6 +94,29 @@ def test_regression_pairs_with_chronological(chrono):
         assert r["rms_m"] <= live + 1e-9
 
 
+def test_regression_relocalizes_rebuilt_sorties_against_the_final_map(chrono):
+    """Oracle: rebuild every sortie from its seed and localize it afresh."""
+    sc = tiny_scenario()
+    world = build_world(sc, seed=42)
+    fresh = [build_dataset(world, i, seed=42) for i in range(len(sc.schedule))]
+    assert all(ds.proposals == [] for ds in chrono.datasets)
+    assert [ds.fingerprint() for ds in chrono.datasets] == [ds.fingerprint() for ds in fresh]
+    rows = run_regression(chrono)
+    expected = run_regression(replace(chrono, datasets=fresh))
+    assert [r.keys() for r in rows] == [r.keys() for r in expected]
+    for row, want, ds in zip(rows, expected, fresh):
+        for key in row:
+            assert row[key] == want[key] or (
+                isinstance(want[key], float) and math.isnan(want[key]) and math.isnan(row[key])
+            ), key
+        run = localize_dataset(chrono.final_map, ds, reference_policy(), chrono.kernels)
+        assert row["label"] == ds.label and row["condition"] == ds.condition
+        assert row["rms_m"] == run.rms_translation_m
+        assert row["n_selected_total"] == run.total_selected
+        assert row["n_observed_total"] == run.total_observed
+        assert row["n_failed_iterations"] == run.n_failures
+
+
 def test_world_and_sortie_seeds_are_deterministic():
     sc = tiny_scenario()
     a = build_world(sc, seed=7)
@@ -120,15 +146,35 @@ def test_observation_session_gap_structure():
     means = study.stage_means()
     assert set(means) == set(study.gaps_by_stage)
     assert all(math.isfinite(v) for v in means.values())
+    assert study.converged == {}  # no converged policies asked for
 
 
 def test_converged_probe_reference_is_exact():
     policies = tuple(parse_policy(p) for p in ("all@1", "class_ratio@0.3", "random@0.3"))
-    out = converged_policy_probe(tiny_scenario(), seed=42, policies=policies)
-    assert set(out) == {"all@1", "class_ratio@0.3", "random@0.3"}
-    assert out["all@1"] == pytest.approx(1.0)
-    for v in out.values():
-        assert 0.0 <= v <= 1.0 + 1e-12
+    # The second schedule alternates conditions, so observation sessions change
+    # the ranked ratio: a probe of the twin without them reads 0.427, not 0.532.
+    conditions = (("one", 0.10), ("two", 0.30), ("three", 0.11), ("four", 0.29), ("five", 0.20))
+    alternating = [SortieSpec(label, c) for label, c in conditions]
+    for sc in (tiny_scenario(), tiny_scenario(schedule=alternating)):
+        out = observation_session_gap(sc, 42, policies[1], converged_policies=policies).converged
+        # Oracle: build the uncapped map sortie by sortie on its own, then probe it.
+        uncapped = with_overrides(sc, landmark_cap=UNBOUNDED_CAP)
+        world = build_world(uncapped, seed=42)
+        cfg = PipelineConfig(threshold_m=uncapped.threshold_m)
+        m = MultiSessionMap()
+        for i in range(len(uncapped.schedule)):
+            m, _ = process_sortie(m, build_dataset(world, i, seed=42), reference_policy(), cfg)
+        probe = generate_sortie(
+            world, uncapped.schedule[-1].condition, derive_seed(42, "probe"), label="probe"
+        )
+        ref_run = localize_dataset(m, probe, reference_policy(), cfg.kernels)
+        runs = {p.name: localize_dataset(m, probe, p, cfg.kernels) for p in policies}
+        expected = {name: observation_ratio(r, ref_run).mean_of_ratios for name, r in runs.items()}
+        assert out == expected
+        assert set(out) == {"all@1", "class_ratio@0.3", "random@0.3"}
+        assert out["all@1"] == pytest.approx(1.0)
+        for v in out.values():
+            assert 0.0 <= v <= 1.0 + 1e-12
 
 
 def test_experiment_spec_policy_parsing():

@@ -269,6 +269,7 @@ def test_process_sortie_observation_sessions_can_be_disabled():
     assert rep.session_kind is SessionKind.OBSERVATION
     assert rep.session_id is None
     assert len(m2.sessions) == len(m1.sessions)
+    assert m2 is m1  # nothing ingested, nothing copied
 
 
 def test_process_sortie_enforces_cap_by_summarizing():
