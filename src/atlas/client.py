@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .locsim import PoseErrorParams, _kernel_arrays, pose_error_proxy
+from .locsim import PoseErrorParams, pose_error_proxy
 from .protocol import (
     Message,
     MessageKind,
@@ -23,7 +23,13 @@ from .protocol import (
     read_message,
 )
 from .rng import normal_pair_stream, uniform01
-from .worldgen import KernelRegistry, SortieDataset, detection_probabilities, sortie_to_doc
+from .worldgen import (
+    KernelRegistry,
+    KernelTable,
+    SortieDataset,
+    detection_probabilities,
+    sortie_to_doc,
+)
 
 
 class BackendError(RuntimeError):
@@ -165,13 +171,13 @@ def drive_sortie(
     observed_counts = np.zeros(n, dtype=np.int64)
     errors = np.zeros(n)
     n_failures = 0
+    table = KernelTable(kernels)  # the sidecar grows only after the upload
     for k in range(n):
         result = client.query(dataset.poses[k])
         ids = np.asarray(result.landmark_ids, dtype=np.int64)
         selected_counts[k] = len(ids)
         if len(ids):
-            centers, widths, peaks = _kernel_arrays(ids, kernels)
-            p_det = detection_probabilities(centers, widths, peaks, dataset.condition)
+            p_det = detection_probabilities(*table.lookup(ids), dataset.condition)
             hit = uniform01(dataset.observation_seed, k, ids) < p_det
             observed = ids[hit]
         else:

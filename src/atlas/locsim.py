@@ -46,6 +46,7 @@ from atlas.rng import hash_stream, normal_pair_stream, uniform01
 from atlas.summarize import build_problem, apply_summarization, solve
 from atlas.worldgen import (
     KernelRegistry,
+    KernelTable,
     ObservabilityKernel,
     SortieDataset,
     detection_probabilities,
@@ -143,21 +144,6 @@ class LocalizationRun:
         return tallies
 
 
-def _kernel_arrays(
-    ids: np.ndarray, kernels: Mapping[int, ObservabilityKernel]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    centers = np.zeros(len(ids))
-    widths = np.ones(len(ids))
-    peaks = np.zeros(len(ids))  # unknown kernel -> never matches
-    for row, lid in enumerate(ids.tolist()):
-        k = kernels.get(lid)
-        if k is not None:
-            centers[row] = k.center
-            widths[row] = k.width
-            peaks[row] = k.peak
-    return centers, widths, peaks
-
-
 @dataclass
 class SortieDraws:
     """What localizing one sortie against one map state draws, whatever the policy.
@@ -193,7 +179,7 @@ def sortie_draws(
     index = m.index
     ids, _ = m.landmark_array()
     class_of_row = index.classes_of(ids)
-    p_det = detection_probabilities(*_kernel_arrays(ids, kernels), dataset.condition)
+    p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
     within = m.candidate_mask(dataset.poses, dataset.sensor_range)  # all poses at once
     candidates, classes, detected = [], [], []
     for k, row in enumerate(within):

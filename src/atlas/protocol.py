@@ -20,6 +20,11 @@ is canonical: keys sorted, compact separators, no NaN/Infinity.  Re-encoding
 a decoded frame reproduces the original bytes exactly, which makes frames
 safe to hash, diff, and count for bandwidth accounting.
 
+``landmarks`` replies, the bulk of the traffic, have a second encoder:
+``encode_landmarks_frame`` joins positions that were encoded once per map
+snapshot (``position_fragments``) into the envelope, and writes exactly
+the bytes ``encode_frame`` writes for the same reply.
+
 Every request receives exactly one reply carrying the same ``cid``: a
 ``query`` is answered by ``landmarks`` or ``error``; ``open_session``,
 ``report``, ``upload_sortie``, and ``close`` are answered by ``update_ack``
@@ -32,7 +37,9 @@ import json
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, ClassVar, Sequence
+
+import numpy as np
 
 MAX_FRAME_BYTES = 16 * 2**20
 
@@ -115,10 +122,63 @@ def encode_body(message: Message) -> bytes:
 
 def encode_frame(message: Message) -> bytes:
     """Serialize a message to a complete frame: length prefix plus body."""
-    body = encode_body(message)
+    return _framed(encode_body(message))
+
+
+def _framed(body: bytes) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame body is {len(body)} bytes")
     return _LENGTH_PREFIX.pack(len(body)) + body
+
+
+@dataclass(frozen=True)
+class LandmarksReply:
+    """A ``landmarks`` reply whose positions are already canonical JSON.
+
+    ``positions`` holds one ``"[x,y,z]"`` fragment per landmark, as made by
+    position_fragments.  It stands for the Message whose body has the same
+    fields with each position as a list of three floats.
+    """
+
+    kind: ClassVar[MessageKind] = MessageKind.LANDMARKS
+    cid: int
+    token: int
+    landmark_ids: list[int]
+    class_ids: list[int]
+    positions: Sequence[str]
+    n_candidates: int
+    map_version: int
+
+
+def position_fragments(positions: np.ndarray) -> np.ndarray:
+    """One canonical JSON fragment ``"[x,y,z]"`` per row of an (n, 3) array.
+
+    Floats are written with float.__repr__, as json.dumps writes them; the
+    positions must be finite.  The result is an object array of str, so a
+    selection of rows is one fancy index.
+    """
+    out = np.empty(len(positions), dtype=object)
+    rows = np.asarray(positions, dtype=np.float64).tolist()
+    out[:] = [f"[{x!r},{y!r},{z!r}]" for x, y, z in rows]
+    return out
+
+
+def encode_landmarks_frame(reply: LandmarksReply) -> bytes:
+    """The frame encode_frame makes for the same reply, joined from its parts.
+
+    Keys go in sorted order at both levels, ints are written with str (as
+    json.dumps writes them) and positions are joined from their fragments.
+    """
+    text = "".join((
+        '{"body":{"class_ids":[', ",".join(map(str, reply.class_ids)),
+        '],"landmark_ids":[', ",".join(map(str, reply.landmark_ids)),
+        '],"map_version":', str(reply.map_version),
+        ',"n_candidates":', str(reply.n_candidates),
+        ',"positions":[', ",".join(reply.positions),
+        ']},"cid":', str(reply.cid),
+        ',"kind":"landmarks","token":', str(reply.token), "}",
+    ))
+    return _framed(text.encode("utf-8"))
 
 
 def decode_body(raw: bytes) -> Message:

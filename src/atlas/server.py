@@ -5,7 +5,12 @@ candidate landmarks against the snapshot with the per-vehicle rolling
 window and never block behind uploads; uploads run the full sortie
 pipeline under a single writer lock and publish a fresh snapshot
 atomically, so a query sees either the old map or the new one, never a
-half-updated hybrid.
+half-updated hybrid.  What is derived from a map version is published
+with it in the same swap: the kernel registry the upload extended, and a
+reply table holding each landmark's class id and its position pre-encoded
+as a JSON fragment.  ``landmarks`` replies are joined from those fragments
+and are byte-identical to what the canonical encoder ``encode_frame``
+writes for the same reply.
 
 Bandwidth accounting is byte-exact: every request and reply is counted
 at the frame level (4-byte length prefix plus JSON body) by the same
@@ -32,11 +37,14 @@ from .protocol import (
     ERR_BAD_REPORT,
     ERR_BAD_REQUEST,
     ERR_NO_SESSION,
+    LandmarksReply,
     Message,
     MessageKind,
     ProtocolError,
     decode_body,
     encode_frame,
+    encode_landmarks_frame,
+    position_fragments,
     read_frame,
 )
 from .ranking import (
@@ -69,6 +77,26 @@ class BandwidthLedger:
             "bytes_down": self.bytes_down,
             "bytes_up": self.bytes_up,
         }
+
+
+@dataclass(frozen=True)
+class _Published:
+    """One map version and what is derived from it, swapped in as a unit.
+
+    Row r of the reply table is landmark ids[r] (ascending), its class id in
+    map.index and its position as a JSON fragment.
+    """
+
+    map: MultiSessionMap
+    kernels: KernelRegistry
+    ids: np.ndarray
+    classes: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def of(cls, m: MultiSessionMap, kernels: KernelRegistry) -> "_Published":
+        ids, pos = m.landmark_array()
+        return cls(m, kernels, ids, m.index.classes_of(ids), position_fragments(pos))
 
 
 @dataclass
@@ -112,8 +140,7 @@ class MapBackend:
         on_session_close: Callable[[dict], None] | None = None,
     ):
         m.validate()
-        self._snapshot = m
-        self.kernels: KernelRegistry = dict(kernels) if kernels else {}
+        self._published = _Published.of(m, dict(kernels) if kernels else {})
         self.threshold_m = threshold_m
         self.default_sensor_range = default_sensor_range
         self.on_session_close = on_session_close
@@ -128,11 +155,15 @@ class MapBackend:
 
     @property
     def snapshot(self) -> MultiSessionMap:
-        return self._snapshot
+        return self._published.map
+
+    @property
+    def kernels(self) -> KernelRegistry:
+        return self._published.kernels
 
     @property
     def map_version(self) -> int:
-        return self._snapshot.version
+        return self._published.map.version
 
     # -- Transport entry point --
 
@@ -155,7 +186,9 @@ class MapBackend:
         reply = self.handle_message(msg, session)
         return self._account(session, bytes_up, reply, msg.kind is MessageKind.QUERY)
 
-    def handle_message(self, msg: Message, session: _Session | None = None) -> Message:
+    def handle_message(
+        self, msg: Message, session: _Session | None = None
+    ) -> Message | LandmarksReply:
         """Dispatch one decoded request; always returns exactly one reply."""
         if session is None:
             session = self._resolve(msg.token)
@@ -183,18 +216,22 @@ class MapBackend:
         return session
 
     def _account(
-        self, session: _Session | None, bytes_up: int, reply: Message, query: bool = False
+        self,
+        session: _Session | None,
+        bytes_up: int,
+        reply: Message | LandmarksReply,
+        query: bool = False,
     ) -> bytes:
-        """Charge one request/reply exchange to the totals and to its session.
+        """Encode one reply and charge the exchange to the totals and to its session.
 
         Every ledger update happens here, under one lock, because each
         connection runs on its own thread.  A query counts even when it was
         rejected; its session ledger counts it only if the token was live.
         """
-        frame = encode_frame(reply)
-        n_landmarks = (
-            len(reply.body["landmark_ids"]) if reply.kind is MessageKind.LANDMARKS else 0
-        )
+        if isinstance(reply, LandmarksReply):
+            frame, n_landmarks = encode_landmarks_frame(reply), len(reply.landmark_ids)
+        else:
+            frame, n_landmarks = encode_frame(reply), 0
         if session is None and reply.token is not None:
             # open_session: the reply names the token it just created.
             session = self._resolve(reply.token)
@@ -221,6 +258,7 @@ class MapBackend:
                 raise ValueError("sensor_range must be finite and positive")
         except (TypeError, ValueError) as exc:
             return msg.error(ERR_BAD_REQUEST, f"bad session parameters: {exc}")
+        snap = self.snapshot
         with self._session_lock:
             token = self._next_token
             self._next_token += 1
@@ -229,9 +267,8 @@ class MapBackend:
                 policy=policy,
                 sensor_range=sensor_range,
                 stats=RollingSelectionStats(policy.window_len),
-                seen_version=self._snapshot.version,
+                seen_version=snap.version,
             )
-        snap = self._snapshot
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,
@@ -243,7 +280,7 @@ class MapBackend:
             },
         )
 
-    def _query(self, msg: Message, session: _Session | None) -> Message:
+    def _query(self, msg: Message, session: _Session | None) -> Message | LandmarksReply:
         if session is None:
             return msg.error(ERR_NO_SESSION, "unknown or closed session token")
         pose = msg.body.get("pose")
@@ -257,32 +294,33 @@ class MapBackend:
         if session.pending is not None:
             return msg.error(ERR_BAD_REQUEST, "previous selection still awaits its report")
 
-        snap = self._snapshot
+        pub = self._published
+        snap = pub.map
         if session.seen_version != snap.version:
             # Class numbering moved with the map, so the window restarts.
             session.stats.clear()
             session.seen_version = snap.version
         candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
+        # Ids are ascending in the table and among the candidates, so
+        # searchsorted finds the table row of each candidate and each selection.
+        rows = np.searchsorted(pub.ids, candidates)
+        candidate_classes = pub.classes[rows]
         index = snap.index
-        candidate_classes = index.classes_of(candidates)
         scores = class_scores(session.policy, session.stats, index, candidate_classes)
         salt = session.n_queries
         session.n_queries += 1
         selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
-        # Candidates are ascending, so searchsorted finds each selected row.
-        class_ids = candidate_classes[np.searchsorted(candidates, selected)]
+        selected_rows = rows[np.searchsorted(candidates, selected)]
+        class_ids = pub.classes[selected_rows]
         session.pending = _Pending(selected, class_ids, index)
-        return Message(
-            MessageKind.LANDMARKS,
+        return LandmarksReply(
             cid=msg.cid,
             token=session.token,
-            body={
-                "landmark_ids": [int(i) for i in selected],
-                "positions": [[float(x) for x in snap.landmarks[int(i)].position] for i in selected],
-                "class_ids": class_ids.tolist(),
-                "n_candidates": int(len(candidates)),
-                "map_version": snap.version,
-            },
+            landmark_ids=selected.tolist(),
+            class_ids=class_ids.tolist(),
+            positions=pub.positions[selected_rows],
+            n_candidates=len(candidates),
+            map_version=snap.version,
         )
 
     def _report(self, msg: Message, session: _Session | None) -> Message:
@@ -296,18 +334,20 @@ class MapBackend:
         ):
             return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
         pending = session.pending
-        if not set(observed) <= set(pending.selected.tolist()):
+        distinct = set(observed)
+        # The mask credits each distinct observed id once, however often it is named.
+        observed_mask = np.array([i in distinct for i in pending.selected.tolist()], dtype=bool)
+        if int(observed_mask.sum()) != len(distinct):
+            # A selection holds distinct ids, so some observed id was not selected.
             # Reject without touching the window; the selection stays pending.
             return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
-        # The mask credits each distinct observed id once, however often it is named.
-        observed_mask = np.isin(pending.selected, observed)
         update_window(session.stats, pending.class_ids, observed_mask, pending.index)
         session.pending = None
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,
             token=session.token,
-            body={"n_recorded": len(set(observed)), "window_fill": len(session.stats)},
+            body={"n_recorded": len(distinct), "window_fill": len(session.stats)},
         )
 
     def _upload(self, msg: Message, session: _Session | None) -> Message:
@@ -321,12 +361,14 @@ class MapBackend:
         except (KeyError, TypeError, ValueError) as exc:
             return msg.error(ERR_BAD_REQUEST, f"malformed sortie: {exc}")
         with self._write_lock:
-            base = self._snapshot
-            cfg = PipelineConfig(kernels=self.kernels, threshold_m=self.threshold_m)
+            # process_sortie extends and prunes the registry it is given, so it
+            # gets a copy; a failed upload leaves the published registry as it was.
+            kernels = dict(self.kernels)
+            cfg = PipelineConfig(kernels=kernels, threshold_m=self.threshold_m)
             try:
                 # Map updates are decided from an unranked full-selection run so the
                 # rich/observation choice never depends on which vehicle uploaded.
-                new_map, report = process_sortie(base, dataset, reference_policy(), cfg)
+                new_map, report = process_sortie(self.snapshot, dataset, reference_policy(), cfg)
             except (TypeError, ValueError) as exc:
                 return msg.error(ERR_BAD_REQUEST, f"sortie rejected: {exc}")
             new_ids = (
@@ -334,7 +376,9 @@ class MapBackend:
                 if report.session_kind is SessionKind.RICH and report.session_id is not None
                 else []
             )
-            self._snapshot = new_map  # atomic publish; readers hold old refs
+            # Atomic publish of the map, its registry and its reply table;
+            # readers hold old refs.
+            self._published = _Published.of(new_map, kernels)
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,
@@ -407,7 +451,7 @@ class MapServer:
                 return  # listener closed
             t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
             t.start()
-            self._threads.append(t)
+            self._threads = [u for u in self._threads if u.is_alive()] + [t]
 
     def _serve_connection(self, conn: socket.socket) -> None:
         stream = conn.makefile("rb")

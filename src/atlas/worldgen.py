@@ -29,6 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -85,6 +86,36 @@ class ObservabilityKernel:
 
 
 KernelRegistry = dict[int, ObservabilityKernel]
+
+
+class KernelTable:
+    """A kernel registry frozen for vectorized lookup by landmark id.
+
+    `ids` is ascending; column j of `params` holds (center, width, peak) of
+    ids[j], and the extra last column (0, 1, 0) stands for every id without
+    a kernel: a zero peak never detects.
+    """
+
+    def __init__(self, kernels: Mapping[int, ObservabilityKernel]):
+        n = len(kernels)
+        ids = np.fromiter(kernels, dtype=np.int64, count=n)
+        order = np.argsort(ids)
+        self.ids = ids[order]
+        values = list(kernels.values())
+        self.params = np.empty((3, n + 1))
+        for row, name in enumerate(("center", "width", "peak")):
+            self.params[row, :n] = np.fromiter(map(attrgetter(name), values), np.float64, n)[order]
+        self.params[:, n] = (0.0, 1.0, 0.0)
+
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, widths, peaks) of the given landmark ids, in input order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        cols = np.searchsorted(self.ids, ids)
+        known = cols < len(self.ids)
+        known[known] = self.ids[cols[known]] == ids[known]
+        cols[~known] = len(self.ids)
+        centers, widths, peaks = self.params[:, cols]
+        return centers, widths, peaks
 
 
 def kernels_to_doc(kernels: Mapping[int, ObservabilityKernel]) -> dict:

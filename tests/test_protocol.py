@@ -5,12 +5,14 @@ import json
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from atlas.protocol import (
     ERR_BAD_REQUEST,
     MAX_FRAME_BYTES,
     FrameTooLarge,
+    LandmarksReply,
     Message,
     MessageKind,
     ProtocolError,
@@ -20,6 +22,8 @@ from atlas.protocol import (
     decode_body,
     encode_body,
     encode_frame,
+    encode_landmarks_frame,
+    position_fragments,
     read_frame,
     read_message,
 )
@@ -148,3 +152,68 @@ def test_decode_accepts_null_token_and_zero_cid():
     assert msg.cid == 0 and msg.token is None
     assert msg.kind is MessageKind.OPEN_SESSION
     assert encode_body(msg) == raw
+
+
+def _dict_built_landmarks_frame(reply: LandmarksReply, positions: np.ndarray) -> bytes:
+    """The canonical encoder on the reply as a Message with float-list positions."""
+    body = {
+        "landmark_ids": list(reply.landmark_ids),
+        "positions": [[float(x) for x in row] for row in positions],
+        "class_ids": list(reply.class_ids),
+        "n_candidates": reply.n_candidates,
+        "map_version": reply.map_version,
+    }
+    return encode_frame(Message(MessageKind.LANDMARKS, cid=reply.cid, token=reply.token, body=body))
+
+
+_AWKWARD_FLOATS = [0.0, -0.0, 1.0, -3.0, 2.0**53, 1e-300, -1e-300, 5e-324, 1e16, -1e16,
+                   1e22, 1.7976931348623157e308, 0.1, 1 / 3, 123456.789]
+
+
+def test_landmarks_frame_matches_canonical_encoder():
+    rnd = random.Random(20261018)
+    for trial in range(400):
+        n = 0 if trial % 10 == 0 else rnd.randrange(1, 40)
+        floats = [
+            rnd.choice(_AWKWARD_FLOATS) if rnd.random() < 0.5
+            else rnd.uniform(-1e3, 1e3) * 10.0 ** rnd.randrange(-20, 20)
+            for _ in range(3 * n)
+        ]
+        positions = np.array(floats, dtype=np.float64).reshape(n, 3)
+        id_top = rnd.choice([50, 2**31 + 5, 2**62])
+        reply = LandmarksReply(
+            cid=rnd.choice([0, 1, rnd.randrange(2**40)]),
+            token=rnd.choice([1, rnd.randrange(2**33)]),
+            landmark_ids=[rnd.randrange(id_top) for _ in range(n)],
+            class_ids=[rnd.randrange(2**32 if trial % 3 == 0 else 30) for _ in range(n)],
+            positions=position_fragments(positions),
+            n_candidates=n + rnd.randrange(2**31 + 10 if trial % 7 == 0 else 100),
+            map_version=rnd.randrange(2**35 if trial % 5 == 0 else 20),
+        )
+        assert encode_landmarks_frame(reply) == _dict_built_landmarks_frame(reply, positions)
+
+
+def test_landmarks_frame_edge_values_and_fragments():
+    positions = np.array([[-0.0, 3.0, 1e16], [1e-300, -2.5, 0.0]])
+    fragments = position_fragments(positions)
+    assert fragments.tolist() == ["[-0.0,3.0,1e+16]", "[1e-300,-2.5,0.0]"]
+    assert position_fragments(np.empty((0, 3))).tolist() == []
+    reply = LandmarksReply(cid=4, token=2**31 + 1, landmark_ids=[2**31, 2**40], class_ids=[0, 7],
+                           positions=fragments, n_candidates=9, map_version=3)
+    frame = encode_landmarks_frame(reply)
+    assert frame == _dict_built_landmarks_frame(reply, positions)
+    decoded = decode_body(frame[4:])
+    assert decoded.kind is MessageKind.LANDMARKS
+    assert decoded.body["positions"][0] == [-0.0, 3.0, 1e16]
+    assert str(decoded.body["positions"][0][0]) == "-0.0"
+    empty = LandmarksReply(cid=1, token=1, landmark_ids=[], class_ids=[],
+                           positions=fragments[:0], n_candidates=0, map_version=0)
+    assert encode_landmarks_frame(empty) == _dict_built_landmarks_frame(empty, np.empty((0, 3)))
+
+
+def test_oversized_landmarks_frame_refused():
+    n = MAX_FRAME_BYTES // 16  # at least 18 body bytes per landmark
+    reply = LandmarksReply(cid=1, token=1, landmark_ids=[0] * n, class_ids=[0] * n,
+                           positions=["[0.0,0.0,0.0]"] * n, n_candidates=n, map_version=0)
+    with pytest.raises(FrameTooLarge):
+        encode_landmarks_frame(reply)

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import atlas.locsim
 from atlas.client import BackendError, VehicleClient, drive_sortie
 from atlas.locsim import LocalizeConfig, PipelineConfig, localize_dataset, process_sortie
 from atlas.mapcore import MultiSessionMap
@@ -20,7 +21,7 @@ from atlas.protocol import (
     encode_frame,
     read_frame,
 )
-from atlas.ranking import parse_policy, reference_policy
+from atlas.ranking import RollingSelectionStats, parse_policy, reference_policy, update_window
 from atlas.server import MapBackend, MapServer
 from atlas.worldgen import generate_sortie, generate_world, sortie_to_doc
 
@@ -542,3 +543,110 @@ def test_parallel_clients_get_distinct_sessions(grown):
     assert set(sessions) == {str(t) for t in tokens}
     for doc in sessions.values():
         assert doc["queries"] == 1
+
+
+def _dict_built_landmarks_frame(snap, reply, pose, sensor_range):
+    """The landmarks frame as the canonical encoder writes it from the map's own objects."""
+    ids = reply.body["landmark_ids"]
+    body = {
+        "landmark_ids": ids,
+        "positions": [[float(x) for x in snap.landmarks[i].position] for i in ids],
+        "class_ids": [snap.index.class_of_landmark(i) for i in ids],
+        "n_candidates": len(snap.candidate_set(pose, sensor_range)),
+        "map_version": snap.version,
+    }
+    return encode_frame(Message(MessageKind.LANDMARKS, cid=reply.cid, token=reply.token, body=body))
+
+
+def test_served_landmarks_replies_equal_the_canonical_encoder():
+    """A multi-sortie session (rich, observation and summarizing uploads) replayed
+    through handle_frame: every landmarks reply is byte-identical to the
+    dict-built frame of the map it was served from, and every report moves the
+    window as an np.isin mask over the selection would."""
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=11)
+    backend = MapBackend(MultiSessionMap(landmark_cap=150), threshold_m=sc.threshold_m)
+    rnd = np.random.default_rng(3)
+    cid = 0
+
+    def send(kind, body, token):
+        nonlocal cid
+        cid += 1
+        frame = backend.handle_frame(encode_body(Message(kind, cid=cid, token=token, body=body)))
+        return frame, decode_body(frame[4:])
+
+    kinds, n_replies = [], 0
+    specs = ["all@1", "class_ratio@0.3", "session_weight@0.4", "random@0.5", "class_ratio@0.2"]
+    for i, (condition, spec) in enumerate(zip((0.10, 0.11, 0.45, 0.12, 0.47), specs)):
+        sortie = generate_sortie(world, condition, seed=900 + i, label=f"s{i}")
+        _, opened = send(MessageKind.OPEN_SESSION,
+                         {"policy": spec, "seed": i, "sensor_range": sortie.sensor_range}, None)
+        token = opened.token
+        shadow = RollingSelectionStats(backend.sessions[token].policy.window_len)
+        for pose in sortie.poses:
+            snap = backend.snapshot
+            query = [float(pose[0]), float(pose[1])]
+            frame, reply = send(MessageKind.QUERY, {"pose": query}, token)
+            assert reply.kind is MessageKind.LANDMARKS
+            assert frame == _dict_built_landmarks_frame(snap, reply, query, sortie.sensor_range)
+            n_replies += 1
+            selected = np.array(reply.body["landmark_ids"], dtype=np.int64)
+            observed = [int(j) for j in selected if rnd.random() < 0.6]
+            observed += observed[: rnd.integers(0, 3)]  # a named-twice id is credited once
+            _, ack = send(MessageKind.REPORT, {"observed": observed}, token)
+            update_window(shadow, np.array(reply.body["class_ids"], dtype=np.int64),
+                          np.isin(selected, observed), snap.index)
+            stats = backend.sessions[token].stats
+            assert ack.body == {"n_recorded": len(set(observed)), "window_fill": len(shadow)}
+            assert np.array_equal(stats.selected, shadow.selected)
+            assert np.array_equal(stats.observed, shadow.observed)
+        _, up = send(MessageKind.UPLOAD_SORTIE, {"sortie": sortie_to_doc(sortie)}, token)
+        assert up.kind is MessageKind.UPDATE_ACK
+        kinds.append((up.body["session_kind"], up.body["summarized"]))
+        send(MessageKind.CLOSE, {}, token)
+    assert ("rich", True) in kinds and ("observation", False) in kinds
+    assert n_replies == 5 * sc.n_iterations
+    assert backend.ledger.landmarks_sent > 0
+
+
+def test_failed_upload_leaves_map_and_kernels_unpublished(monkeypatch):
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=11)
+    backend = MapBackend(MultiSessionMap(landmark_cap=150), threshold_m=sc.threshold_m)
+    wire = Wire(backend)
+    token = open_session(wire)
+    first = generate_sortie(world, 0.10, seed=900, label="first")
+    ok = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": sortie_to_doc(first)}, token=token)
+    assert ok.body["session_kind"] == "rich" and not ok.body["summarized"]
+    snap, kernels = backend.snapshot, dict(backend.kernels)
+
+    calls = []
+
+    def failing_solve(problem):
+        calls.append(problem)
+        raise ValueError("solver gave up")
+
+    monkeypatch.setattr(atlas.locsim, "solve", failing_solve)
+    # A second rich sortie overflows the cap of 150, so the upload has to summarize.
+    second = generate_sortie(world, 0.45, seed=902, label="second")
+    failed = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": sortie_to_doc(second)}, token=token)
+    assert failed.kind is MessageKind.ERROR and failed.body["code"] == "bad_request"
+    assert len(calls) == 1
+    assert backend.snapshot is snap
+    assert backend.kernels == kernels
+    assert set(backend.kernels) == set(snap.landmarks)
+    pose = [float(v) for v in first.poses[0][:2]]
+    frame = backend.handle_frame(encode_body(
+        Message(MessageKind.QUERY, cid=99, token=token, body={"pose": pose})))
+    reply = decode_body(frame[4:])
+    assert frame == _dict_built_landmarks_frame(snap, reply, pose, backend.default_sensor_range)
+
+
+def test_finished_connection_threads_are_dropped():
+    with MapServer(fresh_backend()) as server:
+        host, port = server.address
+        for cid in range(1, 51):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(encode_frame(Message(MessageKind.OPEN_SESSION, cid=cid)))
+                assert decode_body(read_frame(sock.makefile("rb"))).cid == cid
+        assert len(server._threads) <= 5

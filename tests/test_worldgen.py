@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from atlas.rng import derive_seed
 from atlas.worldgen import (
     KERNEL_CUTOFF_WIDTHS,
+    KernelTable,
     ObservabilityKernel,
     Scenario,
     SortieSpec,
@@ -110,6 +111,41 @@ def test_kernel_validation():
         ObservabilityKernel(center=0.5, width=0.1, peak=0.0)
     with pytest.raises(ValueError):
         ObservabilityKernel(center=0.5, width=0.1, peak=1.5)
+
+
+def _kernel_arrays_by_loop(ids, kernels):
+    """The per-id loop the table replaces: (0, 1, 0) for an id without a kernel."""
+    centers, widths, peaks = np.zeros(len(ids)), np.ones(len(ids)), np.zeros(len(ids))
+    for row, lid in enumerate(ids.tolist()):
+        k = kernels.get(lid)
+        if k is not None:
+            centers[row], widths[row], peaks[row] = k.center, k.width, k.peak
+    return centers, widths, peaks
+
+
+def test_kernel_table_lookup_matches_per_id_loop():
+    rng = np.random.default_rng(5)
+    for n_kernels in (0, 1, 2, 40):
+        known = rng.choice(np.arange(1, 200), size=n_kernels, replace=False)
+        kernels = {
+            int(lid): ObservabilityKernel(float(rng.uniform(0, 1)), float(rng.uniform(0.01, 0.2)),
+                                          float(rng.uniform(0.1, 1.0)))
+            for lid in rng.permutation(known)  # insertion order is not id order
+        }
+        table = KernelTable(kernels)
+        for ids in (
+            np.empty(0, dtype=np.int64),
+            np.arange(0, 220, dtype=np.int64),  # below, among, between and above the known ids
+            rng.integers(0, 220, size=50),  # unsorted, with repeats
+            np.array([2**40, -1, 0], dtype=np.int64),
+        ):
+            got = table.lookup(ids)
+            want = _kernel_arrays_by_loop(ids, kernels)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+            for condition in (0.0, 0.37, 0.9):
+                assert np.array_equal(detection_probabilities(*got, condition),
+                                      detection_probabilities(*want, condition))
 
 
 def test_kernel_registry_round_trip(tmp_path):
