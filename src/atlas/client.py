@@ -44,7 +44,6 @@ class BackendError(RuntimeError):
 @dataclass
 class QueryResult:
     landmark_ids: list[int]
-    positions: np.ndarray  # shape (k, 3)
     class_ids: list[int]
     n_candidates: int
     map_version: int
@@ -110,7 +109,6 @@ class VehicleClient:
         b = reply.body
         return QueryResult(
             landmark_ids=[int(i) for i in b["landmark_ids"]],
-            positions=np.asarray(b["positions"], dtype=np.float64).reshape(-1, 3),
             class_ids=[int(c) for c in b["class_ids"]],
             n_candidates=int(b["n_candidates"]),
             map_version=int(b["map_version"]),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -224,10 +223,10 @@ def run_chronological(
                     "n_valid_iterations": ratio.n_valid,
                 }
             )
-        counts = Counter(lm.origin_session for lm in m.landmarks.values())
-        for origin in sorted(counts):
+        origins, counts = np.unique(m.landmark_origins, return_counts=True)
+        for origin, count in zip(origins.tolist(), counts.tolist()):
             composition.append(
-                base | {"sortie_index": i, "origin_session": origin, "n_landmarks": counts[origin]}
+                base | {"sortie_index": i, "origin_session": origin, "n_landmarks": count}
             )
 
     return ChronologicalResult(
@@ -349,7 +348,7 @@ def observation_session_gap(
                 r[w] = observation_ratio(run, ref_run).mean_of_ratios
             del draws
             twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
-        if sorted(twins[True].landmarks) != sorted(twins[False].landmarks):
+        if not np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids):
             raise RuntimeError("twin maps diverged; observation sessions must not add landmarks")
         if len(r) == 2:
             gaps.setdefault(stage, []).append(r[True] - r[False])

@@ -177,15 +177,14 @@ def sortie_draws(
 ) -> SortieDraws:
     """Candidates, detection outcomes and error draws of every pose of the dataset on m."""
     index = m.index
-    ids, _ = m.landmark_array()
-    class_of_row = index.classes_of(ids)
+    ids = m.landmark_ids
     p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
     within = m.candidate_mask(dataset.poses, dataset.sensor_range)  # all poses at once
     candidates, classes, detected = [], [], []
     for k, row in enumerate(within):
         rows = np.flatnonzero(row)
         candidates.append(ids[rows])
-        classes.append(class_of_row[rows])
+        classes.append(index.class_ids[rows])
         detected.append(uniform01(dataset.observation_seed, k, candidates[k]) < p_det[rows])
     error_z = np.array([normal_pair_stream(dataset.error_seed, k) for k in range(len(within))])
     return SortieDraws(dataset.fingerprint(), index, candidates, classes, detected, error_z)
@@ -350,7 +349,7 @@ def process_sortie(
             )
             solution = solve(problem)
             kept = apply_summarization(work, solution)
-            for lid in work.landmarks.keys() - kept.landmarks.keys():
+            for lid in np.setdiff1d(work.landmark_ids, kept.landmark_ids).tolist():
                 cfg.kernels.pop(lid, None)  # landmark ids are never reused
             work = kept
             summarized = True

@@ -8,14 +8,26 @@ yields the appearance equivalence classes used by ranking and selection.
 
 All poses are planar (x, y, heading); landmark positions are 3-D points in
 the single map reference frame.
+
+The map is stored as columns, after the summary maps of Muehlfellner et
+al. (JFR 2016): vertex ids, poses and owner sessions; landmark ids,
+positions and origin sessions; the (landmark, session) pairs; and the
+(landmark, vertex, count) observation triples.  Ids ascend down their
+column.  Pairs and triples name landmarks and vertices by row; pairs are
+kept in the order they were recorded, so each landmark's sessions ascend,
+and triples are sorted by (landmark row, vertex row).  Every stored array
+is read-only: a mutation builds new arrays and assigns them, so a copy
+shares all of them with its original.  `landmarks` and `vertices` are
+read-only views that build Landmark and Vertex records on access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from copy import copy as shallow_copy
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,12 +45,48 @@ class SessionKind(str, Enum):
     OBSERVATION = "observation"
 
 
-def _wrap_heading(h: float) -> float:
-    """Normalize a heading to [-pi, pi)."""
-    return float((h + math.pi) % (2.0 * math.pi) - math.pi)
+def _wrap_headings(h: np.ndarray) -> np.ndarray:
+    """Normalize headings to [-pi, pi)."""
+    return (h + math.pi) % (2.0 * math.pi) - math.pi
 
 
-@dataclass
+def _points(values: Iterable[Sequence[float]], n: int, what: str) -> np.ndarray:
+    """values as a new (n, 3) float array; MapValidationError unless that shape and finite."""
+    try:
+        points = np.array(values, dtype=np.float64).reshape(-1, 3)
+    except ValueError as exc:
+        raise MapValidationError(f"malformed {what}: {exc}") from exc
+    if points.shape != (n, 3) or not np.all(np.isfinite(points)):
+        raise MapValidationError(f"{what} must be {n} finite triples")
+    return points
+
+
+def _int_column(values: Iterable[int]) -> np.ndarray:
+    """A new int64 array of the values."""
+    return np.array(values if isinstance(values, np.ndarray) else list(values), dtype=np.int64)
+
+
+def _flatten(per_row: Sequence[Mapping[int, int]]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(sizes, keys, values) of int -> int mappings, concatenated in order."""
+    keys = _int_column(k for counts in per_row for k in counts)
+    values = _int_column(c for counts in per_row for c in counts.values())
+    return [len(counts) for counts in per_row], keys, values
+
+
+def _rows(
+    ids: np.ndarray, keys: Iterable[int], message: str, error: type = MapValidationError
+) -> np.ndarray:
+    """Rows of keys in the ascending id column; error(message) names the first absent key."""
+    keys = _int_column(keys)
+    rows = np.searchsorted(ids, keys)
+    found = rows < len(ids)
+    found[found] = ids[rows[found]] == keys[found]
+    if not found.all():
+        raise error(message.format(keys[np.argmin(found)]))
+    return rows
+
+
+@dataclass(frozen=True)
 class SessionRecord:
     id: int
     kind: SessionKind
@@ -54,55 +102,22 @@ class Vertex:
     pose: np.ndarray  # (x, y, heading)
     session: int
 
-    def __post_init__(self) -> None:
-        pose = np.asarray(self.pose, dtype=np.float64)
-        if pose.shape != (3,) or not np.all(np.isfinite(pose)):
-            raise MapValidationError(f"vertex {self.id}: pose must be 3 finite floats")
-        pose[2] = _wrap_heading(pose[2])
-        self.pose = pose
-
 
 @dataclass
 class Landmark:
     """A 3-D landmark and the record of who observed it from where.
 
-    sessions is insertion-ordered and strictly increasing (session ids are
-    monotone), and always contains origin_session.  obs_counts maps vertex id
-    to the number of recorded observations from that vertex, aggregated over
-    all sessions.
+    sessions is strictly increasing and always contains origin_session.
+    obs_counts maps vertex id to the number of recorded observations from
+    that vertex, aggregated over all sessions.  A record is a copy built
+    from the map's columns; changing it does not change the map.
     """
 
     id: int
     position: np.ndarray  # (x, y, z)
     origin_session: int
-    sessions: list[int] = field(default_factory=list)
-    obs_counts: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=np.float64)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise MapValidationError(f"landmark {self.id}: position must be 3 finite floats")
-        self.position = pos
-        if not self.sessions:
-            self.sessions = [self.origin_session]
-
-    @property
-    def session_key(self) -> tuple[int, ...]:
-        """Canonical appearance-class key: the sorted tuple of session ids."""
-        return tuple(sorted(self.sessions))
-
-    @property
-    def total_observations(self) -> int:
-        return sum(self.obs_counts.values())
-
-    def copy(self) -> "Landmark":
-        return Landmark(
-            id=self.id,
-            position=self.position.copy(),
-            origin_session=self.origin_session,
-            sessions=list(self.sessions),
-            obs_counts=dict(self.obs_counts),
-        )
+    sessions: list[int]
+    obs_counts: dict[int, int]
 
 
 @dataclass
@@ -111,13 +126,30 @@ class NewLandmark:
 
     observations maps an index into the ingested pose sequence to an
     observation count; a proposal needs at least two observing poses to be
-    considered triangulated.  id is normally left None and assigned by the
-    map, which is the only id authority.
+    considered triangulated.  The map assigns the id.
     """
 
     position: np.ndarray
     observations: dict[int, int]
-    id: int | None = None
+
+
+class _Records(Mapping):
+    """Read-only id -> record view of a column; records are built on access."""
+
+    def __init__(self, ids: np.ndarray, record: Callable[[int], object]):
+        self._ids = ids
+        self._record = record
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids.tolist())
+
+    def __getitem__(self, key: int):
+        if not isinstance(key, (int, np.integer)):
+            raise KeyError(key)
+        return self._record(int(_rows(self._ids, [key], "{}", KeyError)[0]))
 
 
 class EquivalenceClassIndex:
@@ -132,44 +164,44 @@ class EquivalenceClassIndex:
     key_sessions[key_ptr[c]:key_ptr[c + 1]], ascending.
     """
 
-    def __init__(self, landmarks: Mapping[int, Landmark]):
-        members: dict[tuple[int, ...], list[int]] = {}
-        for lm in landmarks.values():
-            members.setdefault(lm.session_key, []).append(lm.id)
-        self.keys: list[tuple[int, ...]] = sorted(members)
-        self.key_to_class: dict[tuple[int, ...], int] = {k: i for i, k in enumerate(self.keys)}
-        self.members: dict[int, list[int]] = {
-            self.key_to_class[k]: sorted(ids) for k, ids in members.items()
-        }
-        self.class_of: dict[int, int] = {}
-        for cid, ids in self.members.items():
-            for lid in ids:
-                self.class_of[lid] = cid
-        self.key_ptr = np.zeros(len(self.keys) + 1, dtype=np.int64)
-        np.cumsum([len(k) for k in self.keys], out=self.key_ptr[1:])
-        self.key_sessions = np.fromiter(
-            (s for k in self.keys for s in k), dtype=np.int64, count=int(self.key_ptr[-1])
-        )
+    def __init__(self, m: MultiSessionMap):
+        # One row per landmark holding its sessions, padded after the last one
+        # with a value below every session id, so that sorting the rows
+        # sorts the session tuples (a prefix sorts first).
+        n = len(m.landmark_ids)
+        order = np.argsort(m.pair_landmarks, kind="stable")  # keeps sessions ascending
+        pair_rows = m.pair_landmarks[order]
+        starts = np.searchsorted(pair_rows, np.arange(n))
+        width = max(1, int(np.diff(starts, append=len(pair_rows)).max(initial=0)))
+        pad = np.iinfo(np.int64).min
+        padded = np.full((n, width), pad, dtype=np.int64)
+        padded[pair_rows, np.arange(len(pair_rows)) - starts[pair_rows]] = m.pair_sessions[order]
+        order = np.lexsort(padded.T[::-1])
+        ordered = padded[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        unique = ordered[first]
+        filled = unique != pad
+        self.ids = m.landmark_ids
+        self.class_ids = np.empty(n, dtype=np.int64)
+        self.class_ids[order] = np.cumsum(first) - 1
+        self.key_ptr = np.zeros(len(unique) + 1, dtype=np.int64)
+        np.cumsum(filled.sum(axis=1), out=self.key_ptr[1:])
+        self.key_sessions = unique[filled]
+        self.keys: list[tuple[int, ...]] = [
+            tuple(self.key_sessions[a:b].tolist()) for a, b in zip(self.key_ptr, self.key_ptr[1:])
+        ]
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def class_of_landmark(self, landmark_id: int) -> int:
-        try:
-            return self.class_of[landmark_id]
-        except KeyError:
-            raise KeyError(f"landmark {landmark_id} is not in the index") from None
+        return int(self.classes_of([landmark_id])[0])
 
     def classes_of(self, landmark_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Class id of each landmark, in input order, as an int64 array."""
-        try:
-            return np.fromiter(
-                (self.class_of[int(i)] for i in landmark_ids),
-                dtype=np.int64,
-                count=len(landmark_ids),
-            )
-        except KeyError as exc:
-            raise KeyError(f"landmark {exc.args[0]} is not in the index") from None
+        rows = _rows(self.ids, landmark_ids, "landmark {} is not in the index", KeyError)
+        return self.class_ids[rows]
 
 
 class MultiSessionMap:
@@ -185,28 +217,97 @@ class MultiSessionMap:
         if not isinstance(landmark_cap, int) or landmark_cap <= 0:
             raise MapValidationError("landmark_cap must be a positive integer")
         self.landmark_cap = landmark_cap
-        self.sessions: list[SessionRecord] = []
-        self.vertices: dict[int, Vertex] = {}
-        self.landmarks: dict[int, Landmark] = {}
-        self._next_vertex_id = 1
-        self._next_landmark_id = 1
-        self._index: EquivalenceClassIndex | None = EquivalenceClassIndex({})
         self._version = 0
-        self._spatial_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._vertex_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._fill([], [], [])
+
+    @classmethod
+    def from_records(
+        cls,
+        landmark_cap: int,
+        sessions: Sequence[SessionRecord],
+        vertices: Iterable[Vertex],
+        landmarks: Iterable[Landmark],
+    ) -> "MultiSessionMap":
+        """A validated map holding the given records, in any order of ids.
+
+        Records are read as the views return them; headings are wrapped as
+        on ingestion.
+        """
+        m = cls(landmark_cap)
+        m._fill(sessions, vertices, landmarks)
+        m.validate()
+        return m
+
+    def _fill(
+        self,
+        sessions: Sequence[SessionRecord],
+        vertices: Iterable[Vertex],
+        landmarks: Iterable[Landmark],
+    ) -> None:
+        """Replace the whole content by the given records."""
+        self.sessions = list(sessions)
+        vertices = sorted(vertices, key=lambda v: v.id)
+        landmarks = sorted(landmarks, key=lambda lm: lm.id)
+        vids = _int_column(v.id for v in vertices)
+        poses = _points([v.pose for v in vertices], len(vertices), "vertex poses")
+        poses[:, 2] = _wrap_headings(poses[:, 2])
+        rows = np.arange(len(landmarks))
+        sizes, observing, counts = _flatten(
+            [dict(sorted(lm.obs_counts.items())) for lm in landmarks]
+        )
+        self._assign(
+            vertex_ids=vids,
+            vertex_poses=poses,
+            vertex_sessions=_int_column(v.session for v in vertices),
+            landmark_ids=_int_column(lm.id for lm in landmarks),
+            landmark_positions=_points([lm.position for lm in landmarks], len(rows), "positions"),
+            landmark_origins=_int_column(lm.origin_session for lm in landmarks),
+            pair_landmarks=np.repeat(rows, [len(lm.sessions) for lm in landmarks]),
+            pair_sessions=_int_column(s for lm in landmarks for s in lm.sessions),
+            obs_landmarks=np.repeat(rows, sizes),
+            obs_vertices=_rows(vids, observing, "observation from unknown vertex {}"),
+            obs_counts=counts,
+        )
+        self._next_landmark_id = int(self.landmark_ids[-1]) + 1 if len(rows) else 1
 
     # -- Read operations --
 
     @property
     def index(self) -> EquivalenceClassIndex:
         if self._index is None:
-            self._index = EquivalenceClassIndex(self.landmarks)
+            self._index = EquivalenceClassIndex(self)
         return self._index
 
     @property
     def version(self) -> int:
         """Monotone counter, bumped by every successful mutation."""
         return self._version
+
+    @property
+    def landmarks(self) -> Mapping[int, Landmark]:
+        """Read-only view: landmark id -> Landmark record, ids ascending."""
+        return _Records(self.landmark_ids, self._landmark_record)
+
+    @property
+    def vertices(self) -> Mapping[int, Vertex]:
+        """Read-only view: vertex id -> Vertex record, ids ascending."""
+        return _Records(self.vertex_ids, self._vertex_record)
+
+    def _landmark_record(self, row: int) -> Landmark:
+        c, d = np.searchsorted(self.obs_landmarks, (row, row + 1))
+        vertex_ids = self.vertex_ids[self.obs_vertices[c:d]].tolist()
+        return Landmark(
+            id=int(self.landmark_ids[row]),
+            position=self.landmark_positions[row].copy(),
+            origin_session=int(self.landmark_origins[row]),
+            sessions=self.pair_sessions[self.pair_landmarks == row].tolist(),
+            obs_counts=dict(zip(vertex_ids, self.obs_counts[c:d].tolist())),
+        )
+
+    def _vertex_record(self, row: int) -> Vertex:
+        return Vertex(
+            int(self.vertex_ids[row]), self.vertex_poses[row].copy(), int(self.vertex_sessions[row])
+        )
 
     @property
     def n_rich_sessions(self) -> int:
@@ -217,44 +318,20 @@ class MultiSessionMap:
         return sum(1 for s in self.sessions if s.kind is SessionKind.OBSERVATION)
 
     def landmarks_created_by(self, session_id: int) -> list[int]:
-        """Ids of landmarks whose origin is the given session, insertion order."""
-        return [lm.id for lm in self.landmarks.values() if lm.origin_session == session_id]
-
-    def landmark_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, positions) with ids ascending; cached until the map changes."""
-        if self._spatial_cache is None:
-            ids = np.fromiter(sorted(self.landmarks), dtype=np.int64, count=len(self.landmarks))
-            pos = (
-                np.stack([self.landmarks[int(i)].position for i in ids])
-                if len(ids)
-                else np.empty((0, 3))
-            )
-            self._spatial_cache = (ids, pos)
-        return self._spatial_cache
-
-    def vertex_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, xy positions) for vertices, ids ascending; cached."""
-        if self._vertex_cache is None:
-            ids = np.fromiter(sorted(self.vertices), dtype=np.int64, count=len(self.vertices))
-            xy = (
-                np.stack([self.vertices[int(i)].pose[:2] for i in ids])
-                if len(ids)
-                else np.empty((0, 2))
-            )
-            self._vertex_cache = (ids, xy)
-        return self._vertex_cache
+        """Ids of landmarks whose origin is the given session, ascending."""
+        return self.landmark_ids[self.landmark_origins == session_id].tolist()
 
     def candidate_mask(
         self, query_poses: Sequence[Sequence[float]] | np.ndarray, radius: float
     ) -> np.ndarray:
         """Row k marks the landmarks within `radius` (inclusive) of query pose k.
 
-        Columns follow landmark_array order.  Distance is Euclidean between
+        Columns follow landmark_ids.  Distance is Euclidean between
         the landmark position and the planar query point lifted to z = 0.
         """
         if radius < 0 or not np.isfinite(radius):
             raise ValueError("radius must be finite and non-negative")
-        _, pos = self.landmark_array()
+        pos = self.landmark_positions
         q = np.asarray(query_poses, dtype=np.float64)
         dx = q[:, 0:1] - pos[None, :, 0]
         dy = q[:, 1:2] - pos[None, :, 1]
@@ -262,16 +339,15 @@ class MultiSessionMap:
 
     def candidate_set(self, query_pose: Sequence[float], radius: float) -> np.ndarray:
         """Ids of landmarks within `radius` (inclusive) of the query position, ascending."""
-        ids, _ = self.landmark_array()
-        return ids[self.candidate_mask([query_pose], radius)[0]]
+        return self.landmark_ids[self.candidate_mask([query_pose], radius)[0]]
 
     def nearest_vertex(self, query_pose: Sequence[float]) -> int:
         """Id of the vertex closest (planar) to the query pose; lowest id wins ties."""
-        ids, xy = self.vertex_array()
-        if len(ids) == 0:
+        if len(self.vertex_ids) == 0:
             raise MapValidationError("map has no vertices")
+        xy = self.vertex_poses[:, :2]
         d2 = np.sum((xy - np.asarray(query_pose[:2], dtype=np.float64)) ** 2, axis=1)
-        return int(ids[int(np.argmin(d2))])  # argmin takes the first, ids ascending
+        return int(self.vertex_ids[int(np.argmin(d2))])  # argmin takes the first, ids ascending
 
     # -- Session ingestion --
 
@@ -301,63 +377,44 @@ class MultiSessionMap:
         n_poses = len(poses)
         if n_poses == 0:
             raise MapValidationError("a rich session needs at least one pose")
-        try:
-            pose_rows = np.asarray(poses, dtype=np.float64)
-        except ValueError as exc:
-            raise MapValidationError(f"malformed pose sequence: {exc}") from exc
-        if pose_rows.shape != (n_poses, 3) or not np.all(np.isfinite(pose_rows)):
-            raise MapValidationError("poses must be finite (x, y, heading) triples")
-
-        explicit_ids = [p.id for p in proposals if p.id is not None]
-        if len(set(explicit_ids)) != len(explicit_ids):
-            raise MapValidationError("duplicate explicit landmark ids in proposals")
-        for lid in explicit_ids:
-            if lid in self.landmarks:
-                raise MapValidationError(f"proposal id {lid} already exists in the map")
-        for p in proposals:
-            obs = {int(k): int(v) for k, v in p.observations.items()}
-            if len([c for c in obs.values() if c > 0]) < 2:
-                raise MapValidationError("each new landmark needs >= 2 observing poses")
-            if any(c <= 0 for c in obs.values()):
-                raise MapValidationError("observation counts must be positive")
-            if any(not 0 <= k < n_poses for k in obs):
-                raise MapValidationError("proposal references a pose index out of range")
-        for lid, per_pose in observed_existing.items():
-            if lid not in self.landmarks:
-                raise MapValidationError(f"observed landmark {lid} is not in the map")
-            if not per_pose or any(c <= 0 for c in per_pose.values()):
-                raise MapValidationError("observed counts must be non-empty and positive")
-            if any(not 0 <= k < n_poses for k in per_pose):
-                raise MapValidationError("observation references a pose index out of range")
-        # Validation done, now mutate.
+        pose_rows = _points(poses, n_poses, "poses")
+        positions = _points([p.position for p in proposals], len(proposals), "new positions")
+        sizes, pose_index, counts = _flatten(
+            [p.observations for p in proposals] + list(observed_existing.values())
+        )
+        if min(sizes[: len(proposals)], default=2) < 2:
+            raise MapValidationError("each new landmark needs >= 2 observing poses")
+        if min(sizes, default=1) < 1 or np.any(counts <= 0):
+            raise MapValidationError("observation counts must be non-empty and positive")
+        if np.any((pose_index < 0) | (pose_index >= n_poses)):
+            raise MapValidationError("observation references a pose index out of range")
+        existing_rows = _rows(
+            self.landmark_ids, observed_existing, "observed landmark {} is not in the map"
+        )
+        # Validation done, now build the new columns.
+        n_vertices, n_landmarks = len(self.vertex_ids), len(self.landmark_ids)
+        rows = np.concatenate([n_landmarks + np.arange(len(proposals)), existing_rows])
+        first_vid = int(self.vertex_ids[-1]) + 1 if n_vertices else 1
+        pose_rows[:, 2] = _wrap_headings(pose_rows[:, 2])
         sid, ts = self._next_session_stamp()
         self.sessions.append(SessionRecord(sid, SessionKind.RICH, ts, label))
-        vertex_ids = []
-        for pose in pose_rows:
-            vid = self._next_vertex_id
-            self._next_vertex_id += 1
-            self.vertices[vid] = Vertex(vid, pose.copy(), sid)
-            vertex_ids.append(vid)
-        for p in proposals:
-            if p.id is not None:
-                self._next_landmark_id = max(self._next_landmark_id, p.id + 1)
-        for p in proposals:
-            if p.id is None:
-                lid = self._next_landmark_id
-                self._next_landmark_id += 1
-            else:
-                lid = p.id
-            counts = {vertex_ids[int(k)]: int(v) for k, v in p.observations.items()}
-            self.landmarks[lid] = Landmark(
-                id=lid, position=p.position, origin_session=sid, obs_counts=counts
-            )
-        for lid, per_pose in observed_existing.items():
-            lm = self.landmarks[lid]
-            lm.sessions.append(sid)
-            for k, c in per_pose.items():
-                vid = vertex_ids[int(k)]
-                lm.obs_counts[vid] = lm.obs_counts.get(vid, 0) + int(c)
-        self._mutated()
+        self._assign(
+            vertex_ids=np.concatenate([self.vertex_ids, first_vid + np.arange(n_poses)]),
+            vertex_poses=np.concatenate([self.vertex_poses, pose_rows]),
+            vertex_sessions=np.concatenate([self.vertex_sessions, np.full(n_poses, sid)]),
+            landmark_ids=np.concatenate(
+                [self.landmark_ids, self._next_landmark_id + np.arange(len(proposals))]
+            ),
+            landmark_positions=np.concatenate([self.landmark_positions, positions]),
+            landmark_origins=np.concatenate([self.landmark_origins, np.full(len(proposals), sid)]),
+            pair_landmarks=np.concatenate([self.pair_landmarks, rows]),
+            pair_sessions=np.concatenate([self.pair_sessions, np.full(len(rows), sid)]),
+            **self._with_observations(
+                np.repeat(rows, sizes), n_vertices + pose_index, counts, n_vertices + n_poses
+            ),
+        )
+        self._next_landmark_id += len(proposals)
+        self._version += 1
         return sid
 
     def add_observation_session(
@@ -372,50 +429,84 @@ class MultiSessionMap:
         any unknown landmark or vertex id rejects the whole update.
         """
         observed = {int(k): dict(v) for k, v in observed.items()}
-        for lid, counts in observed.items():
-            if lid not in self.landmarks:
-                raise MapValidationError(f"observed landmark {lid} is not in the map")
-            if not counts or any(c <= 0 for c in counts.values()):
-                raise MapValidationError("observed counts must be non-empty and positive")
-            for vid in counts:
-                if vid not in self.vertices:
-                    raise MapValidationError(f"observed vertex {vid} is not in the map")
+        rows = _rows(self.landmark_ids, observed, "observed landmark {} is not in the map")
+        sizes, vids, counts = _flatten(list(observed.values()))
+        if min(sizes, default=1) < 1 or np.any(counts <= 0):
+            raise MapValidationError("observed counts must be non-empty and positive")
+        vertex_rows = _rows(self.vertex_ids, vids, "observed vertex {} is not in the map")
         sid, ts = self._next_session_stamp()
         self.sessions.append(SessionRecord(sid, SessionKind.OBSERVATION, ts, label))
-        for lid, counts in observed.items():
-            lm = self.landmarks[lid]
-            lm.sessions.append(sid)
-            for vid, c in counts.items():
-                lm.obs_counts[vid] = lm.obs_counts.get(vid, 0) + int(c)
-        self._mutated()
+        self._assign(
+            pair_landmarks=np.concatenate([self.pair_landmarks, rows]),
+            pair_sessions=np.concatenate([self.pair_sessions, np.full(len(rows), sid)]),
+            **self._with_observations(
+                np.repeat(rows, sizes), vertex_rows, counts, len(self.vertex_ids)
+            ),
+        )
+        self._version += 1
         return sid
 
     def drop_landmarks(self, landmark_ids: Iterable[int]) -> None:
         """Remove landmarks (summarization).  Vertices and sessions stay."""
-        ids = list(landmark_ids)
-        for lid in ids:
-            if lid not in self.landmarks:
-                raise MapValidationError(f"cannot drop unknown landmark {lid}")
-        for lid in ids:
-            del self.landmarks[lid]
-        self._mutated()
-
-    def _mutated(self) -> None:
+        rows = _rows(self.landmark_ids, landmark_ids, "cannot drop unknown landmark {}")
+        keep = np.ones(len(self.landmark_ids), dtype=bool)
+        keep[rows] = False
+        new_row = np.cumsum(keep) - 1
+        pairs = keep[self.pair_landmarks]
+        triples = keep[self.obs_landmarks]
+        self._assign(
+            landmark_ids=self.landmark_ids[keep],
+            landmark_positions=self.landmark_positions[keep],
+            landmark_origins=self.landmark_origins[keep],
+            pair_landmarks=new_row[self.pair_landmarks[pairs]],
+            pair_sessions=self.pair_sessions[pairs],
+            obs_landmarks=new_row[self.obs_landmarks[triples]],
+            obs_vertices=self.obs_vertices[triples],
+            obs_counts=self.obs_counts[triples],
+        )
         self._version += 1
-        self._index = None
-        self._spatial_cache = None
-        self._vertex_cache = None
+
+    def _with_observations(
+        self, rows: np.ndarray, vertex_rows: np.ndarray, counts: np.ndarray, n_vertices: int
+    ) -> dict[str, np.ndarray]:
+        """Triple columns with the given triples merged in, still sorted.
+
+        The given (row, vertex row) pairs are distinct.  The count of a pair
+        already stored is added to it; the other triples are inserted where
+        they belong.  n_vertices is the vertex count after the update.
+        """
+        key = rows * n_vertices + vertex_rows
+        order = np.argsort(key)
+        key, rows, vertex_rows, counts = key[order], rows[order], vertex_rows[order], counts[order]
+        stored = self.obs_landmarks * n_vertices + self.obs_vertices
+        at = np.searchsorted(stored, key)
+        hit = np.append(stored, -1)[at] == key  # keys are >= 0; at may be len(stored)
+        summed = self.obs_counts.copy()
+        summed[at[hit]] += counts[hit]
+        new = ~hit
+        return {
+            "obs_landmarks": np.insert(self.obs_landmarks, at[new], rows[new]),
+            "obs_vertices": np.insert(self.obs_vertices, at[new], vertex_rows[new]),
+            "obs_counts": np.insert(summed, at[new], counts[new]),
+        }
+
+    def _assign(self, **columns: np.ndarray) -> None:
+        """Install new columns read-only; the class index is rebuilt on next use."""
+        for name, column in columns.items():
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._index: EquivalenceClassIndex | None = None
 
     # -- Copy and validation --
 
     def copy(self) -> "MultiSessionMap":
-        m = MultiSessionMap(landmark_cap=self.landmark_cap)
-        m.sessions = [SessionRecord(s.id, s.kind, s.timestamp, s.label) for s in self.sessions]
-        m.vertices = {vid: Vertex(v.id, v.pose.copy(), v.session) for vid, v in self.vertices.items()}
-        m.landmarks = {lid: lm.copy() for lid, lm in self.landmarks.items()}
-        m._next_vertex_id = self._next_vertex_id
-        m._next_landmark_id = self._next_landmark_id
-        m._version = self._version
+        """The same map state; the read-only columns are shared, not copied.
+
+        The copy keeps the version but gets its own class index, so draws
+        made on one map are never taken for draws made on the other.
+        """
+        m = shallow_copy(self)
+        m.sessions = list(self.sessions)
         m._index = None
         return m
 
@@ -427,29 +518,37 @@ class MultiSessionMap:
         timestamps = [s.timestamp for s in self.sessions]
         if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
             raise MapValidationError("session timestamps must be strictly increasing")
-        known_sessions = {s.id: s for s in self.sessions}
-        for v in self.vertices.values():
-            owner = known_sessions.get(v.session)
-            if owner is None or owner.kind is not SessionKind.RICH:
-                raise MapValidationError(f"vertex {v.id} must belong to a rich session")
-        for lm in self.landmarks.values():
-            if not lm.sessions:
-                raise MapValidationError(f"landmark {lm.id} has no observing sessions")
-            if lm.sessions != sorted(set(lm.sessions)):
-                raise MapValidationError(f"landmark {lm.id}: sessions must be increasing")
-            if lm.origin_session not in lm.sessions:
-                raise MapValidationError(f"landmark {lm.id}: origin session missing from sessions")
-            for sid in lm.sessions:
-                if sid not in known_sessions:
-                    raise MapValidationError(f"landmark {lm.id} references unknown session {sid}")
-            if not lm.obs_counts:
-                raise MapValidationError(f"landmark {lm.id} has no observations")
-            for vid, c in lm.obs_counts.items():
-                if vid not in self.vertices:
-                    raise MapValidationError(f"landmark {lm.id} references unknown vertex {vid}")
-                if not isinstance(c, int) or c <= 0:
-                    raise MapValidationError(f"landmark {lm.id}: counts must be positive ints")
-        if len(self.landmarks) > self.landmark_cap:
+        n = len(self.landmark_ids)
+        if np.any(np.diff(self.vertex_ids) <= 0) or np.any(np.diff(self.landmark_ids) <= 0):
+            raise MapValidationError("vertex and landmark ids must be unique and ascending")
+        rich = [s.id for s in self.sessions if s.kind is SessionKind.RICH]
+        owned = np.isin(self.vertex_sessions, rich)
+        if not owned.all():
+            vid = int(self.vertex_ids[np.argmin(owned)])
+            raise MapValidationError(f"vertex {vid} must belong to a rich session")
+
+        def require(ok: np.ndarray, rows: np.ndarray | None, problem: str) -> None:
+            """ok holds per landmark row, or per entry of rows; name the first failure."""
+            if not ok.all():
+                row = np.argmin(ok) if rows is None else rows[np.argmin(ok)]
+                raise MapValidationError(f"landmark {self.landmark_ids[row]} {problem}")
+
+        pairs, sessions, triples = self.pair_landmarks, self.pair_sessions, self.obs_landmarks
+        require(np.bincount(pairs, minlength=n) > 0, None, "has no observing sessions")
+        require(np.isin(sessions, session_ids), pairs, "references an unknown session")
+        # Keys that ascend exactly when each landmark's sessions, and each
+        # landmark's observing vertices, ascend.
+        pair_key = pairs * len(session_ids) + np.searchsorted(session_ids, sessions)
+        order = np.argsort(pairs, kind="stable")
+        ascending = np.diff(pair_key[order], prepend=-1) > 0
+        require(ascending, pairs[order], "sessions must be increasing")
+        is_origin = sessions == self.landmark_origins[pairs]
+        require(np.bincount(pairs[is_origin], minlength=n) > 0, None, "origin session missing")
+        require(np.bincount(triples, minlength=n) > 0, None, "has no observations")
+        triple_key = triples * len(self.vertex_ids) + self.obs_vertices
+        require(np.diff(triple_key, prepend=-1) > 0, triples, "observations must ascend by vertex")
+        require(self.obs_counts > 0, triples, "counts must be positive ints")
+        if n > self.landmark_cap:
             # The cap is enforced by the sortie pipeline, not by raw ingestion,
             # but a persisted map must never violate it.
             raise MapValidationError("landmark count exceeds the map's cap")

@@ -13,8 +13,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
 from atlas.mapcore import (
     Landmark,
     MapValidationError,
@@ -50,18 +48,17 @@ def map_to_document(m: MultiSessionMap) -> dict:
             for s in m.sessions
         ],
         "vertices": [
-            {"id": v.id, "pose": [float(x) for x in v.pose], "session": v.session}
-            for v in sorted(m.vertices.values(), key=lambda v: v.id)
+            {"id": v.id, "pose": v.pose.tolist(), "session": v.session} for v in m.vertices.values()
         ],
         "landmarks": [
             {
                 "id": lm.id,
-                "position": [float(x) for x in lm.position],
+                "position": lm.position.tolist(),
                 "origin_session": lm.origin_session,
-                "sessions": list(lm.sessions),
-                "obs_counts": {str(vid): int(c) for vid, c in sorted(lm.obs_counts.items())},
+                "sessions": lm.sessions,
+                "obs_counts": {str(vid): c for vid, c in lm.obs_counts.items()},
             }
-            for lm in sorted(m.landmarks.values(), key=lambda lm: lm.id)
+            for lm in m.landmarks.values()
         ],
     }
     doc["checksum"] = hashlib.sha256(_canonical(doc)).hexdigest()
@@ -90,8 +87,7 @@ def map_from_document(doc: dict) -> MultiSessionMap:
         if actual != expected:
             raise ChecksumMismatchError("map checksum does not match content")
     try:
-        m = MultiSessionMap(landmark_cap=int(doc["landmark_cap"]))
-        m.sessions = [
+        sessions = [
             SessionRecord(
                 id=int(s["id"]),
                 kind=SessionKind(s["kind"]),
@@ -100,33 +96,30 @@ def map_from_document(doc: dict) -> MultiSessionMap:
             )
             for s in doc["sessions"]
         ]
-        m.vertices = {
-            int(v["id"]): Vertex(
-                id=int(v["id"]),
-                pose=np.asarray(v["pose"], dtype=np.float64),
-                session=int(v["session"]),
-            )
+        vertices = [
+            Vertex(id=int(v["id"]), pose=v["pose"], session=int(v["session"]))
             for v in doc["vertices"]
-        }
-        m.landmarks = {
-            int(l["id"]): Landmark(
+        ]
+        landmarks = [
+            Landmark(
                 id=int(l["id"]),
-                position=np.asarray(l["position"], dtype=np.float64),
+                position=l["position"],
                 origin_session=int(l["origin_session"]),
                 sessions=[int(s) for s in l["sessions"]],
                 obs_counts={int(k): int(c) for k, c in l["obs_counts"].items()},
             )
             for l in doc["landmarks"]
-        }
+        ]
+        for kind, records in (("vertex", vertices), ("landmark", landmarks)):
+            if len({r.id for r in records}) != len(records):
+                raise MapFormatError(f"a {kind} id is listed more than once")
+        if not all(lm.sessions for lm in landmarks):
+            raise MapFormatError("a landmark lists no observing sessions")
+        return MultiSessionMap.from_records(int(doc["landmark_cap"]), sessions, vertices, landmarks)
     except MapValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"malformed map document: {exc}") from exc
-    m._next_vertex_id = max(m.vertices, default=0) + 1
-    m._next_landmark_id = max(m.landmarks, default=0) + 1
-    m._mutated()
-    m.validate()
-    return m
 
 
 def loads_map(data: bytes | str) -> MultiSessionMap:

@@ -83,20 +83,18 @@ class BandwidthLedger:
 class _Published:
     """One map version and what is derived from it, swapped in as a unit.
 
-    Row r of the reply table is landmark ids[r] (ascending), its class id in
-    map.index and its position as a JSON fragment.
+    Row r of the reply table is the JSON fragment of the position of
+    landmark map.landmark_ids[r], whose class is map.index.class_ids[r].
     """
 
     map: MultiSessionMap
     kernels: KernelRegistry
-    ids: np.ndarray
-    classes: np.ndarray
     positions: np.ndarray
 
     @classmethod
     def of(cls, m: MultiSessionMap, kernels: KernelRegistry) -> "_Published":
-        ids, pos = m.landmark_array()
-        return cls(m, kernels, ids, m.index.classes_of(ids), position_fragments(pos))
+        m.index  # built here, under the write lock, rather than by the first query
+        return cls(m, kernels, position_fragments(m.landmark_positions))
 
 
 @dataclass
@@ -301,17 +299,17 @@ class MapBackend:
             session.stats.clear()
             session.seen_version = snap.version
         candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
-        # Ids are ascending in the table and among the candidates, so
-        # searchsorted finds the table row of each candidate and each selection.
-        rows = np.searchsorted(pub.ids, candidates)
-        candidate_classes = pub.classes[rows]
+        # Ids are ascending in the map and among the candidates, so
+        # searchsorted finds the map row of each candidate and each selection.
+        rows = np.searchsorted(snap.landmark_ids, candidates)
         index = snap.index
+        candidate_classes = index.class_ids[rows]
         scores = class_scores(session.policy, session.stats, index, candidate_classes)
         salt = session.n_queries
         session.n_queries += 1
         selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
         selected_rows = rows[np.searchsorted(candidates, selected)]
-        class_ids = pub.classes[selected_rows]
+        class_ids = index.class_ids[selected_rows]
         session.pending = _Pending(selected, class_ids, index)
         return LandmarksReply(
             cid=msg.cid,

@@ -15,12 +15,16 @@ the problem reduces to choosing a fixed-size subset, which a small
 branch-and-bound solves exactly and a two-phase greedy approximates at map
 scale.  Landmark cost rewards having been observed in many sessions and
 often: cost_i = 1 / (1 + n_sessions_i + obs_weight * n_observations_i).
+
+Costs and coverage are read from the map's columns: the session counts
+and observation totals are bincounts over its (landmark, session) pairs
+and (landmark, vertex, count) triples, and each landmark's covered
+vertex rows are one run of the triples, which are sorted by landmark.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,7 +60,6 @@ class SummarizationProblem:
     min_per_vertex: int = DEFAULT_MIN_PER_VERTEX
     slack_penalty: float = DEFAULT_SLACK_PENALTY
     landmark_ids: tuple[int, ...] | None = None  # map binding, optional
-    vertex_ids: tuple[int, ...] | None = None
     map_stamp: tuple | None = None
 
     def __post_init__(self) -> None:
@@ -68,15 +71,18 @@ class SummarizationProblem:
             raise ValueError("costs must be positive and finite")
         if len(self.landmark_vertices) != n:
             raise ValueError("one coverage column per landmark required")
-        cols = []
-        for j, col in enumerate(self.landmark_vertices):
-            col = np.unique(np.asarray(col, dtype=np.int64))
-            if len(col) == 0:
-                raise ValueError(f"landmark {j} covers no vertex")
-            if col[0] < 0 or col[-1] >= self.n_vertices:
-                raise ValueError(f"landmark {j} references a vertex out of range")
-            cols.append(col)
-        self.landmark_vertices = cols
+        owner = np.repeat(np.arange(n), [len(col) for col in self.landmark_vertices])
+        vertex = np.concatenate([np.asarray(col, dtype=np.int64) for col in self.landmark_vertices])
+        covers = np.bincount(owner, minlength=n) > 0
+        if not covers.all():
+            raise ValueError(f"landmark {np.argmin(covers)} covers no vertex")
+        outside = (vertex < 0) | (vertex >= self.n_vertices)
+        if outside.any():
+            raise ValueError(f"landmark {owner[np.argmax(outside)]} references a vertex out of range")
+        key = np.sort(owner * self.n_vertices + vertex)  # by landmark, then vertex
+        key = key[np.diff(key, prepend=-1) != 0]
+        starts = np.searchsorted(key, np.arange(1, n) * self.n_vertices)
+        self.landmark_vertices = np.split(key % self.n_vertices, starts)
         if not 1 <= self.keep_count <= n:
             raise ValueError("keep_count must satisfy 1 <= keep_count <= n_landmarks")
         if self.min_per_vertex < 1:
@@ -90,11 +96,10 @@ class SummarizationProblem:
 
     def vertex_rows(self) -> list[np.ndarray]:
         """Per vertex, the ascending indices of landmarks covering it."""
-        rows: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for j, col in enumerate(self.landmark_vertices):
-            for v in col:
-                rows[int(v)].append(j)
-        return [np.asarray(r, dtype=np.int64) for r in rows]
+        sizes = [len(col) for col in self.landmark_vertices]
+        vertex = np.concatenate(self.landmark_vertices)
+        landmark = np.repeat(np.arange(self.n_landmarks), sizes)[np.argsort(vertex, kind="stable")]
+        return np.split(landmark, np.cumsum(np.bincount(vertex, minlength=self.n_vertices))[:-1])
 
     def coverage(self, kept: Sequence[int]) -> np.ndarray:
         cov = np.zeros(self.n_vertices, dtype=np.int64)
@@ -109,34 +114,6 @@ class SummarizationProblem:
     def objective(self, kept: Sequence[int]) -> float:
         kept = np.asarray(list(kept), dtype=np.int64)
         return float(self.costs[kept].sum() + self.slack_penalty * self.slack(kept).sum())
-
-    def to_json(self) -> str:
-        doc = {
-            "q": [float(c) for c in self.costs],
-            "A": {"rows": [[int(j) for j in row] for row in self.vertex_rows()]},
-            "n_desired": self.keep_count,
-            "b": self.min_per_vertex,
-            "lambda": self.slack_penalty,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-
-def problem_from_json(text: str) -> SummarizationProblem:
-    doc = json.loads(text)
-    rows = doc["A"]["rows"]
-    n = len(doc["q"])
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for v, row in enumerate(rows):
-        for j in row:
-            cols[int(j)].append(v)
-    return SummarizationProblem(
-        costs=np.asarray(doc["q"], dtype=np.float64),
-        landmark_vertices=[np.asarray(c, dtype=np.int64) for c in cols],
-        n_vertices=len(rows),
-        keep_count=int(doc["n_desired"]),
-        min_per_vertex=int(doc["b"]),
-        slack_penalty=float(doc["lambda"]),
-    )
 
 
 @dataclass
@@ -171,14 +148,11 @@ def build_cost_vector(
     m: MultiSessionMap, obs_weight: float = DEFAULT_OBS_WEIGHT
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """(landmark ids ascending, costs).  Lower cost = more worth keeping."""
-    ids = tuple(sorted(m.landmarks))
-    costs = np.array(
-        [
-            1.0 / (1.0 + len(m.landmarks[i].sessions) + obs_weight * m.landmarks[i].total_observations)
-            for i in ids
-        ]
-    )
-    return ids, costs
+    n = len(m.landmark_ids)
+    n_sessions = np.bincount(m.pair_landmarks, minlength=n)
+    n_observations = np.bincount(m.obs_landmarks, weights=m.obs_counts, minlength=n)
+    costs = 1.0 / (1.0 + n_sessions + obs_weight * n_observations)
+    return tuple(m.landmark_ids.tolist()), costs
 
 
 def build_coobservability(
@@ -188,14 +162,11 @@ def build_coobservability(
 
     Row/column order is ascending id.  An empty map yields a 0 x 0 matrix.
     """
-    vertex_ids = tuple(sorted(m.vertices))
-    landmark_ids = tuple(sorted(m.landmarks))
-    vrow = {vid: r for r, vid in enumerate(vertex_ids)}
-    cols = [
-        np.asarray(sorted(vrow[vid] for vid in m.landmarks[lid].obs_counts), dtype=np.int64)
-        for lid in landmark_ids
-    ]
-    return vertex_ids, landmark_ids, cols
+    # The triples are sorted by (landmark row, vertex row): each landmark's
+    # vertex rows are one ascending run.
+    starts = np.searchsorted(m.obs_landmarks, np.arange(1, len(m.landmark_ids)))
+    cols = np.split(m.obs_vertices, starts) if len(m.landmark_ids) else []
+    return tuple(m.vertex_ids.tolist()), tuple(m.landmark_ids.tolist()), cols
 
 
 def build_problem(
@@ -215,7 +186,6 @@ def build_problem(
         min_per_vertex=min_per_vertex,
         slack_penalty=slack_penalty,
         landmark_ids=landmark_ids,
-        vertex_ids=vertex_ids,
         map_stamp=_map_stamp(m),
     )
 
@@ -356,7 +326,6 @@ def apply_summarization(m: MultiSessionMap, solution: SummarizationSolution) -> 
         raise StaleSolutionError("solution is not bound to a map")
     if solution.map_stamp != _map_stamp(m):
         raise StaleSolutionError("map changed since the problem was built")
-    keep = set(solution.keep_ids)
     out = m.copy()
-    out.drop_landmarks([lid for lid in sorted(out.landmarks) if lid not in keep])
+    out.drop_landmarks(out.landmark_ids[~np.isin(out.landmark_ids, solution.keep_ids)])
     return out

@@ -1,6 +1,7 @@
 """Experiment harness: chronological runs, twin studies, reproducible files."""
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -23,9 +24,10 @@ from atlas.experiment import (
 )
 from atlas.locsim import PipelineConfig, localize_dataset, observation_ratio, process_sortie
 from atlas.mapcore import MultiSessionMap, UNBOUNDED_CAP
+from atlas.mapio import dumps_map
 from atlas.ranking import parse_policy, reference_policy
 from atlas.rng import derive_seed
-from atlas.worldgen import SortieSpec, generate_sortie, with_overrides
+from atlas.worldgen import SortieSpec, generate_sortie, get_scenario, with_overrides
 
 from helpers import tiny_scenario
 
@@ -226,3 +228,18 @@ def test_run_experiment_respects_uncapped_cap(tmp_path):
     assert cell["max_regression_rms_delta_m"] is None
     metrics = Path(tmp_path / "u" / "metrics.csv").read_text()
     assert "chronological" in metrics and "regression" not in metrics
+
+
+# sha256 of the canonical final map of a seed-42 chronological run.  The map
+# layout may change; these bytes may not.  city_dusk summarizes once and
+# ingests 6 observation sessions, parking_year ingests 20.
+FINAL_MAP_SHA256 = {
+    "city_dusk": "c3710257548f2a23dbb14bb1e5ac2ca84845d15b978530ab342e3a488b10f64e",
+    "parking_year": "af22d05c0c531344f54beb6743369ca721a0b3822d9b2d3efb3bb2162de0abfd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINAL_MAP_SHA256))
+def test_final_map_bytes_are_pinned(name):
+    final = run_chronological(get_scenario(name), 42).final_map
+    assert hashlib.sha256(dumps_map(final)).hexdigest() == FINAL_MAP_SHA256[name]

@@ -27,6 +27,14 @@ def brute_force_classes(m: MultiSessionMap) -> dict[tuple[int, ...], set[int]]:
     return groups
 
 
+def class_members(m: MultiSessionMap) -> dict[int, set[int]]:
+    """Landmark ids of each class id, read one landmark at a time."""
+    members: dict[int, set[int]] = {}
+    for lid in m.landmarks:
+        members.setdefault(m.index.class_of_landmark(lid), set()).add(lid)
+    return members
+
+
 def test_two_session_map_structure():
     m = two_session_map()
     assert [s.kind for s in m.sessions] == [SessionKind.RICH, SessionKind.RICH]
@@ -46,8 +54,8 @@ def test_index_matches_brute_force_and_is_deterministic():
     groups = brute_force_classes(m)
     assert len(index) == len(groups)
     for key, members in groups.items():
-        cid = index.key_to_class[key]
-        assert set(index.members[cid]) == members
+        cid = index.keys.index(key)
+        assert class_members(m)[cid] == members
         assert index.keys[cid] == key
         for lid in members:
             assert index.class_of_landmark(lid) == cid
@@ -62,7 +70,7 @@ def test_index_rebuilds_after_mutation():
     after = m.index
     assert after is not before
     assert brute_force_classes(m) == {
-        key: set(after.members[cid]) for key, cid in after.key_to_class.items()
+        after.keys[cid]: members for cid, members in class_members(m).items()
     }
     assert m.landmarks[1].sessions == [1, 3]
     with pytest.raises(KeyError):
@@ -121,18 +129,6 @@ def test_rich_session_validation_and_atomicity():
     unchanged()
     with pytest.raises(MapValidationError):  # unknown re-observed landmark
         m.add_rich_session(LINE_POSES, [], observed_existing={99: {0: 1}})
-    unchanged()
-    with pytest.raises(MapValidationError):  # duplicate explicit ids
-        m.add_rich_session(
-            LINE_POSES,
-            [
-                NewLandmark(np.zeros(3), {0: 1, 1: 1}, id=7),
-                NewLandmark(np.ones(3), {0: 1, 1: 1}, id=7),
-            ],
-        )
-    unchanged()
-    with pytest.raises(MapValidationError):  # explicit id collides with the map
-        m.add_rich_session(LINE_POSES, [NewLandmark(np.zeros(3), {0: 1, 1: 1}, id=1)])
     unchanged()
     with pytest.raises(MapValidationError):  # non-finite pose
         m.add_rich_session([[0.0, float("nan"), 0.0]], [])
@@ -196,6 +192,22 @@ def test_copy_is_deep_for_mutable_state():
     assert m.landmarks[2].obs_counts.get(1) != 99
     assert 5 in m.landmarks
     assert m.n_observation_sessions == 0
+
+
+def test_copy_shares_read_only_columns():
+    m = two_session_map()
+    c = m.copy()
+    columns = [name for name, value in vars(m).items() if isinstance(value, np.ndarray)]
+    assert len(columns) == 11
+    for name in columns:
+        assert np.shares_memory(getattr(m, name), getattr(c, name)), name
+        with pytest.raises(ValueError):
+            getattr(m, name)[...] = 0
+    assert c.sessions == m.sessions and c.sessions is not m.sessions
+    assert c.version == m.version and c.index is not m.index
+    c.add_observation_session({1: {1: 1}})
+    assert not np.shares_memory(m.pair_sessions, c.pair_sessions)
+    assert np.shares_memory(m.landmark_positions, c.landmark_positions)
 
 
 def test_cap_is_validated_not_enforced_on_ingest():
@@ -270,7 +282,7 @@ def test_property_grown_maps_valid_and_partitioned(m):
     index = m.index
     # the classes partition the landmark set
     seen = set()
-    for cid, members in index.members.items():
+    for cid, members in class_members(m).items():
         assert not (set(members) & seen)
         seen.update(members)
         key = index.keys[cid]

@@ -115,3 +115,22 @@ def test_cap_round_trips():
     m = two_session_map()
     m.landmark_cap = 123
     assert loads_map(dumps_map(m)).landmark_cap == 123
+
+
+@pytest.mark.parametrize("table", ["landmarks", "vertices"])
+def test_ids_listed_twice_are_refused(table):
+    doc = map_to_document(two_session_map())
+    del doc["checksum"]
+    twin = json.loads(json.dumps(doc[table][2]))
+    twin["position" if table == "landmarks" else "pose"][0] += 5.0
+    doc[table].append(twin)  # same id, other content: neither entry may win
+    with pytest.raises(MapFormatError):
+        map_from_document(doc)
+
+
+def test_landmark_without_sessions_is_refused():
+    doc = map_to_document(two_session_map())
+    del doc["checksum"]
+    doc["landmarks"][0]["sessions"] = []  # not to be read as [origin_session]
+    with pytest.raises(MapFormatError):
+        map_from_document(doc)

@@ -1,7 +1,6 @@
 """Summarization: exact solver vs. brute force, greedy quality, map binding."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from atlas.summarize import (
     build_coobservability,
     build_cost_vector,
     build_problem,
-    problem_from_json,
     solve,
     solve_exact,
     solve_greedy,
@@ -122,21 +120,6 @@ def test_solve_dispatches_on_size():
     assert not solve(problem, exact_limit=1).exact
 
 
-def test_problem_json_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        problem = random_summarization_problem(rng)
-        text = problem.to_json()
-        doc = json.loads(text)
-        assert set(doc) == {"q", "A", "n_desired", "b", "lambda"}
-        again = problem_from_json(text)
-        assert again.to_json() == text
-        assert again.n_landmarks == problem.n_landmarks
-        assert again.n_vertices == problem.n_vertices
-        kept = rng.choice(problem.n_landmarks, size=problem.keep_count, replace=False)
-        assert again.objective(kept) == pytest.approx(problem.objective(kept), abs=1e-12)
-
-
 def test_problem_validation():
     with pytest.raises(ValueError):
         small_problem([], [], 1, keep=1)
@@ -150,6 +133,9 @@ def test_problem_validation():
         small_problem([1.0], [[0]], 1, keep=2)  # keep_count > n
     with pytest.raises(ValueError):
         small_problem([1.0, 1.0], [[0]], 1, keep=1)  # column count mismatch
+    normalized = small_problem([1.0, 1.0], [[1, 0, 1], [0]], 2, keep=1)
+    assert [c.tolist() for c in normalized.landmark_vertices] == [[0, 1], [0]]
+    assert normalized.coverage([0, 1]).tolist() == [2, 1]  # a repeated vertex counts once
 
 
 def test_build_cost_vector_hand_values():
