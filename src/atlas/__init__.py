@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from atlas.mapcore import (
     Landmark,
     MultiSessionMap,
-    NewLandmark,
     SessionKind,
     SessionRecord,
     Vertex,
@@ -25,7 +24,6 @@ from atlas.mapcore import (
 __all__ = [
     "Landmark",
     "MultiSessionMap",
-    "NewLandmark",
     "SessionKind",
     "SessionRecord",
     "Vertex",

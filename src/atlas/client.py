@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .locsim import PoseErrorParams, pose_error_proxy
+from .locsim import POSE_ERROR, pose_error_proxy
 from .protocol import (
     Message,
     MessageKind,
@@ -154,7 +154,6 @@ def drive_sortie(
     kernels: KernelRegistry,
     *,
     upload: bool = True,
-    proxy: PoseErrorParams = PoseErrorParams(),
 ) -> DriveResult:
     """Fly one sortie against a served map: query, match, report, upload.
 
@@ -183,8 +182,8 @@ def drive_sortie(
         observed_counts[k] = len(observed)
         client.report(int(i) for i in observed)
         z = normal_pair_stream(dataset.error_seed, k)
-        errors[k] = pose_error_proxy(int(observed_counts[k]), proxy, z=z)
-        if observed_counts[k] < proxy.min_landmarks:
+        errors[k] = pose_error_proxy(int(observed_counts[k]), POSE_ERROR, z=z)
+        if observed_counts[k] < POSE_ERROR.min_landmarks:
             n_failures += 1
     ack: dict = {}
     if upload:

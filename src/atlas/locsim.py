@@ -9,6 +9,8 @@ observation ratios between policies then measure selection quality alone.
 Everything a run draws that no policy changes (candidate sets, detection
 outcomes, error draws, tie-break words) is held in one SortieDraws per
 (map, sortie), which the reference run and every probe policy share.
+A run hands its observations to the map as int64 rows of (landmark id,
+pose index, count), the form every map ingestion takes.
 
 Translation error is a proxy, not an integrated estimator: the per-iteration
 error is |N(0, sigma)| with sigma shrinking in the number of observed
@@ -26,13 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from atlas.mapcore import (
-    EquivalenceClassIndex,
-    MultiSessionMap,
-    NewLandmark,
-    SessionKind,
-    UNBOUNDED_CAP,
-)
+from atlas.mapcore import EquivalenceClassIndex, MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
@@ -62,6 +58,10 @@ DEFAULT_THRESHOLD_M = 0.10
 # 0.35*n - sqrt(n*0.35*0.65) >= 4 is 18.
 COVERAGE_FLOOR_PER_VERTEX = 18
 
+# Poses per candidate_mask call in sortie_draws: bounds its dense
+# (poses x landmarks) temporaries.  One pose per call costs CPU.
+CANDIDATE_BLOCK_POSES = 32
+
 
 @dataclass(frozen=True)
 class PoseErrorParams:
@@ -71,6 +71,9 @@ class PoseErrorParams:
     floor: float = 0.035  # error floor no amount of landmarks removes
     min_landmarks: int = 4  # below this the solve is declared failed
     failure_error_m: float = 1.0  # error assigned to a failed iteration
+
+
+POSE_ERROR = PoseErrorParams()
 
 
 def pose_error_sigma(n_observed: int, params: PoseErrorParams) -> float:
@@ -86,13 +89,6 @@ def pose_error_proxy(n_observed: int, params: PoseErrorParams, z: float) -> floa
     if n_observed < params.min_landmarks:
         return params.failure_error_m
     return abs(z) * pose_error_sigma(n_observed, params)
-
-
-@dataclass(frozen=True)
-class LocalizeConfig:
-    proxy: PoseErrorParams = PoseErrorParams()
-    # First iteration selects everything to warm the rolling window up.
-    bootstrap_full_first: bool = True
 
 
 @dataclass
@@ -131,17 +127,14 @@ class LocalizationRun:
         return int(self.observed_counts.sum())
 
     @property
-    def tallies_by_pose(self) -> dict[int, dict[int, int]]:
-        """Landmark -> pose index -> observation count, built from the iterations.
+    def observations(self) -> np.ndarray:
+        """(landmark id, pose index, 1) rows, one per observation, in pose order.
 
-        Each iteration observes a landmark at most once, so every count is 1;
-        landmarks appear in order of first observation.
+        Each iteration observes a landmark at most once, so every count is 1.
         """
-        tallies: dict[int, dict[int, int]] = {}
-        for k, it in enumerate(self.iterations):
-            for lid in it.observed.tolist():
-                tallies.setdefault(lid, {})[k] = 1
-        return tallies
+        ids = np.concatenate([it.observed for it in self.iterations] + [np.empty(0, np.int64)])
+        poses = np.repeat(np.arange(len(self.observed_counts)), self.observed_counts)
+        return np.column_stack((ids, poses, np.ones_like(ids)))
 
 
 @dataclass
@@ -179,14 +172,16 @@ def sortie_draws(
     index = m.index
     ids = m.landmark_ids
     p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
-    within = m.candidate_mask(dataset.poses, dataset.sensor_range)  # all poses at once
+    n_poses = len(dataset.poses)
     candidates, classes, detected = [], [], []
-    for k, row in enumerate(within):
-        rows = np.flatnonzero(row)
-        candidates.append(ids[rows])
-        classes.append(index.class_ids[rows])
-        detected.append(uniform01(dataset.observation_seed, k, candidates[k]) < p_det[rows])
-    error_z = np.array([normal_pair_stream(dataset.error_seed, k) for k in range(len(within))])
+    for start in range(0, n_poses, CANDIDATE_BLOCK_POSES):
+        block = dataset.poses[start : start + CANDIDATE_BLOCK_POSES]
+        for k, row in enumerate(m.candidate_mask(block, dataset.sensor_range), start):
+            rows = np.flatnonzero(row)
+            candidates.append(ids[rows])
+            classes.append(index.class_ids[rows])
+            detected.append(uniform01(dataset.observation_seed, k, candidates[k]) < p_det[rows])
+    error_z = np.array([normal_pair_stream(dataset.error_seed, k) for k in range(n_poses)])
     return SortieDraws(dataset.fingerprint(), index, candidates, classes, detected, error_z)
 
 
@@ -195,15 +190,17 @@ def localize_dataset(
     dataset: SortieDataset,
     policy: SelectionPolicy,
     kernels: Mapping[int, ObservabilityKernel],
-    cfg: LocalizeConfig | None = None,
+    *,
     draws: SortieDraws | None = None,
+    bootstrap_full_first: bool = True,
 ) -> LocalizationRun:
     """Run the full selection/observation/error loop over one sortie.
 
     Runs of several policies over the same map state and dataset may share
     one `sortie_draws(m, dataset, kernels)`; without one it is built here.
+    With bootstrap_full_first the first iteration selects every candidate,
+    to warm the rolling window up.
     """
-    cfg = cfg or LocalizeConfig()
     if draws is None:
         draws = sortie_draws(m, dataset, kernels)
     elif draws.index is not m.index or draws.fingerprint != dataset.fingerprint():
@@ -217,7 +214,7 @@ def localize_dataset(
 
     for k, (ids_c, classes_c) in enumerate(zip(draws.candidates, draws.classes)):
         scores = class_scores(policy, stats, index, classes_c)
-        if k == 0 and cfg.bootstrap_full_first:
+        if k == 0 and bootstrap_full_first:
             top = np.arange(len(ids_c))  # warm-up: select the whole candidate set
         else:
             ksel = selection_size(policy.selection_ratio, len(ids_c), policy.max_selected)
@@ -226,7 +223,7 @@ def localize_dataset(
         obs_mask = draws.detected[k][top]
         obs_ids = np.sort(sel_ids[obs_mask])
         observed_counts[k] = len(obs_ids)
-        errors[k] = pose_error_proxy(len(obs_ids), cfg.proxy, z=draws.error_z[k])
+        errors[k] = pose_error_proxy(len(obs_ids), POSE_ERROR, z=draws.error_z[k])
         update_window(stats, classes_c[top], obs_mask, index)
         iterations.append(IterationRecord(ids_c, sel_ids, obs_ids, float(errors[k])))
 
@@ -238,7 +235,7 @@ def localize_dataset(
         iterations=iterations,
         observed_counts=observed_counts,
         errors_m=errors,
-        n_failures=int(np.sum(observed_counts < cfg.proxy.min_landmarks)),
+        n_failures=int(np.sum(observed_counts < POSE_ERROR.min_landmarks)),
     )
 
 
@@ -337,9 +334,14 @@ def process_sortie(
     if kind is SessionKind.RICH:
         work = m.copy()
         proposals = dataset.proposals
-        new_landmarks = [NewLandmark(p.position, p.observations) for p in proposals]
+        rows = np.repeat(np.arange(len(proposals)), [len(p.observations) for p in proposals])
+        observing = [p.observations for p in proposals] + [np.empty((0, 2), np.int64)]
         session_id = work.add_rich_session(
-            dataset.poses, new_landmarks, run.tallies_by_pose, label=dataset.label
+            dataset.poses,
+            [p.position for p in proposals],
+            np.column_stack((rows, np.concatenate(observing))),
+            run.observations,
+            label=dataset.label,
         )
         for lid, prop in zip(work.landmarks_created_by(session_id), proposals):
             cfg.kernels[lid] = prop.kernel
@@ -356,18 +358,11 @@ def process_sortie(
             objective = solution.objective
     elif cfg.use_observation_sessions:
         work = m.copy()
-        nearest = {
-            k: work.nearest_vertex(dataset.poses[k])
-            for k, it in enumerate(run.iterations)
-            if len(it.observed)
-        }
-        observed: dict[int, dict[int, int]] = {}
-        for lid, per_pose in run.tallies_by_pose.items():
-            per_vertex: dict[int, int] = {}
-            for k, c in per_pose.items():
-                vid = nearest[k]
-                per_vertex[vid] = per_vertex.get(vid, 0) + c
-            observed[lid] = per_vertex
+        seen = run.observations
+        vertex = work.nearest_vertices(dataset.poses)[seen[:, 1]]
+        # Poses that share a nearest vertex merge their tallies; every count is 1.
+        pairs, counts = np.unique(np.column_stack((seen[:, 0], vertex)), axis=0, return_counts=True)
+        observed = np.column_stack((pairs, counts))
         session_id = work.add_observation_session(observed, label=dataset.label)
 
     report = SortieReport(

@@ -17,8 +17,10 @@ column.  Pairs and triples name landmarks and vertices by row; pairs are
 kept in the order they were recorded, so each landmark's sessions ascend,
 and triples are sorted by (landmark row, vertex row).  Every stored array
 is read-only: a mutation builds new arrays and assigns them, so a copy
-shares all of them with its original.  `landmarks` and `vertices` are
-read-only views that build Landmark and Vertex records on access.
+shares all of them with its original.  Ingestion takes observations in the
+same form, as int64 (landmark, pose or vertex, count) rows.  `landmarks`
+and `vertices` are read-only views that build Landmark and Vertex records
+on access; their obs_counts dict is the form map documents store.
 """
 
 from __future__ import annotations
@@ -50,27 +52,20 @@ def _wrap_headings(h: np.ndarray) -> np.ndarray:
     return (h + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _points(values: Iterable[Sequence[float]], n: int, what: str) -> np.ndarray:
-    """values as a new (n, 3) float array; MapValidationError unless that shape and finite."""
+def _triples(values: Sequence[Sequence[float]] | np.ndarray, what: str, dtype: type) -> np.ndarray:
+    """values as a new (len(values), 3) array; MapValidationError unless that shape and finite."""
     try:
-        points = np.array(values, dtype=np.float64).reshape(-1, 3)
-    except ValueError as exc:
+        triples = np.array(values, dtype=dtype).reshape(len(values), 3)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MapValidationError(f"malformed {what}: {exc}") from exc
-    if points.shape != (n, 3) or not np.all(np.isfinite(points)):
-        raise MapValidationError(f"{what} must be {n} finite triples")
-    return points
+    if not np.all(np.isfinite(triples)):
+        raise MapValidationError(f"{what} must be finite")
+    return triples
 
 
 def _int_column(values: Iterable[int]) -> np.ndarray:
     """A new int64 array of the values."""
     return np.array(values if isinstance(values, np.ndarray) else list(values), dtype=np.int64)
-
-
-def _flatten(per_row: Sequence[Mapping[int, int]]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(sizes, keys, values) of int -> int mappings, concatenated in order."""
-    keys = _int_column(k for counts in per_row for k in counts)
-    values = _int_column(c for counts in per_row for c in counts.values())
-    return [len(counts) for counts in per_row], keys, values
 
 
 def _rows(
@@ -118,19 +113,6 @@ class Landmark:
     origin_session: int
     sessions: list[int]
     obs_counts: dict[int, int]
-
-
-@dataclass
-class NewLandmark:
-    """A landmark proposal for rich-session ingestion.
-
-    observations maps an index into the ingested pose sequence to an
-    observation count; a proposal needs at least two observing poses to be
-    considered triangulated.  The map assigns the id.
-    """
-
-    position: np.ndarray
-    observations: dict[int, int]
 
 
 class _Records(Mapping):
@@ -249,24 +231,23 @@ class MultiSessionMap:
         vertices = sorted(vertices, key=lambda v: v.id)
         landmarks = sorted(landmarks, key=lambda lm: lm.id)
         vids = _int_column(v.id for v in vertices)
-        poses = _points([v.pose for v in vertices], len(vertices), "vertex poses")
+        poses = _triples([v.pose for v in vertices], "vertex poses", np.float64)
         poses[:, 2] = _wrap_headings(poses[:, 2])
         rows = np.arange(len(landmarks))
-        sizes, observing, counts = _flatten(
-            [dict(sorted(lm.obs_counts.items())) for lm in landmarks]
-        )
+        observed = sorted((r, *p) for r, lm in enumerate(landmarks) for p in lm.obs_counts.items())
+        obs = _triples(observed, "observations", np.int64)
         self._assign(
             vertex_ids=vids,
             vertex_poses=poses,
             vertex_sessions=_int_column(v.session for v in vertices),
             landmark_ids=_int_column(lm.id for lm in landmarks),
-            landmark_positions=_points([lm.position for lm in landmarks], len(rows), "positions"),
+            landmark_positions=_triples([lm.position for lm in landmarks], "positions", np.float64),
             landmark_origins=_int_column(lm.origin_session for lm in landmarks),
             pair_landmarks=np.repeat(rows, [len(lm.sessions) for lm in landmarks]),
             pair_sessions=_int_column(s for lm in landmarks for s in lm.sessions),
-            obs_landmarks=np.repeat(rows, sizes),
-            obs_vertices=_rows(vids, observing, "observation from unknown vertex {}"),
-            obs_counts=counts,
+            obs_landmarks=obs[:, 0].copy(),
+            obs_vertices=_rows(vids, obs[:, 1], "observation from unknown vertex {}"),
+            obs_counts=obs[:, 2].copy(),
         )
         self._next_landmark_id = int(self.landmark_ids[-1]) + 1 if len(rows) else 1
 
@@ -341,13 +322,13 @@ class MultiSessionMap:
         """Ids of landmarks within `radius` (inclusive) of the query position, ascending."""
         return self.landmark_ids[self.candidate_mask([query_pose], radius)[0]]
 
-    def nearest_vertex(self, query_pose: Sequence[float]) -> int:
-        """Id of the vertex closest (planar) to the query pose; lowest id wins ties."""
+    def nearest_vertices(self, query_poses: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+        """Id of the vertex closest (planar) to each query pose; lowest id wins ties."""
         if len(self.vertex_ids) == 0:
             raise MapValidationError("map has no vertices")
-        xy = self.vertex_poses[:, :2]
-        d2 = np.sum((xy - np.asarray(query_pose[:2], dtype=np.float64)) ** 2, axis=1)
-        return int(self.vertex_ids[int(np.argmin(d2))])  # argmin takes the first, ids ascending
+        q = np.asarray(query_poses, dtype=np.float64)
+        d2 = np.sum((self.vertex_poses[None, :, :2] - q[:, None, :2]) ** 2, axis=2)
+        return self.vertex_ids[np.argmin(d2, axis=1)]  # argmin takes the first, ids ascending
 
     # -- Session ingestion --
 
@@ -358,42 +339,46 @@ class MultiSessionMap:
 
     def add_rich_session(
         self,
-        poses: Sequence[Sequence[float]],
-        new_landmarks: Iterable[NewLandmark],
-        observed_existing: Mapping[int, Mapping[int, int]] | None = None,
+        poses: Sequence[Sequence[float]] | np.ndarray,
+        positions: Sequence[Sequence[float]] | np.ndarray,
+        new_observations: Sequence[Sequence[int]] | np.ndarray,
+        seen: Sequence[Sequence[int]] | np.ndarray | None = None,
         label: str = "",
     ) -> int:
         """Ingest a mapping sortie.
 
-        Adds one vertex per pose, one landmark per proposal, marks the
-        existing landmarks that were re-observed during the sortie's
-        localization (observed_existing maps landmark id to per-pose-index
-        counts, attributed to the new vertices), and appends a rich
-        SessionRecord.  The whole payload is validated first; on any error
-        the map is unchanged.
+        Adds one vertex per pose and one landmark per row of positions, and
+        appends a rich SessionRecord.  new_observations holds (row of
+        positions, pose index, count) rows; a new landmark needs at least
+        two observing poses to be considered triangulated, and the map
+        assigns its id.  seen holds (existing landmark id, pose index,
+        count) rows: the landmarks re-observed during the sortie's
+        localization, attributed to the new vertices.  The whole payload is
+        validated first; on any error the map is unchanged.
         """
-        proposals = list(new_landmarks)
-        observed_existing = dict(observed_existing or {})
         n_poses = len(poses)
         if n_poses == 0:
             raise MapValidationError("a rich session needs at least one pose")
-        pose_rows = _points(poses, n_poses, "poses")
-        positions = _points([p.position for p in proposals], len(proposals), "new positions")
-        sizes, pose_index, counts = _flatten(
-            [p.observations for p in proposals] + list(observed_existing.values())
-        )
-        if min(sizes[: len(proposals)], default=2) < 2:
+        pose_rows = _triples(poses, "poses", np.float64)
+        positions = _triples(positions, "new positions", np.float64)
+        new = _triples(new_observations, "new observations", np.int64)
+        seen = _triples([] if seen is None else seen, "seen observations", np.int64)
+        n_new = len(positions)
+        n_vertices, n_landmarks = len(self.vertex_ids), len(self.landmark_ids)
+        new_rows = _rows(np.arange(n_new), new[:, 0], "new landmark row {} out of range")
+        if np.any(np.bincount(new_rows, minlength=n_new) < 2):
             raise MapValidationError("each new landmark needs >= 2 observing poses")
-        if min(sizes, default=1) < 1 or np.any(counts <= 0):
-            raise MapValidationError("observation counts must be non-empty and positive")
-        if np.any((pose_index < 0) | (pose_index >= n_poses)):
-            raise MapValidationError("observation references a pose index out of range")
-        existing_rows = _rows(
-            self.landmark_ids, observed_existing, "observed landmark {} is not in the map"
+        seen_rows = _rows(self.landmark_ids, seen[:, 0], "observed landmark {} is not in the map")
+        pose_index = np.concatenate([new[:, 1], seen[:, 1]])
+        _rows(np.arange(n_poses), pose_index, "observation from pose index {} out of range")
+        triples = self._with_observations(
+            np.concatenate([n_landmarks + new_rows, seen_rows]),
+            n_vertices + pose_index,
+            np.concatenate([new[:, 2], seen[:, 2]]),
+            n_vertices + n_poses,
         )
         # Validation done, now build the new columns.
-        n_vertices, n_landmarks = len(self.vertex_ids), len(self.landmark_ids)
-        rows = np.concatenate([n_landmarks + np.arange(len(proposals)), existing_rows])
+        rows = np.concatenate([n_landmarks + np.arange(n_new), np.unique(seen_rows)])
         first_vid = int(self.vertex_ids[-1]) + 1 if n_vertices else 1
         pose_rows[:, 2] = _wrap_headings(pose_rows[:, 2])
         sid, ts = self._next_session_stamp()
@@ -403,45 +388,39 @@ class MultiSessionMap:
             vertex_poses=np.concatenate([self.vertex_poses, pose_rows]),
             vertex_sessions=np.concatenate([self.vertex_sessions, np.full(n_poses, sid)]),
             landmark_ids=np.concatenate(
-                [self.landmark_ids, self._next_landmark_id + np.arange(len(proposals))]
+                [self.landmark_ids, self._next_landmark_id + np.arange(n_new)]
             ),
             landmark_positions=np.concatenate([self.landmark_positions, positions]),
-            landmark_origins=np.concatenate([self.landmark_origins, np.full(len(proposals), sid)]),
+            landmark_origins=np.concatenate([self.landmark_origins, np.full(n_new, sid)]),
             pair_landmarks=np.concatenate([self.pair_landmarks, rows]),
             pair_sessions=np.concatenate([self.pair_sessions, np.full(len(rows), sid)]),
-            **self._with_observations(
-                np.repeat(rows, sizes), n_vertices + pose_index, counts, n_vertices + n_poses
-            ),
+            **triples,
         )
-        self._next_landmark_id += len(proposals)
+        self._next_landmark_id += n_new
         self._version += 1
         return sid
 
     def add_observation_session(
-        self,
-        observed: Mapping[int, Mapping[int, int]],
-        label: str = "",
+        self, observations: Sequence[Sequence[int]] | np.ndarray, label: str = ""
     ) -> int:
         """Ingest a lightweight sortie: mark existing landmarks as observed.
 
-        observed maps landmark id to per-vertex observation counts against
-        existing vertices.  No vertices and no landmarks are added.  Atomic:
-        any unknown landmark or vertex id rejects the whole update.
+        observations holds (landmark id, vertex id, count) rows against
+        existing landmarks and vertices.  No vertices and no landmarks are
+        added.  Atomic: any unknown landmark or vertex id rejects the whole
+        update.
         """
-        observed = {int(k): dict(v) for k, v in observed.items()}
-        rows = _rows(self.landmark_ids, observed, "observed landmark {} is not in the map")
-        sizes, vids, counts = _flatten(list(observed.values()))
-        if min(sizes, default=1) < 1 or np.any(counts <= 0):
-            raise MapValidationError("observed counts must be non-empty and positive")
-        vertex_rows = _rows(self.vertex_ids, vids, "observed vertex {} is not in the map")
+        obs = _triples(observations, "observations", np.int64)
+        rows = _rows(self.landmark_ids, obs[:, 0], "observed landmark {} is not in the map")
+        vertex_rows = _rows(self.vertex_ids, obs[:, 1], "observed vertex {} is not in the map")
+        triples = self._with_observations(rows, vertex_rows, obs[:, 2], len(self.vertex_ids))
+        rows = np.unique(rows)
         sid, ts = self._next_session_stamp()
         self.sessions.append(SessionRecord(sid, SessionKind.OBSERVATION, ts, label))
         self._assign(
             pair_landmarks=np.concatenate([self.pair_landmarks, rows]),
             pair_sessions=np.concatenate([self.pair_sessions, np.full(len(rows), sid)]),
-            **self._with_observations(
-                np.repeat(rows, sizes), vertex_rows, counts, len(self.vertex_ids)
-            ),
+            **triples,
         )
         self._version += 1
         return sid
@@ -471,13 +450,18 @@ class MultiSessionMap:
     ) -> dict[str, np.ndarray]:
         """Triple columns with the given triples merged in, still sorted.
 
-        The given (row, vertex row) pairs are distinct.  The count of a pair
-        already stored is added to it; the other triples are inserted where
-        they belong.  n_vertices is the vertex count after the update.
+        The count of a (row, vertex row) pair already stored is added to it;
+        the other triples are inserted where they belong.  n_vertices is the
+        vertex count after the update.  MapValidationError, before anything
+        is built, when a count is not positive or a given pair repeats.
         """
+        if np.any(counts <= 0):
+            raise MapValidationError("observation counts must be positive")
         key = rows * n_vertices + vertex_rows
         order = np.argsort(key)
         key, rows, vertex_rows, counts = key[order], rows[order], vertex_rows[order], counts[order]
+        if np.any(key[1:] == key[:-1]):
+            raise MapValidationError("an update names one (landmark, vertex) pair twice")
         stored = self.obs_landmarks * n_vertices + self.obs_vertices
         at = np.searchsorted(stored, key)
         hit = np.append(stored, -1)[at] == key  # keys are >= 0; at may be len(stored)

@@ -113,6 +113,9 @@ def map_from_document(doc: dict) -> MultiSessionMap:
         for kind, records in (("vertex", vertices), ("landmark", landmarks)):
             if len({r.id for r in records}) != len(records):
                 raise MapFormatError(f"a {kind} id is listed more than once")
+        for lm, l in zip(landmarks, doc["landmarks"]):
+            if len(lm.obs_counts) != len(l["obs_counts"]):
+                raise MapFormatError(f"landmark {lm.id} lists a vertex id more than once")
         if not all(lm.sessions for lm in landmarks):
             raise MapFormatError("a landmark lists no observing sessions")
         return MultiSessionMap.from_records(int(doc["landmark_cap"]), sessions, vertices, landmarks)

@@ -184,12 +184,8 @@ class MapBackend:
         reply = self.handle_message(msg, session)
         return self._account(session, bytes_up, reply, msg.kind is MessageKind.QUERY)
 
-    def handle_message(
-        self, msg: Message, session: _Session | None = None
-    ) -> Message | LandmarksReply:
-        """Dispatch one decoded request; always returns exactly one reply."""
-        if session is None:
-            session = self._resolve(msg.token)
+    def handle_message(self, msg: Message, session: _Session | None) -> Message | LandmarksReply:
+        """Dispatch one decoded request of the resolved session; always returns one reply."""
         if msg.kind is MessageKind.OPEN_SESSION:
             return self._open_session(msg)
         if msg.kind is MessageKind.QUERY:
@@ -356,7 +352,7 @@ class MapBackend:
             return msg.error(ERR_BAD_REQUEST, "upload body must carry a sortie object")
         try:
             dataset = sortie_from_doc(doc)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             return msg.error(ERR_BAD_REQUEST, f"malformed sortie: {exc}")
         with self._write_lock:
             # process_sortie extends and prunes the registry it is given, so it

@@ -15,12 +15,13 @@ selection policies feed on.
 A world is a closed trajectory loop plus a field of landmark sites scattered
 along a corridor around it.  A sortie traverses the loop under one latent
 condition with odometry noise and proposes new landmarks for rich-session
-ingestion: a proposal reuses the site's position, width, and peak, but its
-kernel is re-centered near the sortie's condition, modeling that a feature
-tracked and triangulated today is matchable under conditions similar to
-today's.  The same site can therefore be mapped several times under
-different conditions as distinct landmarks, which is how real feature maps
-grow until summarization prunes them.
+ingestion, each with its observing poses as int64 (pose index, count) rows:
+a proposal reuses the site's position, width, and peak, but its kernel is
+re-centered near the sortie's condition, modeling that a feature tracked
+and triangulated today is matchable under conditions similar to today's.
+The same site can therefore be mapped several times under different
+conditions as distinct landmarks, which is how real feature maps grow
+until summarization prunes them.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ class World:
 @dataclass(frozen=True)
 class LandmarkProposal:
     position: np.ndarray
-    observations: dict[int, int]  # pose index -> count
+    observations: np.ndarray  # (k, 2) int64 rows of (pose index, count), poses ascending
     kernel: ObservabilityKernel
 
 
@@ -332,8 +333,9 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
     Proposal kernels keep the site's width and peak but re-center near the
     sortie condition (normal spread recenter_sigma * width, so nearly all
     centers land within two widths of the condition).  A proposal's
-    observations are one count per trajectory pose within sensor range; a
-    site seen from fewer than min_triangulation poses proposes nothing.
+    observations are a count of 1 for each trajectory pose within sensor
+    range, as (pose index, 1) rows; a site seen from fewer than
+    min_triangulation poses proposes nothing.
     """
     sc = world.scenario
     condition = wrap_condition(condition)
@@ -369,7 +371,7 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
             proposals.append(
                 LandmarkProposal(
                     position=site.position.copy(),
-                    observations={int(k): 1 for k in pose_ids},
+                    observations=np.column_stack((pose_ids, np.ones_like(pose_ids))),
                     kernel=kernel,
                 )
             )
@@ -396,7 +398,7 @@ def sortie_to_doc(ds: SortieDataset) -> dict:
         "proposals": [
             {
                 "position": [float(x) for x in p.position],
-                "observations": {str(k): int(c) for k, c in sorted(p.observations.items())},
+                "observations": {str(k): c for k, c in p.observations.tolist()},
                 "kernel": {
                     "center": p.kernel.center,
                     "width": p.kernel.width,
@@ -408,7 +410,26 @@ def sortie_to_doc(ds: SortieDataset) -> dict:
     }
 
 
+def _pose_counts(observations: list[Mapping]) -> list[np.ndarray]:
+    """Each proposal's observations as (pose index, count) rows, poses ascending.
+
+    All proposals are converted at once.  ValueError when a proposal names
+    one pose twice ("1" and "01", say).
+    """
+    sizes = [len(obs) for obs in observations]
+    poses = np.array([int(k) for obs in observations for k in obs], dtype=np.int64)
+    counts = np.array([int(c) for obs in observations for c in obs.values()], dtype=np.int64)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((poses, owner))
+    rows = np.column_stack((poses[order], counts[order]))
+    if np.any((np.diff(rows[:, 0]) == 0) & (np.diff(owner) == 0)):
+        raise ValueError("a proposal names one pose twice")
+    ends = np.cumsum(sizes).tolist()
+    return [rows[end - size : end] for size, end in zip(sizes, ends)]
+
+
 def sortie_from_doc(doc: Mapping) -> SortieDataset:
+    observations = _pose_counts([p["observations"] for p in doc["proposals"]])
     return SortieDataset(
         label=str(doc["label"]),
         condition=float(doc["condition"]),
@@ -416,14 +437,14 @@ def sortie_from_doc(doc: Mapping) -> SortieDataset:
         proposals=[
             LandmarkProposal(
                 position=np.asarray(p["position"], dtype=np.float64),
-                observations={int(k): int(c) for k, c in p["observations"].items()},
+                observations=rows,
                 kernel=ObservabilityKernel(
                     float(p["kernel"]["center"]),
                     float(p["kernel"]["width"]),
                     float(p["kernel"]["peak"]),
                 ),
             )
-            for p in doc["proposals"]
+            for p, rows in zip(doc["proposals"], observations)
         ],
         sensor_range=float(doc["sensor_range"]),
         observation_seed=int(doc["observation_seed"]),

@@ -7,7 +7,7 @@ import string
 
 import numpy as np
 
-from atlas.mapcore import MultiSessionMap, NewLandmark
+from atlas.mapcore import MultiSessionMap
 from atlas.protocol import ERR_BAD_REPORT, ERR_BAD_REQUEST, ERR_NO_SESSION, Message, MessageKind
 from atlas.summarize import SummarizationProblem
 from atlas.worldgen import Scenario, SortieSpec
@@ -24,20 +24,15 @@ def two_session_map() -> MultiSessionMap:
     m = MultiSessionMap()
     m.add_rich_session(
         LINE_POSES,
-        [
-            NewLandmark(np.array([0.0, 1.0, 0.0]), {0: 1, 1: 1}),
-            NewLandmark(np.array([1.0, 1.0, 0.0]), {1: 1, 2: 1}),
-            NewLandmark(np.array([2.0, 1.0, 0.0]), {2: 1, 3: 2}),
-        ],
+        [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 1.0, 0.0]],
+        [[0, 0, 1], [0, 1, 1], [1, 1, 1], [1, 2, 1], [2, 2, 1], [2, 3, 2]],
         label="first",
     )
     m.add_rich_session(
         LINE_POSES + np.array([0.0, 0.1, 0.0]),
-        [
-            NewLandmark(np.array([3.0, 1.0, 0.0]), {0: 1, 4: 1}),
-            NewLandmark(np.array([4.0, 1.0, 0.0]), {3: 1, 4: 1}),
-        ],
-        observed_existing={3: {2: 1, 3: 1}},
+        [[3.0, 1.0, 0.0], [4.0, 1.0, 0.0]],
+        [[0, 0, 1], [0, 4, 1], [1, 3, 1], [1, 4, 1]],
+        seen=[[3, 2, 1], [3, 3, 1]],
         label="second",
     )
     return m

@@ -9,7 +9,6 @@ from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.locsim import (
     IterationRecord,
     LocalizationRun,
-    LocalizeConfig,
     PipelineConfig,
     PoseErrorParams,
     decide_update,
@@ -145,16 +144,16 @@ def test_detection_matches_keyed_uniform_oracle(built):
             assert it.observed.tolist() == sorted(it.selected[hit].tolist())
 
 
-def test_tallies_by_pose_matches_per_iteration_recount(built):
+def test_run_observations_match_per_iteration_recount(built):
     m, cfg, dataset = built
     for policy in (reference_policy(), parse_policy("class_ratio@0.3")):
         run = localize_dataset(m, dataset, policy, cfg.kernels)
-        recount: dict[int, dict[int, int]] = {}
-        for k, it in enumerate(run.iterations):
-            for lid in it.observed.tolist():
-                recount.setdefault(lid, {})[k] = recount.get(lid, {}).get(k, 0) + 1
-        assert list(run.tallies_by_pose.items()) == list(recount.items())
-        assert sum(map(len, recount.values())) == run.total_observed > 0
+        recount = [
+            (lid, k, 1) for k, it in enumerate(run.iterations) for lid in it.observed.tolist()
+        ]
+        assert run.observations.dtype == np.int64
+        assert [tuple(row) for row in run.observations.tolist()] == recount
+        assert len(recount) == run.total_observed > 0
 
 
 def test_bootstrap_selects_everything_first(built):
@@ -165,9 +164,7 @@ def test_bootstrap_selects_everything_first(built):
     assert set(first.selected.tolist()) == set(first.candidates.tolist())
     later = run.iterations[1]
     assert len(later.selected) < len(later.candidates)
-    no_boot = localize_dataset(
-        m, dataset, policy, cfg.kernels, LocalizeConfig(bootstrap_full_first=False)
-    )
+    no_boot = localize_dataset(m, dataset, policy, cfg.kernels, bootstrap_full_first=False)
     first_nb = no_boot.iterations[0]
     assert len(first_nb.selected) == max(1, math.ceil(0.2 * len(first_nb.candidates) - 1e-9))
 

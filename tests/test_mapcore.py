@@ -11,7 +11,6 @@ from atlas.mapcore import (
     EquivalenceClassIndex,
     MapValidationError,
     MultiSessionMap,
-    NewLandmark,
     SessionKind,
     UNBOUNDED_CAP,
 )
@@ -66,7 +65,7 @@ def test_index_matches_brute_force_and_is_deterministic():
 def test_index_rebuilds_after_mutation():
     m = two_session_map()
     before = m.index
-    m.add_observation_session({1: {1: 1}, 4: {6: 2}}, label="obs")
+    m.add_observation_session([[1, 1, 1], [4, 6, 2]], label="obs")
     after = m.index
     assert after is not before
     assert brute_force_classes(m) == {
@@ -97,15 +96,15 @@ def test_candidate_set_rejects_bad_radius():
         m.candidate_set((0, 0), float("inf"))
 
 
-def test_nearest_vertex_prefers_lowest_id_on_ties():
+def test_nearest_vertices_prefer_lowest_id_on_ties():
     m = MultiSessionMap()
     m.add_rich_session(
-        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
-        [NewLandmark(np.array([0.0, 1.0, 0.0]), {0: 1, 1: 1})],
+        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0, 0, 1], [0, 1, 1]]
     )
-    assert m.nearest_vertex((1.0, 0.0)) == 1  # equidistant, lowest id wins
+    # equidistant from both, lowest id wins; then nearer to each in turn
+    assert m.nearest_vertices([(1.0, 0.0), (1.9, 0.5), (-3.0, 0.0)]).tolist() == [1, 2, 1]
     with pytest.raises(MapValidationError):
-        MultiSessionMap().nearest_vertex((0.0, 0.0))
+        MultiSessionMap().nearest_vertices([(0.0, 0.0)])
 
 
 def test_rich_session_validation_and_atomicity():
@@ -116,22 +115,34 @@ def test_rich_session_validation_and_atomicity():
         assert (m.version, len(m.landmarks), len(m.vertices), len(m.sessions)) == stamp
 
     with pytest.raises(MapValidationError):
-        m.add_rich_session([], [NewLandmark(np.zeros(3), {0: 1, 1: 1})])
+        m.add_rich_session([], [np.zeros(3)], [[0, 0, 1], [0, 1, 1]])
     unchanged()
     with pytest.raises(MapValidationError):  # single observing pose
-        m.add_rich_session(LINE_POSES, [NewLandmark(np.zeros(3), {0: 2})])
+        m.add_rich_session(LINE_POSES, [np.zeros(3)], [[0, 0, 2]])
     unchanged()
     with pytest.raises(MapValidationError):  # pose index out of range
-        m.add_rich_session(LINE_POSES, [NewLandmark(np.zeros(3), {0: 1, 9: 1})])
+        m.add_rich_session(LINE_POSES, [np.zeros(3)], [[0, 0, 1], [0, 9, 1]])
     unchanged()
     with pytest.raises(MapValidationError):  # nonpositive count
-        m.add_rich_session(LINE_POSES, [NewLandmark(np.zeros(3), {0: 1, 1: 0})])
+        m.add_rich_session(LINE_POSES, [np.zeros(3)], [[0, 0, 1], [0, 1, 0]])
     unchanged()
     with pytest.raises(MapValidationError):  # unknown re-observed landmark
-        m.add_rich_session(LINE_POSES, [], observed_existing={99: {0: 1}})
+        m.add_rich_session(LINE_POSES, [], [], seen=[[99, 0, 1]])
     unchanged()
     with pytest.raises(MapValidationError):  # non-finite pose
-        m.add_rich_session([[0.0, float("nan"), 0.0]], [])
+        m.add_rich_session([[0.0, float("nan"), 0.0]], [], [])
+    unchanged()
+    with pytest.raises(MapValidationError):  # observation of no new landmark
+        m.add_rich_session(LINE_POSES, [np.zeros(3)], [[0, 0, 1], [0, 1, 1], [1, 2, 1]])
+    unchanged()
+    with pytest.raises(MapValidationError):  # one (new landmark, pose) pair twice
+        m.add_rich_session(LINE_POSES, [np.zeros(3)], [[0, 0, 1], [0, 1, 1], [0, 1, 1]])
+    unchanged()
+    with pytest.raises(MapValidationError):  # one (seen landmark, pose) pair twice
+        m.add_rich_session(LINE_POSES, [], [], seen=[[3, 0, 1], [3, 0, 2]])
+    unchanged()
+    with pytest.raises(MapValidationError):  # not rows of three
+        m.add_rich_session(LINE_POSES, [np.zeros(3)], [[0, 0], [0, 1]])
     unchanged()
 
 
@@ -139,20 +150,22 @@ def test_observation_session_validation_and_atomicity():
     m = two_session_map()
     stamp = (m.version, {lid: list(lm.sessions) for lid, lm in m.landmarks.items()})
     with pytest.raises(MapValidationError):  # unknown landmark rejects everything
-        m.add_observation_session({1: {1: 1}, 99: {1: 1}})
+        m.add_observation_session([[1, 1, 1], [99, 1, 1]])
     with pytest.raises(MapValidationError):  # unknown vertex
-        m.add_observation_session({1: {999: 1}})
-    with pytest.raises(MapValidationError):  # empty counts
-        m.add_observation_session({1: {}})
+        m.add_observation_session([[1, 999, 1]])
+    with pytest.raises(MapValidationError):  # a row without a count
+        m.add_observation_session([[1, 1]])
     with pytest.raises(MapValidationError):  # nonpositive count
-        m.add_observation_session({1: {1: -2}})
+        m.add_observation_session([[1, 1, -2]])
+    with pytest.raises(MapValidationError):  # one (landmark, vertex) pair twice
+        m.add_observation_session([[1, 1, 1], [2, 1, 1], [1, 1, 3]])
     assert stamp == (m.version, {lid: list(lm.sessions) for lid, lm in m.landmarks.items()})
 
 
 def test_observation_session_adds_no_geometry():
     m = two_session_map()
     n_vertices, n_landmarks = len(m.vertices), len(m.landmarks)
-    sid = m.add_observation_session({2: {2: 3}}, label="drive-by")
+    sid = m.add_observation_session([[2, 2, 3]], label="drive-by")
     assert (len(m.vertices), len(m.landmarks)) == (n_vertices, n_landmarks)
     assert m.sessions[-1].id == sid and m.sessions[-1].kind is SessionKind.OBSERVATION
     assert m.landmarks[2].sessions == [1, sid]
@@ -162,8 +175,8 @@ def test_observation_session_adds_no_geometry():
 
 def test_sessions_strictly_increasing_per_landmark():
     m = two_session_map()
-    sid = m.add_observation_session({1: {1: 1}})
-    m.add_observation_session({1: {1: 1}})
+    sid = m.add_observation_session([[1, 1, 1]])
+    m.add_observation_session([[1, 1, 1]])
     lm = m.landmarks[1]
     assert lm.sessions == sorted(set(lm.sessions))
     assert lm.sessions[0] == lm.origin_session
@@ -185,7 +198,7 @@ def test_drop_landmarks_and_version():
 def test_copy_is_deep_for_mutable_state():
     m = two_session_map()
     c = m.copy()
-    c.add_observation_session({1: {1: 1}})
+    c.add_observation_session([[1, 1, 1]])
     c.landmarks[2].obs_counts[1] = 99
     c.drop_landmarks([5])
     assert m.landmarks[1].sessions == [1]
@@ -205,7 +218,7 @@ def test_copy_shares_read_only_columns():
             getattr(m, name)[...] = 0
     assert c.sessions == m.sessions and c.sessions is not m.sessions
     assert c.version == m.version and c.index is not m.index
-    c.add_observation_session({1: {1: 1}})
+    c.add_observation_session([[1, 1, 1]])
     assert not np.shares_memory(m.pair_sessions, c.pair_sessions)
     assert np.shares_memory(m.landmark_positions, c.landmark_positions)
 
@@ -215,11 +228,7 @@ def test_cap_is_validated_not_enforced_on_ingest():
         MultiSessionMap(landmark_cap=0)
     m = MultiSessionMap(landmark_cap=1)
     m.add_rich_session(
-        LINE_POSES,
-        [
-            NewLandmark(np.array([0.0, 1.0, 0.0]), {0: 1, 1: 1}),
-            NewLandmark(np.array([1.0, 1.0, 0.0]), {1: 1, 2: 1}),
-        ],
+        LINE_POSES, [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [[0, 0, 1], [0, 1, 1], [1, 1, 1], [1, 2, 1]]
     )
     with pytest.raises(MapValidationError):
         m.validate()  # over cap: ingestion allows it, persistence must not
@@ -230,7 +239,8 @@ def test_heading_wraps_into_principal_range():
     m = MultiSessionMap()
     m.add_rich_session(
         [[0.0, 0.0, 3 * math.pi], [1.0, 0.0, -3 * math.pi]],
-        [NewLandmark(np.array([0.0, 1.0, 0.0]), {0: 1, 1: 1})],
+        [[0.0, 1.0, 0.0]],
+        [[0, 0, 1], [0, 1, 1]],
     )
     headings = [v.pose[2] for v in m.vertices.values()]
     assert all(-math.pi <= h < math.pi for h in headings)
@@ -251,24 +261,23 @@ def grown_maps(draw):
             n_poses = draw(st.integers(min_value=2, max_value=5))
             poses = rng.normal(size=(n_poses, 3))
             n_new = draw(st.integers(min_value=0, max_value=4))
-            proposals = []
-            for _ in range(n_new):
+            positions, new = [], []
+            for row in range(n_new):
                 k = draw(st.integers(min_value=2, max_value=n_poses))
                 pose_ids = rng.choice(n_poses, size=k, replace=False)
-                proposals.append(
-                    NewLandmark(rng.normal(size=3), {int(p): int(rng.integers(1, 4)) for p in pose_ids})
-                )
-            observed = {}
+                positions.append(rng.normal(size=3))
+                new += [(row, int(p), int(rng.integers(1, 4))) for p in pose_ids]
+            seen = []
             if m.landmarks and draw(st.booleans()):
                 lid = int(rng.choice(sorted(m.landmarks)))
-                observed[lid] = {int(rng.integers(0, n_poses)): 1}
-            m.add_rich_session(poses, proposals, observed_existing=observed, label=f"s{s}")
+                seen.append((lid, int(rng.integers(0, n_poses)), 1))
+            m.add_rich_session(poses, positions, new, seen=seen, label=f"s{s}")
         else:
-            observed = {}
+            observed = []
             for lid in m.landmarks:
                 if rng.random() < 0.5:
                     vid = int(rng.choice(sorted(m.vertices)))
-                    observed[lid] = {vid: int(rng.integers(1, 3))}
+                    observed.append((lid, vid, int(rng.integers(1, 3))))
             if not observed:
                 continue
             m.add_observation_session(observed, label=f"s{s}")

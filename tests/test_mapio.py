@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from atlas.mapcore import MapValidationError, NewLandmark
+from atlas.mapcore import MapValidationError
 from atlas.mapio import (
     ChecksumMismatchError,
     MapFormatError,
@@ -41,7 +41,7 @@ def maps_equal(a, b) -> bool:
 
 def test_round_trip_preserves_everything():
     m = two_session_map()
-    m.add_observation_session({1: {1: 2}}, label="obs")
+    m.add_observation_session([[1, 1, 2]], label="obs")
     again = loads_map(dumps_map(m))
     assert maps_equal(m, again)
     again.validate()
@@ -101,11 +101,10 @@ def test_corrupt_structure_never_returns_partial_map():
 def test_loaded_map_continues_id_sequences():
     m = two_session_map()
     again = loads_map(dumps_map(m))
-    sid = again.add_observation_session({1: {1: 1}})
+    sid = again.add_observation_session([[1, 1, 1]])
     assert sid == 3  # session ids continue, not restart
     again.add_rich_session(
-        [[9.0, 9.0, 0.0], [9.5, 9.0, 0.0]],
-        [NewLandmark(np.zeros(3), {0: 1, 1: 1})],
+        [[9.0, 9.0, 0.0], [9.5, 9.0, 0.0]], [np.zeros(3)], [[0, 0, 1], [0, 1, 1]]
     )
     assert max(again.landmarks) == 6  # landmark ids continue
     assert max(again.vertices) == 12
@@ -124,6 +123,14 @@ def test_ids_listed_twice_are_refused(table):
     twin = json.loads(json.dumps(doc[table][2]))
     twin["position" if table == "landmarks" else "pose"][0] += 5.0
     doc[table].append(twin)  # same id, other content: neither entry may win
+    with pytest.raises(MapFormatError):
+        map_from_document(doc)
+
+
+def test_vertex_ids_spelled_twice_in_obs_counts_are_refused():
+    doc = map_to_document(two_session_map())
+    del doc["checksum"]
+    doc["landmarks"][0]["obs_counts"] = {"1": 1, "01": 5, "2": 1}  # neither count may win
     with pytest.raises(MapFormatError):
         map_from_document(doc)
 

@@ -20,7 +20,7 @@ from atlas.ranking import (
     selection_size,
     update_window,
 )
-from atlas.mapcore import MultiSessionMap, NewLandmark
+from atlas.mapcore import MultiSessionMap
 from atlas.rng import hash_stream
 
 from helpers import LINE_POSES, two_session_map
@@ -230,11 +230,12 @@ def many_class_map(seed: int) -> MultiSessionMap:
     m = MultiSessionMap()
     m.add_rich_session(
         LINE_POSES,
-        [NewLandmark(np.array([float(i), 1.0, 0.0]), {0: 1, 1: 1}) for i in range(12)],
+        [[float(i), 1.0, 0.0] for i in range(12)],
+        [(i, k, 1) for i in range(12) for k in (0, 1)],
     )
     for _ in range(4):
         seen = [lid for lid in m.landmarks if rng.random() < 0.5]
-        m.add_observation_session({lid: {1: 1} for lid in seen})
+        m.add_observation_session([(lid, 1, 1) for lid in seen])
     return m
 
 

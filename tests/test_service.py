@@ -1,5 +1,6 @@
 """Map backend service: session semantics, accounting, transport parity."""
 
+import hashlib
 import json
 import socket
 import struct
@@ -11,7 +12,8 @@ import pytest
 
 import atlas.locsim
 from atlas.client import BackendError, VehicleClient, drive_sortie
-from atlas.locsim import LocalizeConfig, PipelineConfig, localize_dataset, process_sortie
+from atlas.experiment import build_dataset, build_world
+from atlas.locsim import PipelineConfig, localize_dataset, process_sortie
 from atlas.mapcore import MultiSessionMap
 from atlas.protocol import (
     MessageKind,
@@ -23,7 +25,13 @@ from atlas.protocol import (
 )
 from atlas.ranking import RollingSelectionStats, parse_policy, reference_policy, update_window
 from atlas.server import MapBackend, MapServer
-from atlas.worldgen import generate_sortie, generate_world, sortie_to_doc
+from atlas.worldgen import (
+    generate_sortie,
+    generate_world,
+    get_scenario,
+    sortie_from_doc,
+    sortie_to_doc,
+)
 
 from helpers import tiny_scenario, two_session_map
 
@@ -329,6 +337,49 @@ def test_upload_rejects_malformed_sorties():
     assert missing.body["code"] == "bad_request"
     not_dict = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": 7}, token=token)
     assert not_dict.body["code"] == "bad_request"
+    world = generate_world(tiny_scenario(), seed=11)
+    doc = sortie_to_doc(generate_sortie(world, 0.10, seed=101, label="first"))
+    for observations in ([0, 1], {"0": 1, str(2**70): 1}):  # not an object; pose beyond int64
+        doc["proposals"][0]["observations"] = observations
+        bad = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": doc}, token=token)
+        assert bad.body["code"] == "bad_request" and "malformed sortie" in bad.body["detail"]
+
+
+def test_upload_naming_a_pose_twice_is_refused():
+    world = generate_world(tiny_scenario(), seed=11)
+    doc = sortie_to_doc(generate_sortie(world, 0.10, seed=101, label="first"))
+    observations = doc["proposals"][0]["observations"]
+    pose = next(iter(observations))
+    observations["0" + pose] = 5  # the same pose index spelled a second way
+    backend = MapBackend(MultiSessionMap())
+    wire = Wire(backend)
+    token = open_session(wire)
+    snap, kernels = backend.snapshot, dict(backend.kernels)
+    reply = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": doc}, token=token)
+    assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
+    assert "malformed sortie" in reply.body["detail"]
+    assert backend.snapshot is snap and backend.kernels == kernels
+
+
+# sha256 of the upload frame of sortie 0 of each built-in scenario at seed 42.
+# city_dusk carries 923 proposals in 385,713 bytes.
+UPLOAD_FRAME_SHA256 = {
+    "city_dusk": "6e532cd273e664d918c45d3c21c6a098945191270f112c828cedb8dda118bcc6",
+    "parking_year": "a41093b8efc0defd259b9047e1b7baed463c2b1b3d21212bd09365024224aaa7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPLOAD_FRAME_SHA256))
+def test_upload_frame_bytes_are_pinned(name):
+    dataset = build_dataset(build_world(get_scenario(name), 42), 0, 42)
+
+    def frame(ds):
+        body = {"sortie": sortie_to_doc(ds)}
+        return encode_frame(Message(MessageKind.UPLOAD_SORTIE, cid=1, token=1, body=body))
+
+    sent = frame(dataset)
+    assert hashlib.sha256(sent).hexdigest() == UPLOAD_FRAME_SHA256[name]
+    assert frame(sortie_from_doc(sortie_to_doc(dataset))) == sent
 
 
 def test_window_resets_when_map_version_changes(grown):
@@ -450,9 +501,7 @@ def many_classes():
 def test_served_selection_matches_simulated_selection(many_classes, spec):
     sc, m, kernels, revisit = many_classes
     assert len(m.index) >= 5
-    local = localize_dataset(
-        m, revisit, parse_policy(spec), kernels, LocalizeConfig(bootstrap_full_first=False)
-    )
+    local = localize_dataset(m, revisit, parse_policy(spec), kernels, bootstrap_full_first=False)
     backend = MapBackend(m.copy(), dict(kernels), threshold_m=sc.threshold_m)
     with MapServer(backend) as server:
         host, port = server.address

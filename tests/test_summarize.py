@@ -170,7 +170,7 @@ def test_apply_summarization_round_trip():
 def test_apply_summarization_rejects_stale_solution():
     m = two_session_map()
     sol = solve_exact(build_problem(m, keep_count=3))
-    m.add_observation_session({1: {1: 1}}, label="later")
+    m.add_observation_session([[1, 1, 1]], label="later")
     with pytest.raises(StaleSolutionError):
         apply_summarization(m, sol)
     # a copy is a different map object even with identical content

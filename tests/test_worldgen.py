@@ -209,9 +209,12 @@ def test_generate_sortie_deterministic_and_well_formed():
     assert a.condition == 0.3
     assert a.poses.shape == world.trajectory.shape
     for prop in a.proposals:
-        assert len(prop.observations) >= sc.min_triangulation
-        assert all(0 <= k < sc.n_iterations for k in prop.observations)
-        assert all(c == 1 for c in prop.observations.values())
+        poses, counts = prop.observations.T
+        assert prop.observations.dtype == np.int64
+        assert len(poses) >= sc.min_triangulation
+        assert np.all(np.diff(poses) > 0)  # ascending and distinct
+        assert np.all((0 <= poses) & (poses < sc.n_iterations))
+        assert np.all(counts == 1)
         # triangulated near the encountering condition
         assert circular_distance(prop.kernel.center, 0.3) <= 4 * prop.kernel.width + 1e-9
     # different sortie seed shifts the odometry noise
@@ -237,7 +240,7 @@ def test_sortie_doc_round_trip():
     assert len(again.proposals) == len(ds.proposals)
     for pa, pb in zip(again.proposals, ds.proposals):
         assert np.array_equal(pa.position, pb.position)
-        assert pa.observations == pb.observations
+        assert np.array_equal(pa.observations, pb.observations)
         assert pa.kernel == pb.kernel
     # the doc is JSON-serializable as-is
     import json
