@@ -169,6 +169,7 @@ def drive_sortie(
     errors = np.zeros(n)
     n_failures = 0
     table = KernelTable(kernels)  # the sidecar grows only after the upload
+    error_z = normal_pair_stream(dataset.error_seed, np.arange(n))
     for k in range(n):
         result = client.query(dataset.poses[k])
         ids = np.asarray(result.landmark_ids, dtype=np.int64)
@@ -181,8 +182,7 @@ def drive_sortie(
             observed = np.empty(0, dtype=np.int64)
         observed_counts[k] = len(observed)
         client.report(int(i) for i in observed)
-        z = normal_pair_stream(dataset.error_seed, k)
-        errors[k] = pose_error_proxy(int(observed_counts[k]), POSE_ERROR, z=z)
+        errors[k] = pose_error_proxy(int(observed_counts[k]), POSE_ERROR, z=error_z[k])
         if observed_counts[k] < POSE_ERROR.min_landmarks:
             n_failures += 1
     ack: dict = {}

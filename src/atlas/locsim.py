@@ -144,7 +144,8 @@ class SortieDraws:
     Per pose k: the candidate ids within sensor range (ascending) and their
     class ids in `index`, whether each candidate is detected if selected,
     and the standard normal of the error draw.  Tie-break words are hashed
-    on first use and kept per (policy seed, pose).
+    per policy seed: the first use of a seed hashes every pose's candidates
+    in one call and keeps the words split by pose.
     """
 
     fingerprint: tuple
@@ -153,22 +154,30 @@ class SortieDraws:
     classes: list[np.ndarray]
     detected: list[np.ndarray]
     error_z: np.ndarray
-    _tiebreaks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False)
+    _tiebreaks: dict[int, list[np.ndarray]] = field(default_factory=dict, init=False)
 
     def tiebreak(self, policy: SelectionPolicy, k: int) -> np.ndarray | None:
         """hash_stream(policy.seed, k, candidates[k]); None for the unranked policy."""
         if policy.ranking is RankingKind.ALL:
             return None
-        key = (policy.seed, k)
-        if key not in self._tiebreaks:
-            self._tiebreaks[key] = hash_stream(policy.seed, k, self.candidates[k])
-        return self._tiebreaks[key]
+        words = self._tiebreaks.get(policy.seed)
+        if words is None:
+            sizes = [len(c) for c in self.candidates]
+            poses = np.repeat(np.arange(len(sizes)), sizes)
+            flat = hash_stream(policy.seed, poses, np.concatenate(self.candidates))
+            words = self._tiebreaks[policy.seed] = np.split(flat, np.cumsum(sizes)[:-1])
+        return words[k]
 
 
 def sortie_draws(
     m: MultiSessionMap, dataset: SortieDataset, kernels: Mapping[int, ObservabilityKernel]
 ) -> SortieDraws:
-    """Candidates, detection outcomes and error draws of every pose of the dataset on m."""
+    """Candidates, detection outcomes and error draws of every pose of the dataset on m.
+
+    Detections are drawn per block of CANDIDATE_BLOCK_POSES poses, salted
+    with each candidate's pose index, so each pose sees the draws
+    uniform01(observation_seed, k, candidates[k]) that a per-pose call gives.
+    """
     index = m.index
     ids = m.landmark_ids
     p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
@@ -176,12 +185,15 @@ def sortie_draws(
     candidates, classes, detected = [], [], []
     for start in range(0, n_poses, CANDIDATE_BLOCK_POSES):
         block = dataset.poses[start : start + CANDIDATE_BLOCK_POSES]
-        for k, row in enumerate(m.candidate_mask(block, dataset.sensor_range), start):
-            rows = np.flatnonzero(row)
-            candidates.append(ids[rows])
-            classes.append(index.class_ids[rows])
-            detected.append(uniform01(dataset.observation_seed, k, candidates[k]) < p_det[rows])
-    error_z = np.array([normal_pair_stream(dataset.error_seed, k) for k in range(n_poses)])
+        mask = m.candidate_mask(block, dataset.sensor_range)
+        poses, rows = np.nonzero(mask)  # pose-major, rows ascending within a pose
+        ends = np.cumsum(mask.sum(axis=1))[:-1]
+        block_ids = ids[rows]
+        hit = uniform01(dataset.observation_seed, poses + start, block_ids) < p_det[rows]
+        candidates += np.split(block_ids, ends)
+        classes += np.split(index.class_ids[rows], ends)
+        detected += np.split(hit, ends)
+    error_z = normal_pair_stream(dataset.error_seed, np.arange(n_poses))
     return SortieDraws(dataset.fingerprint(), index, candidates, classes, detected, error_z)
 
 

@@ -429,11 +429,19 @@ def _pose_counts(observations: list[Mapping]) -> list[np.ndarray]:
 
 
 def sortie_from_doc(doc: Mapping) -> SortieDataset:
+    """Parse a sortie document; ValueError unless `poses` is a non-empty (n, 3)
+    array and `condition` is finite."""
+    poses = np.asarray(doc["poses"], dtype=np.float64)  # an empty list parses to shape (0,)
+    if poses.ndim != 2 or poses.shape[1] != 3:
+        raise ValueError(f"poses must be a non-empty (n, 3) array, got shape {poses.shape}")
+    condition = float(doc["condition"])
+    if not math.isfinite(condition):
+        raise ValueError(f"condition must be finite, got {condition}")
     observations = _pose_counts([p["observations"] for p in doc["proposals"]])
     return SortieDataset(
         label=str(doc["label"]),
-        condition=float(doc["condition"]),
-        poses=np.asarray(doc["poses"], dtype=np.float64),
+        condition=condition,
+        poses=poses,
         proposals=[
             LandmarkProposal(
                 position=np.asarray(p["position"], dtype=np.float64),

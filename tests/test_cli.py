@@ -193,10 +193,10 @@ def test_serve_and_drive_across_processes(tiny_path, tmp_path, capsys):
     finally:
         proc.terminate()
         try:
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)  # reaps the server and closes its pipes
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.wait()
+            proc.communicate()
 
 
 def test_parse_helpers():

@@ -177,6 +177,10 @@ def test_converged_probe_reference_is_exact():
         assert out["all@1"] == pytest.approx(1.0)
         for v in out.values():
             assert 0.0 <= v <= 1.0 + 1e-12
+    # The loop ends on the alternating schedule, where ranking has to pay off:
+    # class-ratio selection keeps 0.532 of the reference's observations there,
+    # random selection 0.307.
+    assert out["class_ratio@0.3"] >= out["random@0.3"] + 0.15
 
 
 def test_experiment_spec_policy_parsing():

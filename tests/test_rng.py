@@ -38,6 +38,37 @@ def test_hash_stream_matches_reference_oracle():
         assert got.tolist() == want
 
 
+def test_hash_stream_with_salt_arrays_matches_reference_oracle():
+    ids = np.array([0, 1, 2, 5, 97, 2**40, 2**62, 2**63 - 1], dtype=np.int64)
+    salts = np.array([0, 1, 7, 2**31, 2**31 - 1, 3, 2**62, 2**63 - 1], dtype=np.int64)
+    for seed in (0, 1, 12345, 2**63 - 1):
+        got = hash_stream(seed, salts, ids)
+        want = [reference_word(seed, int(s), int(i)) for s, i in zip(salts, ids)]
+        assert got.tolist() == want
+        # a (k, 1) salt column broadcasts against the ids: one row per salt
+        grid = hash_stream(seed, salts[:3, None], ids)
+        assert grid.shape == (3, len(ids))
+        for row, s in zip(grid.tolist(), salts[:3].tolist()):
+            assert row == [reference_word(seed, s, int(i)) for i in ids]
+
+
+def reference_normal(seed: int, salt: int) -> np.float64:
+    """Box-Muller on one salt's two reference words, in numpy scalar arithmetic."""
+    u1, u2 = (np.float64(reference_word(seed, salt, lane)) * 2.0**-64 for lane in (1, 2))
+    u1 = max(u1, 2.0**-64)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def test_normal_pair_stream_over_salt_arrays_matches_scalar_oracle():
+    for seed in (0, 42, 2**63 - 1):
+        for salts in (np.arange(600), np.array([2**31 - 2, 2**31 - 1, 2**31])):
+            got = normal_pair_stream(seed, salts)
+            assert got.dtype == np.float64 and got.shape == salts.shape
+            want = np.array([reference_normal(seed, int(k)) for k in salts])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert [normal_pair_stream(seed, int(k)) for k in salts[:50]] == got[:50].tolist()
+
+
 def test_derive_seed_matches_reference_oracle():
     def reference(seed: int, name: str) -> int:
         h = seed & MASK
@@ -98,6 +129,10 @@ def test_no_numpy_overflow_warnings():
         hash_stream(2**63 - 1, 2**62, np.array([2**62, 1], dtype=np.int64))
         uniform01(2**63 - 1, 2**62, np.arange(10, dtype=np.int64))
         normal_pair_stream(2**63 - 1, 2**31)
+        salts = np.array([2**62, 2**63 - 1, 1], dtype=np.int64)
+        hash_stream(2**63 - 1, salts, np.array([2**62, 2**63 - 1, 1], dtype=np.int64))
+        uniform01(2**63 - 1, salts, np.arange(3, dtype=np.int64))
+        normal_pair_stream(2**63 - 1, salts)
 
 
 def test_normal_pair_guards_log_zero():

@@ -361,6 +361,32 @@ def test_upload_naming_a_pose_twice_is_refused():
     assert backend.snapshot is snap and backend.kernels == kernels
 
 
+def test_upload_without_poses_or_with_a_non_finite_condition_is_refused():
+    world = generate_world(tiny_scenario(), seed=11)
+    doc = sortie_to_doc(generate_sortie(world, 0.10, seed=101, label="first"))
+    backend = fresh_backend()
+    wire = Wire(backend)
+    token = open_session(wire)
+    snap, kernels = backend.snapshot, dict(backend.kernels)
+
+    def raw(sortie) -> bytes:
+        body = {"sortie": sortie}
+        return encode_body(Message(MessageKind.UPLOAD_SORTIE, cid=1, token=token, body=body))
+
+    empty, flat, narrow = [], [0.0, 1.0, 0.0], [[0.0, 1.0], [1.0, 1.0]]
+    frames = [raw({**doc, "poses": poses}) for poses in (empty, flat, narrow)]
+    # json.loads accepts the non-standard tokens a canonical encoder never writes
+    sentinel = raw({**doc, "condition": 0.375})
+    assert sentinel.count(b'"condition":0.375') == 1
+    for token_text in (b"Infinity", b"-Infinity", b"NaN"):
+        frames.append(sentinel.replace(b'"condition":0.375', b'"condition":' + token_text))
+    for frame in frames:
+        reply = wire.send(None, raw=frame)
+        assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
+        assert "malformed sortie" in reply.body["detail"]
+    assert backend.snapshot is snap and backend.kernels == kernels
+
+
 # sha256 of the upload frame of sortie 0 of each built-in scenario at seed 42.
 # city_dusk carries 923 proposals in 385,713 bytes.
 UPLOAD_FRAME_SHA256 = {
