@@ -1,6 +1,7 @@
 """Command-line verbs driven in-process, plus one cross-process serve/drive."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,36 @@ def test_regress_verb(tmp_path, capsys):
     assert summary["scenario"] == "parking_year"
     assert summary["gap_mean_by_stage"]
     assert (out / "gaps.csv").exists() and (out / "converged.csv").exists()
+
+
+# sha256 of every file `atlas run` and `atlas regress` write for seed 42.  The
+# metrics, composition, gap and converged tables and their JSON companions
+# are the experiment's results; these bytes may not change.
+OUTPUT_SHA256 = {
+    ("run", "city_dusk"): {
+        "metrics.csv": "44f8e54f8e73f09ae05edbf76ada9b59f77d1b2068ee018e933c34fc94296b16",
+        "composition.csv": "7b3bac63c8df7307e650cce431d85fac960d22096c89f995ba87310057d52826",
+        "run_meta.json": "b5abfbc10290fd7f65141eca9a21f84d08cf0d1932aa41e9250fce40394b712b",
+        "summary.json": "2779a0d53f1b03088770a59361c53d5a7aca0acc3c68265955e47ba2def9ede4",
+    },
+    ("regress", "parking_year"): {
+        "gaps.csv": "89af16492157e4f943dd9d555478d44a24ba39425c72b87a0e48377165f72fa2",
+        "converged.csv": "198cb454b6523101e8c8b2152b434ec379ed330420d666c696734be7bd9f0e2a",
+        "regress_summary.json": "3e78cc8957eed5a15554938ea39a5f967be39c3928dffac169b015c79d1b26b8",
+    },
+}
+
+
+@pytest.mark.parametrize("verb, scenario", sorted(OUTPUT_SHA256))
+def test_output_files_are_pinned(verb, scenario, tmp_path, capsys):
+    out = tmp_path / verb
+    assert run_cli([verb, "--scenario", scenario, "--seeds", "42", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in OUTPUT_SHA256[verb, scenario]
+    }
+    assert digests == OUTPUT_SHA256[verb, scenario]
 
 
 def test_compare_verb(tiny_path, tmp_path, capsys):
