@@ -27,6 +27,7 @@ from .worldgen import (
     KernelRegistry,
     KernelTable,
     SortieDataset,
+    add_kernels,
     detection_probabilities,
     sortie_to_doc,
 )
@@ -188,9 +189,7 @@ def drive_sortie(
     ack: dict = {}
     if upload:
         ack = client.upload_sortie(dataset)
-        new_ids = ack.get("new_landmark_ids", [])
-        for lid, proposal in zip(new_ids, dataset.proposals):
-            kernels[int(lid)] = proposal.kernel
+        add_kernels(kernels, ack.get("new_landmark_ids", []), dataset.proposals)
     return DriveResult(
         label=dataset.label,
         selected_counts=selected_counts,

@@ -24,6 +24,7 @@ import numpy as np
 
 from atlas.locsim import (
     LocalizationRun,
+    ObservationRatio,
     PipelineConfig,
     SortieReport,
     decide_update,
@@ -36,6 +37,7 @@ from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.ranking import SelectionPolicy, parse_policy, reference_policy
 from atlas.rng import derive_seed
 from atlas.worldgen import (
+    NO_PROPOSALS,
     Scenario,
     SortieDataset,
     World,
@@ -129,22 +131,21 @@ class ChronologicalResult:
         return [r.rms_m for r in self.reports]
 
 
-def _policy_fields(p: SelectionPolicy) -> dict:
+def _measured(p: SelectionPolicy, run: LocalizationRun, ratio: ObservationRatio) -> dict:
+    """The fields of a metrics row that one policy's run measured."""
     return {
         "policy": p.name,
         "ranking": p.ranking.value,
         "selection_ratio": p.selection_ratio,
         "max_selected": p.max_selected,
         "window_len": p.window_len,
-    }
-
-
-def _run_fields(run: LocalizationRun) -> dict:
-    return {
         "rms_m": run.rms_translation_m,
         "n_selected_total": run.total_selected,
         "n_observed_total": run.total_observed,
         "n_failed_iterations": run.n_failures,
+        "mean_r_obs": ratio.mean_of_ratios,
+        "total_r_obs": ratio.ratio_of_totals,
+        "n_valid_iterations": ratio.n_valid,
     }
 
 
@@ -187,7 +188,7 @@ def run_chronological(
         if cap != UNBOUNDED_CAP and len(m.landmarks) > cap:
             violations += 1
         reports.append(report)
-        datasets.append(replace(ds, proposals=[]))  # regression ingests nothing
+        datasets.append(replace(ds, proposals=NO_PROPOSALS))  # regression ingests nothing
         sortie_base = base | {
             "sortie_index": i,
             "label": ds.label,
@@ -201,28 +202,8 @@ def run_chronological(
             "n_observation_sessions": report.n_observation_sessions,
             "summarized": report.summarized,
         }
-        ref_ratio = observation_ratio(ref_run, ref_run)
-        metrics.append(
-            sortie_base
-            | _policy_fields(ref)
-            | _run_fields(ref_run)
-            | {
-                "mean_r_obs": ref_ratio.mean_of_ratios,
-                "total_r_obs": ref_ratio.ratio_of_totals,
-                "n_valid_iterations": ref_ratio.n_valid,
-            }
-        )
-        for p, run, ratio in probe_runs:
-            metrics.append(
-                sortie_base
-                | _policy_fields(p)
-                | _run_fields(run)
-                | {
-                    "mean_r_obs": ratio.mean_of_ratios,
-                    "total_r_obs": ratio.ratio_of_totals,
-                    "n_valid_iterations": ratio.n_valid,
-                }
-            )
+        for p, run, ratio in [(ref, ref_run, observation_ratio(ref_run, ref_run))] + probe_runs:
+            metrics.append(sortie_base | _measured(p, run, ratio))
         origins, counts = np.unique(m.landmark_origins, return_counts=True)
         for origin, count in zip(origins.tolist(), counts.tolist()):
             composition.append(
@@ -253,7 +234,6 @@ def run_regression(chrono: ChronologicalResult) -> list[dict]:
     rows = []
     for i, ds in enumerate(chrono.datasets):
         run = localize_dataset(m, ds, ref, chrono.kernels)
-        ratio = observation_ratio(run, run)
         rows.append(
             base
             | {
@@ -269,13 +249,7 @@ def run_regression(chrono: ChronologicalResult) -> list[dict]:
                 "n_observation_sessions": m.n_observation_sessions,
                 "summarized": False,
             }
-            | _policy_fields(ref)
-            | _run_fields(run)
-            | {
-                "mean_r_obs": ratio.mean_of_ratios,
-                "total_r_obs": ratio.ratio_of_totals,
-                "n_valid_iterations": ratio.n_valid,
-            }
+            | _measured(ref, run, observation_ratio(run, run))
         )
     return rows
 

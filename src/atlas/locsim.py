@@ -45,6 +45,7 @@ from atlas.worldgen import (
     KernelTable,
     ObservabilityKernel,
     SortieDataset,
+    add_kernels,
     detection_probabilities,
 )
 
@@ -346,17 +347,14 @@ def process_sortie(
     if kind is SessionKind.RICH:
         work = m.copy()
         proposals = dataset.proposals
-        rows = np.repeat(np.arange(len(proposals)), [len(p.observations) for p in proposals])
-        observing = [p.observations for p in proposals] + [np.empty((0, 2), np.int64)]
         session_id = work.add_rich_session(
             dataset.poses,
-            [p.position for p in proposals],
-            np.column_stack((rows, np.concatenate(observing))),
+            proposals.positions,
+            proposals.observations,
             run.observations,
             label=dataset.label,
         )
-        for lid, prop in zip(work.landmarks_created_by(session_id), proposals):
-            cfg.kernels[lid] = prop.kernel
+        add_kernels(cfg.kernels, work.landmarks_created_by(session_id), proposals)
         if work.landmark_cap != UNBOUNDED_CAP and len(work.landmarks) > work.landmark_cap:
             problem = build_problem(
                 work, keep_count=work.landmark_cap, min_per_vertex=COVERAGE_FLOOR_PER_VERTEX

@@ -81,6 +81,30 @@ def _rows(
     return rows
 
 
+def check_new_landmarks(
+    n_poses: int,
+    positions: Sequence[Sequence[float]] | np.ndarray,
+    new_observations: Sequence[Sequence[int]] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """New (n, 3) float64 positions and (k, 3) int64 observation rows, checked.
+
+    Each observation row is (row of positions, pose index, count) against a
+    sortie of n_poses poses.  MapValidationError unless every position is a
+    finite 3-D point, every row and pose index is in range, every count is
+    positive and every new landmark has at least two observing poses.
+    """
+    positions = _triples(positions, "new positions", np.float64)
+    new = _triples(new_observations, "new observations", np.int64)
+    n_new = len(positions)
+    _rows(np.arange(n_new), new[:, 0], "new landmark row {} out of range")
+    if np.any(np.bincount(new[:, 0], minlength=n_new) < 2):
+        raise MapValidationError("each new landmark needs >= 2 observing poses")
+    _rows(np.arange(n_poses), new[:, 1], "observation from pose index {} out of range")
+    if np.any(new[:, 2] <= 0):
+        raise MapValidationError("observation counts must be positive")
+    return positions, new
+
+
 @dataclass(frozen=True)
 class SessionRecord:
     id: int
@@ -348,32 +372,26 @@ class MultiSessionMap:
         """Ingest a mapping sortie.
 
         Adds one vertex per pose and one landmark per row of positions, and
-        appends a rich SessionRecord.  new_observations holds (row of
-        positions, pose index, count) rows; a new landmark needs at least
-        two observing poses to be considered triangulated, and the map
-        assigns its id.  seen holds (existing landmark id, pose index,
-        count) rows: the landmarks re-observed during the sortie's
-        localization, attributed to the new vertices.  The whole payload is
-        validated first; on any error the map is unchanged.
+        appends a rich SessionRecord; the map assigns the new ids.
+        positions and new_observations are as check_new_landmarks takes
+        them.  seen holds (existing landmark id, pose index, count) rows:
+        the landmarks re-observed during the sortie's localization,
+        attributed to the new vertices.  The whole payload is validated
+        first; on any error the map is unchanged.
         """
         n_poses = len(poses)
         if n_poses == 0:
             raise MapValidationError("a rich session needs at least one pose")
         pose_rows = _triples(poses, "poses", np.float64)
-        positions = _triples(positions, "new positions", np.float64)
-        new = _triples(new_observations, "new observations", np.int64)
+        positions, new = check_new_landmarks(n_poses, positions, new_observations)
         seen = _triples([] if seen is None else seen, "seen observations", np.int64)
         n_new = len(positions)
         n_vertices, n_landmarks = len(self.vertex_ids), len(self.landmark_ids)
-        new_rows = _rows(np.arange(n_new), new[:, 0], "new landmark row {} out of range")
-        if np.any(np.bincount(new_rows, minlength=n_new) < 2):
-            raise MapValidationError("each new landmark needs >= 2 observing poses")
         seen_rows = _rows(self.landmark_ids, seen[:, 0], "observed landmark {} is not in the map")
-        pose_index = np.concatenate([new[:, 1], seen[:, 1]])
-        _rows(np.arange(n_poses), pose_index, "observation from pose index {} out of range")
+        _rows(np.arange(n_poses), seen[:, 1], "observation from pose index {} out of range")
         triples = self._with_observations(
-            np.concatenate([n_landmarks + new_rows, seen_rows]),
-            n_vertices + pose_index,
+            np.concatenate([n_landmarks + new[:, 0], seen_rows]),
+            n_vertices + np.concatenate([new[:, 1], seen[:, 1]]),
             np.concatenate([new[:, 2], seen[:, 2]]),
             n_vertices + n_poses,
         )

@@ -15,10 +15,10 @@ selection policies feed on.
 A world is a closed trajectory loop plus a field of landmark sites scattered
 along a corridor around it.  A sortie traverses the loop under one latent
 condition with odometry noise and proposes new landmarks for rich-session
-ingestion, each with its observing poses as int64 (pose index, count) rows:
-a proposal reuses the site's position, width, and peak, but its kernel is
-re-centered near the sortie's condition, modeling that a feature tracked
-and triangulated today is matchable under conditions similar to today's.
+ingestion, as one block of columns (`Proposals`): a proposal reuses the
+site's position, width, and peak, but its kernel is re-centered near the
+sortie's condition, modeling that a feature tracked and triangulated
+today is matchable under conditions similar to today's.
 The same site can therefore be mapped several times under different
 conditions as distinct landmarks, which is how real feature maps grow
 until summarization prunes them.
@@ -29,14 +29,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from atlas.mapcore import UNBOUNDED_CAP
+from atlas.mapcore import UNBOUNDED_CAP, check_new_landmarks
 from atlas.rng import derive_seed
 
 
@@ -63,6 +63,22 @@ def detection_probabilities(
     return np.where(d <= KERNEL_CUTOFF_WIDTHS * np.asarray(widths), p, 0.0)
 
 
+def check_kernels(params) -> np.ndarray:
+    """The (center, width, peak) rows as an (n, 3) float64 array; ValueError
+    unless each has its center in [0, 1), a finite positive width and its
+    peak in (0, 1].  A NaN fails: it propagates into the column extremes."""
+    rows = np.asarray(params, dtype=np.float64).reshape(-1, 3)
+    lo = rows.min(axis=0, initial=math.inf).tolist()
+    hi = rows.max(axis=0, initial=-math.inf).tolist()
+    if not (0.0 <= lo[0] and hi[0] < 1.0):
+        raise ValueError("kernel center must be in [0, 1)")
+    if not (0.0 < lo[1] and hi[1] < math.inf):
+        raise ValueError("kernel width must be finite and positive")
+    if not (0.0 < lo[2] and hi[2] <= 1.0):
+        raise ValueError("kernel peak must be in (0, 1]")
+    return rows
+
+
 @dataclass(frozen=True)
 class ObservabilityKernel:
     """Truncated Gaussian detection-probability bump on the appearance circle."""
@@ -72,12 +88,7 @@ class ObservabilityKernel:
     peak: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.center < 1.0:
-            raise ValueError("kernel center must be in [0, 1)")
-        if self.width <= 0:
-            raise ValueError("kernel width must be positive")
-        if not 0.0 < self.peak <= 1.0:
-            raise ValueError("kernel peak must be in (0, 1]")
+        check_kernels((self.center, self.width, self.peak))
 
     def p_detect(self, condition) -> float | np.ndarray:
         p = detection_probabilities(
@@ -177,28 +188,12 @@ class Scenario:
     )
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "waypoints": [[float(x), float(y)] for x, y in self.waypoints],
-            "n_iterations": self.n_iterations,
-            "landmark_density": self.landmark_density,
-            "corridor_width": self.corridor_width,
-            "kernel_width_range": list(self.kernel_width_range),
-            "kernel_peak_range": list(self.kernel_peak_range),
-            "sensor_range": self.sensor_range,
-            "schedule": [{"label": s.label, "condition": s.condition} for s in self.schedule],
-            "landmark_cap": self.landmark_cap,
-            "threshold_m": self.threshold_m,
-            "rich_yield": self.rich_yield,
-            "recenter_sigma": self.recenter_sigma,
-            "odom_noise_xy": self.odom_noise_xy,
-            "odom_noise_heading": self.odom_noise_heading,
-            "min_triangulation": self.min_triangulation,
-            "policy_grid": self.policy_grid,
-        }
+        """Every field, in field order, as JSON-ready values."""
+        return asdict(self) | {"waypoints": [[float(x), float(y)] for x, y in self.waypoints]}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "Scenario":
+        """Parse a scenario document; an optional field it omits keeps the dataclass default."""
         return cls(
             name=doc["name"],
             waypoints=[(float(x), float(y)) for x, y in doc["waypoints"]],
@@ -209,15 +204,21 @@ class Scenario:
             kernel_peak_range=tuple(doc["kernel_peak_range"]),
             sensor_range=float(doc["sensor_range"]),
             schedule=[SortieSpec(s["label"], float(s["condition"])) for s in doc["schedule"]],
-            landmark_cap=int(doc.get("landmark_cap", UNBOUNDED_CAP)),
-            threshold_m=float(doc.get("threshold_m", 0.10)),
-            rich_yield=float(doc.get("rich_yield", 0.9)),
-            recenter_sigma=float(doc.get("recenter_sigma", 0.5)),
-            odom_noise_xy=float(doc.get("odom_noise_xy", 0.3)),
-            odom_noise_heading=float(doc.get("odom_noise_heading", 0.01)),
-            min_triangulation=int(doc.get("min_triangulation", 2)),
-            policy_grid=list(doc.get("policy_grid", [])),
+            **{key: parse(doc[key]) for key, parse in _OPTIONAL_FIELDS.items() if key in doc},
         )
+
+
+# How Scenario.from_doc parses the optional fields a document gives.
+_OPTIONAL_FIELDS = {
+    "landmark_cap": int,
+    "threshold_m": float,
+    "rich_yield": float,
+    "recenter_sigma": float,
+    "odom_noise_xy": float,
+    "odom_noise_heading": float,
+    "min_triangulation": int,
+    "policy_grid": list,
+}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -247,10 +248,30 @@ class World:
 
 
 @dataclass(frozen=True)
-class LandmarkProposal:
-    position: np.ndarray
-    observations: np.ndarray  # (k, 2) int64 rows of (pose index, count), poses ascending
-    kernel: ObservabilityKernel
+class Proposals:
+    """The landmarks a sortie proposes for rich ingestion, as one block of columns.
+
+    Row j of `positions` (n, 3) and of `kernels` (n, 3: center, width, peak)
+    is proposal j.  `observations` holds int64 (proposal row, pose index,
+    count) rows sorted by row, then pose: the new_observations that
+    `MultiSessionMap.add_rich_session` takes.
+    """
+
+    positions: np.ndarray
+    observations: np.ndarray
+    kernels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
+NO_PROPOSALS = Proposals(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty((0, 3)))
+
+
+def add_kernels(kernels: KernelRegistry, landmark_ids: Iterable[int], proposals: Proposals) -> None:
+    """Register the kernel of proposal j for landmark_ids[j], the landmark made from it."""
+    for lid, (center, width, peak) in zip(landmark_ids, proposals.kernels.tolist()):
+        kernels[int(lid)] = ObservabilityKernel(center, width, peak)
 
 
 @dataclass
@@ -260,7 +281,7 @@ class SortieDataset:
     label: str
     condition: float
     poses: np.ndarray  # (n, 3) noisy trajectory
-    proposals: list[LandmarkProposal]
+    proposals: Proposals
     sensor_range: float
     observation_seed: int
     error_seed: int
@@ -334,8 +355,8 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
     sortie condition (normal spread recenter_sigma * width, so nearly all
     centers land within two widths of the condition).  A proposal's
     observations are a count of 1 for each trajectory pose within sensor
-    range, as (pose index, 1) rows; a site seen from fewer than
-    min_triangulation poses proposes nothing.
+    range; a site seen from fewer than min_triangulation poses proposes
+    nothing.
     """
     sc = world.scenario
     condition = wrap_condition(condition)
@@ -347,39 +368,30 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
         np.sin(poses[:, 2] + rng.normal(0.0, sc.odom_noise_heading, len(poses))),
         np.cos(poses[:, 2] + rng.normal(0.0, sc.odom_noise_heading, len(poses))),
     )
-    proposals: list[LandmarkProposal] = []
-    if world.sites:
-        site_pos = np.stack([s.position for s in world.sites])
-        traj_xy0 = np.column_stack(
-            [world.trajectory[:, 0], world.trajectory[:, 1], np.zeros(len(world.trajectory))]
-        )
-        d2 = ((site_pos[:, None, :] - traj_xy0[None, :, :]) ** 2).sum(axis=2)
-        within = d2 <= sc.sensor_range * sc.sensor_range
-        for i, site in enumerate(world.sites):
-            yielded = rng.random() < sc.rich_yield
-            center_offset = rng.normal(0.0, sc.recenter_sigma * site.width)
-            if not yielded:
-                continue
-            pose_ids = np.flatnonzero(within[i])
-            if len(pose_ids) < sc.min_triangulation:
-                continue
-            kernel = ObservabilityKernel(
-                center=wrap_condition(condition + center_offset),
-                width=site.width,
-                peak=site.peak,
-            )
-            proposals.append(
-                LandmarkProposal(
-                    position=site.position.copy(),
-                    observations=np.column_stack((pose_ids, np.ones_like(pose_ids))),
-                    kernel=kernel,
-                )
-            )
+    site_pos = np.array([s.position for s in world.sites]).reshape(-1, 3)
+    traj_xy0 = np.column_stack(
+        [world.trajectory[:, 0], world.trajectory[:, 1], np.zeros(len(world.trajectory))]
+    )
+    d2 = ((site_pos[:, None, :] - traj_xy0[None, :, :]) ** 2).sum(axis=2)
+    within = d2 <= sc.sensor_range * sc.sensor_range
+    n_seen = within.sum(axis=1)
+    chosen, kernels = [], []
+    for i, site in enumerate(world.sites):
+        yielded = rng.random() < sc.rich_yield
+        center_offset = rng.normal(0.0, sc.recenter_sigma * site.width)
+        if yielded and n_seen[i] >= sc.min_triangulation:
+            chosen.append(i)
+            kernels.append((wrap_condition(condition + center_offset), site.width, site.peak))
+    rows, pose_ids = np.nonzero(within[chosen])  # row-major: by row, then pose
     return SortieDataset(
         label=label,
         condition=condition,
         poses=poses,
-        proposals=proposals,
+        proposals=Proposals(
+            site_pos[chosen],
+            np.column_stack((rows, pose_ids, np.ones_like(pose_ids))),
+            np.array(kernels, dtype=np.float64).reshape(-1, 3),
+        ),
         sensor_range=sc.sensor_range,
         observation_seed=derive_seed(seed, "observation"),
         error_seed=derive_seed(seed, "error"),
@@ -388,6 +400,9 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
 
 def sortie_to_doc(ds: SortieDataset) -> dict:
     """JSON form of a sortie, the payload a vehicle uploads to the backend."""
+    obs = ds.proposals.observations
+    bounds = np.searchsorted(obs[:, 0], np.arange(len(ds.proposals) + 1)).tolist()
+    poses, counts = obs[:, 1].tolist(), obs[:, 2].tolist()
     return {
         "label": ds.label,
         "condition": ds.condition,
@@ -397,63 +412,57 @@ def sortie_to_doc(ds: SortieDataset) -> dict:
         "error_seed": ds.error_seed,
         "proposals": [
             {
-                "position": [float(x) for x in p.position],
-                "observations": {str(k): c for k, c in p.observations.tolist()},
-                "kernel": {
-                    "center": p.kernel.center,
-                    "width": p.kernel.width,
-                    "peak": p.kernel.peak,
-                },
+                "position": position,
+                "observations": {str(k): c for k, c in zip(poses[lo:hi], counts[lo:hi])},
+                "kernel": {"center": center, "width": width, "peak": peak},
             }
-            for p in ds.proposals
+            for position, (center, width, peak), lo, hi in zip(
+                ds.proposals.positions.tolist(), ds.proposals.kernels.tolist(), bounds, bounds[1:]
+            )
         ],
     }
 
 
-def _pose_counts(observations: list[Mapping]) -> list[np.ndarray]:
-    """Each proposal's observations as (pose index, count) rows, poses ascending.
+def _pose_counts(observations: list[Mapping]) -> np.ndarray:
+    """The proposals' observations as int64 (proposal row, pose index, count)
+    rows sorted by row, then pose.
 
-    All proposals are converted at once.  ValueError when a proposal names
-    one pose twice ("1" and "01", say).
+    ValueError when a proposal names one pose twice ("1" and "01", say).
     """
-    sizes = [len(obs) for obs in observations]
     poses = np.array([int(k) for obs in observations for k in obs], dtype=np.int64)
     counts = np.array([int(c) for obs in observations for c in obs.values()], dtype=np.int64)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((poses, owner))
-    rows = np.column_stack((poses[order], counts[order]))
-    if np.any((np.diff(rows[:, 0]) == 0) & (np.diff(owner) == 0)):
+    rows = np.repeat(np.arange(len(observations)), [len(obs) for obs in observations])
+    order = np.lexsort((poses, rows))
+    triples = np.column_stack((rows, poses[order], counts[order]))  # rows already ascend
+    if np.any((np.diff(triples[:, 1]) == 0) & (np.diff(rows) == 0)):
         raise ValueError("a proposal names one pose twice")
-    ends = np.cumsum(sizes).tolist()
-    return [rows[end - size : end] for size, end in zip(sizes, ends)]
+    return triples
 
 
 def sortie_from_doc(doc: Mapping) -> SortieDataset:
     """Parse a sortie document; ValueError unless `poses` is a non-empty (n, 3)
-    array and `condition` is finite."""
+    array, `condition` is finite, and every proposal passes check_new_landmarks
+    and check_kernels, whatever update the sortie later becomes."""
     poses = np.asarray(doc["poses"], dtype=np.float64)  # an empty list parses to shape (0,)
     if poses.ndim != 2 or poses.shape[1] != 3:
         raise ValueError(f"poses must be a non-empty (n, 3) array, got shape {poses.shape}")
     condition = float(doc["condition"])
     if not math.isfinite(condition):
         raise ValueError(f"condition must be finite, got {condition}")
-    observations = _pose_counts([p["observations"] for p in doc["proposals"]])
+    proposals = doc["proposals"]
+    positions, observations = check_new_landmarks(
+        len(poses),
+        [p["position"] for p in proposals],
+        _pose_counts([p["observations"] for p in proposals]),
+    )
+    kernels = check_kernels(
+        [(k["center"], k["width"], k["peak"]) for k in (p["kernel"] for p in proposals)]
+    )
     return SortieDataset(
         label=str(doc["label"]),
         condition=condition,
         poses=poses,
-        proposals=[
-            LandmarkProposal(
-                position=np.asarray(p["position"], dtype=np.float64),
-                observations=rows,
-                kernel=ObservabilityKernel(
-                    float(p["kernel"]["center"]),
-                    float(p["kernel"]["width"]),
-                    float(p["kernel"]["peak"]),
-                ),
-            )
-            for p, rows in zip(doc["proposals"], observations)
-        ],
+        proposals=Proposals(positions, observations, kernels),
         sensor_range=float(doc["sensor_range"]),
         observation_seed=int(doc["observation_seed"]),
         error_seed=int(doc["error_seed"]),

@@ -101,7 +101,7 @@ def test_regression_relocalizes_rebuilt_sorties_against_the_final_map(chrono):
     sc = tiny_scenario()
     world = build_world(sc, seed=42)
     fresh = [build_dataset(world, i, seed=42) for i in range(len(sc.schedule))]
-    assert all(ds.proposals == [] for ds in chrono.datasets)
+    assert all(len(ds.proposals) == 0 for ds in chrono.datasets)
     assert [ds.fingerprint() for ds in chrono.datasets] == [ds.fingerprint() for ds in fresh]
     rows = run_regression(chrono)
     expected = run_regression(replace(chrono, datasets=fresh))

@@ -387,6 +387,56 @@ def test_upload_without_poses_or_with_a_non_finite_condition_is_refused():
     assert backend.snapshot is snap and backend.kernels == kernels
 
 
+@pytest.fixture(scope="module")
+def city_revisit():
+    """A city_dusk map built from sortie 0 at seed 42, its kernels, and the
+    upload of sortie 1, which that map turns into an observation update."""
+    sc = get_scenario("city_dusk")
+    world = build_world(sc, 42)
+    cfg = PipelineConfig(threshold_m=sc.threshold_m)
+    m, _ = process_sortie(MultiSessionMap(landmark_cap=sc.landmark_cap),
+                          build_dataset(world, 0, 42), reference_policy(), cfg)
+    return m, cfg.kernels, sortie_to_doc(build_dataset(world, 1, 42))
+
+
+# Written once into a frame, then swapped for a token the canonical encoder refuses.
+SENTINEL = 0.123456789
+
+# Defects of proposal 0: (field, how to change its value, non-finite token or None).
+PROPOSAL_DEFECTS = {
+    "two_element_position": ("position", lambda v: v[:2], None),
+    "nan_position": ("position", lambda v: [SENTINEL] + v[1:], b"NaN"),
+    "infinite_kernel_width": ("kernel", lambda v: {**v, "width": SENTINEL}, b"Infinity"),
+    "nan_kernel_width": ("kernel", lambda v: {**v, "width": SENTINEL}, b"NaN"),
+    "one_observing_pose": ("observations", lambda v: dict(list(v.items())[:1]), None),
+    "pose_out_of_range": ("observations", lambda v: {**v, "99999": 1}, None),
+    "zero_count": ("observations", lambda v: {**v, next(iter(v)): 0}, None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PROPOSAL_DEFECTS))
+def test_malformed_proposal_is_refused_whatever_the_update_kind(city_revisit, defect):
+    m, kernels, doc = city_revisit
+    backend = MapBackend(m, kernels)
+    wire = Wire(backend)
+    token = open_session(wire)
+    field, change, non_finite = PROPOSAL_DEFECTS[defect]
+    proposal = doc["proposals"][0]
+    bad = {**doc, "proposals": [{**proposal, field: change(proposal[field])}] + doc["proposals"][1:]}
+    raw = encode_body(Message(MessageKind.UPLOAD_SORTIE, cid=1, token=token, body={"sortie": bad}))
+    if non_finite is not None:
+        assert raw.count(repr(SENTINEL).encode()) == 1
+        raw = raw.replace(repr(SENTINEL).encode(), non_finite)
+    snap, registry = backend.snapshot, dict(backend.kernels)
+    reply = wire.send(None, raw=raw)
+    assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
+    assert "malformed sortie" in reply.body["detail"]
+    assert backend.snapshot is snap and backend.kernels == registry
+    # Intact, the same upload is an observation update: it ingests no proposal.
+    ack = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": doc}, token=token)
+    assert ack.kind is MessageKind.UPDATE_ACK and ack.body["session_kind"] == "observation"
+
+
 # sha256 of the upload frame of sortie 0 of each built-in scenario at seed 42.
 # city_dusk carries 923 proposals in 385,713 bytes.
 UPLOAD_FRAME_SHA256 = {

@@ -1,5 +1,6 @@
 """Synthetic world generation: kernel math, determinism, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -148,6 +149,15 @@ def test_kernel_table_lookup_matches_per_id_loop():
                                       detection_probabilities(*want, condition))
 
 
+@pytest.mark.parametrize("width", ["Infinity", "NaN"])
+def test_non_finite_kernel_widths_are_refused(width):
+    with pytest.raises(ValueError, match="width"):
+        ObservabilityKernel(0.5, float(width), 0.5)
+    doc = json.loads('{"1": {"center": 0.5, "width": %s, "peak": 0.5}}' % width)
+    with pytest.raises(ValueError, match="width"):
+        kernels_from_doc(doc)
+
+
 def test_kernel_registry_round_trip(tmp_path):
     kernels = {
         7: ObservabilityKernel(0.25, 0.04, 0.9),
@@ -208,15 +218,18 @@ def test_generate_sortie_deterministic_and_well_formed():
     assert a.observation_seed != a.error_seed
     assert a.condition == 0.3
     assert a.poses.shape == world.trajectory.shape
-    for prop in a.proposals:
-        poses, counts = prop.observations.T
-        assert prop.observations.dtype == np.int64
-        assert len(poses) >= sc.min_triangulation
-        assert np.all(np.diff(poses) > 0)  # ascending and distinct
-        assert np.all((0 <= poses) & (poses < sc.n_iterations))
-        assert np.all(counts == 1)
-        # triangulated near the encountering condition
-        assert circular_distance(prop.kernel.center, 0.3) <= 4 * prop.kernel.width + 1e-9
+    props = a.proposals
+    assert props.positions.shape == props.kernels.shape == (len(props), 3)
+    assert props.observations.dtype == np.int64
+    rows, poses, counts = props.observations.T
+    assert np.all(np.bincount(rows, minlength=len(props)) >= sc.min_triangulation)
+    same_row = np.diff(rows) == 0
+    assert np.all(np.diff(rows) >= 0) and np.all(np.diff(poses)[same_row] > 0)  # sorted, distinct
+    assert np.all((0 <= poses) & (poses < sc.n_iterations))
+    assert np.all(counts == 1)
+    # triangulated near the encountering condition
+    centers, widths, _ = props.kernels.T
+    assert np.all(circular_distance(centers, 0.3) <= 4 * widths + 1e-9)
     # different sortie seed shifts the odometry noise
     c = generate_sortie(world, 0.3, seed=10, label="x")
     assert not np.array_equal(a.poses, c.poses)
@@ -238,13 +251,10 @@ def test_sortie_doc_round_trip():
     assert again.condition == ds.condition
     assert again.sensor_range == ds.sensor_range
     assert len(again.proposals) == len(ds.proposals)
-    for pa, pb in zip(again.proposals, ds.proposals):
-        assert np.array_equal(pa.position, pb.position)
-        assert np.array_equal(pa.observations, pb.observations)
-        assert pa.kernel == pb.kernel
+    for column in ("positions", "observations", "kernels"):
+        a, b = getattr(again.proposals, column), getattr(ds.proposals, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     # the doc is JSON-serializable as-is
-    import json
-
     json.dumps(doc)
 
 
@@ -257,8 +267,6 @@ def test_scenario_doc_round_trip(tmp_path):
     again = Scenario.from_doc(doc)
     assert again == sc
     path = tmp_path / "scenario.json"
-    import json
-
     path.write_text(json.dumps(doc))
     assert load_scenario(path) == sc
     assert get_scenario(str(path)) == sc
@@ -310,3 +318,23 @@ def test_default_policy_grid_covers_rankings_and_ratios():
     assert len(sc.policy_grid) == 9
     assert "class_ratio@0.2" in sc.policy_grid
     assert "random@0.4" in sc.policy_grid
+
+
+def test_scenario_doc_with_only_required_fields_takes_the_defaults():
+    sc = Scenario(
+        name="d",
+        waypoints=[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)],
+        n_iterations=10,
+        landmark_density=0.1,
+        corridor_width=1.0,
+        kernel_width_range=(0.05, 0.1),
+        kernel_peak_range=(0.5, 0.9),
+        sensor_range=5.0,
+        schedule=[SortieSpec("a", 0.1)],
+    )
+    required = {
+        "name", "waypoints", "n_iterations", "landmark_density", "corridor_width",
+        "kernel_width_range", "kernel_peak_range", "sensor_range", "schedule",
+    }
+    doc = json.loads(json.dumps({k: v for k, v in sc.to_doc().items() if k in required}))
+    assert Scenario.from_doc(doc) == sc
