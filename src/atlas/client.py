@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .locsim import POSE_ERROR, pose_error_proxy
+from .locsim import n_failed, pose_errors
 from .protocol import (
     Message,
     MessageKind,
@@ -167,10 +167,7 @@ def drive_sortie(
     n = dataset.n_iterations
     selected_counts = np.zeros(n, dtype=np.int64)
     observed_counts = np.zeros(n, dtype=np.int64)
-    errors = np.zeros(n)
-    n_failures = 0
     table = KernelTable(kernels)  # the sidecar grows only after the upload
-    error_z = normal_pair_stream(dataset.error_seed, np.arange(n))
     for k in range(n):
         result = client.query(dataset.poses[k])
         ids = np.asarray(result.landmark_ids, dtype=np.int64)
@@ -183,9 +180,7 @@ def drive_sortie(
             observed = np.empty(0, dtype=np.int64)
         observed_counts[k] = len(observed)
         client.report(int(i) for i in observed)
-        errors[k] = pose_error_proxy(int(observed_counts[k]), POSE_ERROR, z=error_z[k])
-        if observed_counts[k] < POSE_ERROR.min_landmarks:
-            n_failures += 1
+    errors = pose_errors(observed_counts, normal_pair_stream(dataset.error_seed, np.arange(n)))
     ack: dict = {}
     if upload:
         ack = client.upload_sortie(dataset)
@@ -195,6 +190,6 @@ def drive_sortie(
         selected_counts=selected_counts,
         observed_counts=observed_counts,
         errors_m=errors,
-        n_failures=n_failures,
+        n_failures=n_failed(observed_counts),
         upload_ack=ack,
     )

@@ -29,6 +29,7 @@ from atlas.locsim import (
     SortieReport,
     decide_update,
     localize_dataset,
+    localize_policies,
     observation_ratio,
     process_sortie,
     sortie_draws,
@@ -176,14 +177,13 @@ def run_chronological(
 
     for i in range(len(scenario.schedule)):
         ds = build_dataset(world, i, seed)
-        draws = sortie_draws(m, ds, cfg.kernels)
-        ref_run = localize_dataset(m, ds, ref, cfg.kernels, draws=draws)
-        probe_runs = []
-        if len(m.landmarks):
-            for p in policies:
-                run = localize_dataset(m, ds, p, cfg.kernels, draws=draws)
-                probe_runs.append((p, run, observation_ratio(run, ref_run)))
-        del draws  # released before ingest and summarization raise the peak
+        probed = (ref, *policies) if len(m.landmarks) else (ref,)
+        ref_run, *probe_runs = localize_policies(m, ds, probed, cfg.kernels)
+        measured = [
+            _measured(p, run, observation_ratio(run, ref_run))
+            for p, run in zip(probed, (ref_run, *probe_runs))
+        ]
+        del probe_runs  # released before ingest and summarization raise the peak
         m, report = process_sortie(m, ds, ref, cfg, run=ref_run)
         if cap != UNBOUNDED_CAP and len(m.landmarks) > cap:
             violations += 1
@@ -202,8 +202,7 @@ def run_chronological(
             "n_observation_sessions": report.n_observation_sessions,
             "summarized": report.summarized,
         }
-        for p, run, ratio in [(ref, ref_run, observation_ratio(ref_run, ref_run))] + probe_runs:
-            metrics.append(sortie_base | _measured(p, run, ratio))
+        metrics.extend(sortie_base | fields for fields in measured)
         origins, counts = np.unique(m.landmark_origins, return_counts=True)
         for origin, count in zip(origins.tolist(), counts.tolist()):
             composition.append(
@@ -311,14 +310,14 @@ def observation_session_gap(
         r: dict[bool, float] = {}
         for w, m in twins.items():
             draws = sortie_draws(m, ds, cfgs[w].kernels)
-            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels, draws=draws)
+            (ref_run,) = localize_policies(m, ds, (ref,), cfgs[w].kernels, draws=draws)
             is_probe = (
                 stage >= 1
                 and n_obs >= 1
                 and decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
             )
             if is_probe:
-                run = localize_dataset(m, ds, policy, cfgs[w].kernels, draws=draws)
+                (run,) = localize_policies(m, ds, (policy,), cfgs[w].kernels, draws=draws)
                 r[w] = observation_ratio(run, ref_run).mean_of_ratios
             del draws
             twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
@@ -335,10 +334,8 @@ def observation_session_gap(
         probe = generate_sortie(
             world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
         )
-        draws = sortie_draws(m, probe, kernels)
-        ref_run = localize_dataset(m, probe, ref, kernels, draws=draws)
-        for p in converged_policies:
-            run = localize_dataset(m, probe, p, kernels, draws=draws)
+        ref_run, *runs = localize_policies(m, probe, (ref, *converged_policies), kernels)
+        for p, run in zip(converged_policies, runs):
             converged[p.name] = observation_ratio(run, ref_run).mean_of_ratios
     return GapStudy(seed, gaps, with_r, without_r, converged)
 

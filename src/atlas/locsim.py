@@ -3,16 +3,23 @@
 A localization run walks a sortie's poses, builds the candidate set within
 sensor range, selects a subset under the active policy, and simulates which
 selected landmarks are actually matched.  Detection draws are keyed by
-(sortie observation seed, iteration, landmark id) so that every policy
+(sortie observation seed, pose index, landmark id) so that every policy
 evaluated on the same sortie sees the same outcome for the same landmark:
 observation ratios between policies then measure selection quality alone.
 Everything a run draws that no policy changes (candidate sets, detection
-outcomes, error draws, tie-break words) is held in one SortieDraws per
-(map, sortie), which the reference run and every probe policy share.
-A run hands its observations to the map as int64 rows of (landmark id,
-pose index, count), the form every map ingestion takes.
+outcomes, error draws, tie-break orders) is held in one SortieDraws per
+(map, sortie), in flat per-candidate columns.
 
-Translation error is a proxy, not an integrated estimator: the per-iteration
+`localize_policies` runs any number of policies over one sortie in one
+pass.  Policies that never read the rolling window (`all`, `random`)
+select for every pose at once.  The ranked policies step through the
+poses together: one (policy, class) table of window sums, one stable sort
+of the class scores per pose over each seed's tie-break order, and one
+bincount for all their window rows.  A run hands its observations to the
+map as int64 rows of (landmark id, pose index, count), the form every map
+ingestion takes.
+
+Translation error is a proxy, not an integrated estimator: the per-pose
 error is |N(0, sigma)| with sigma shrinking in the number of observed
 landmarks, and a fixed failure magnitude when too few are observed.  The
 calibration makes a condition-matched full-selection run land around 0.05 m
@@ -22,21 +29,19 @@ threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from atlas.mapcore import EquivalenceClassIndex, MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.ranking import (
     RankingKind,
-    RollingSelectionStats,
     SelectionPolicy,
-    class_scores,
-    selection_order,
+    class_ratio_scores,
+    selection_order,  # noqa: F401 -- the order the lockstep reproduces; perfbench wraps this name
     selection_size,
-    update_window,
+    session_weight_scores,
 )
 from atlas.rng import hash_stream, normal_pair_stream, uniform01
 from atlas.summarize import build_problem, apply_summarization, solve
@@ -63,6 +68,9 @@ COVERAGE_FLOOR_PER_VERTEX = 18
 # (poses x landmarks) temporaries.  One pose per call costs CPU.
 CANDIDATE_BLOCK_POSES = 32
 
+# The rankings that read the rolling window, in the order the lockstep scores them.
+WINDOWED = (RankingKind.CLASS_RATIO, RankingKind.SESSION_WEIGHT)
+
 
 @dataclass(frozen=True)
 class PoseErrorParams:
@@ -71,49 +79,54 @@ class PoseErrorParams:
     sigma0: float = 0.15  # error scale that shrinks with sqrt(n)
     floor: float = 0.035  # error floor no amount of landmarks removes
     min_landmarks: int = 4  # below this the solve is declared failed
-    failure_error_m: float = 1.0  # error assigned to a failed iteration
+    failure_error_m: float = 1.0  # error assigned to a failed pose
 
 
 POSE_ERROR = PoseErrorParams()
 
 
-def pose_error_sigma(n_observed: int, params: PoseErrorParams) -> float:
-    return params.floor + params.sigma0 / math.sqrt(n_observed)
+def pose_errors(n_observed: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Translation error of each pose given how many landmarks it matched.
 
-
-def pose_error_proxy(n_observed: int, params: PoseErrorParams, z: float) -> float:
-    """Translation error for one iteration given how many landmarks matched.
-
-    With fewer than min_landmarks the iteration fails at the fixed failure
-    magnitude; otherwise the error is |z| * sigma(n) for a standard normal z.
+    A pose with fewer than min_landmarks fails at the fixed failure
+    magnitude; otherwise its error is |z| * (floor + sigma0 / sqrt(n)) for
+    its standard normal z.
     """
-    if n_observed < params.min_landmarks:
-        return params.failure_error_m
-    return abs(z) * pose_error_sigma(n_observed, params)
+    p = POSE_ERROR
+    n = np.asarray(n_observed)
+    # np.where evaluates both branches, so sqrt never sees a zero count
+    sigma = p.floor + p.sigma0 / np.sqrt(np.maximum(n, 1))
+    return np.where(n < p.min_landmarks, p.failure_error_m, np.abs(z) * sigma)
 
 
-@dataclass
-class IterationRecord:
-    candidates: np.ndarray  # ids, ascending
-    selected: np.ndarray  # ids, rank order
-    observed: np.ndarray  # ids, ascending
-    error_m: float
+def n_failed(observed_counts: np.ndarray) -> int:
+    """How many poses matched too few landmarks to localize."""
+    return int(np.count_nonzero(observed_counts < POSE_ERROR.min_landmarks))
 
 
 @dataclass
 class LocalizationRun:
+    """One policy's run over a sortie: per-pose counts and errors, and the
+    selected (rank order) and observed (ascending) ids of every pose, pose
+    after pose."""
+
     policy: SelectionPolicy
     label: str
     condition: float
     dataset_fingerprint: tuple
-    iterations: list[IterationRecord]
+    selected_counts: np.ndarray
+    selected_ids: np.ndarray
     observed_counts: np.ndarray
+    observed_ids: np.ndarray
     errors_m: np.ndarray
-    n_failures: int
 
     @property
     def n_iterations(self) -> int:
-        return len(self.iterations)
+        return len(self.observed_counts)
+
+    @property
+    def n_failures(self) -> int:
+        return n_failed(self.observed_counts)
 
     @property
     def rms_translation_m(self) -> float:
@@ -121,7 +134,7 @@ class LocalizationRun:
 
     @property
     def total_selected(self) -> int:
-        return int(sum(len(it.selected) for it in self.iterations))
+        return int(self.selected_counts.sum())
 
     @property
     def total_observed(self) -> int:
@@ -131,43 +144,58 @@ class LocalizationRun:
     def observations(self) -> np.ndarray:
         """(landmark id, pose index, 1) rows, one per observation, in pose order.
 
-        Each iteration observes a landmark at most once, so every count is 1.
+        Each pose observes a landmark at most once, so every count is 1.
         """
-        ids = np.concatenate([it.observed for it in self.iterations] + [np.empty(0, np.int64)])
         poses = np.repeat(np.arange(len(self.observed_counts)), self.observed_counts)
-        return np.column_stack((ids, poses, np.ones_like(ids)))
+        return np.column_stack((self.observed_ids, poses, np.ones_like(poses)))
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integer runs [starts[i], starts[i] + lengths[i]), concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
 @dataclass
 class SortieDraws:
     """What localizing one sortie against one map state draws, whatever the policy.
 
-    Per pose k: the candidate ids within sensor range (ascending) and their
-    class ids in `index`, whether each candidate is detected if selected,
-    and the standard normal of the error draw.  Tie-break words are hashed
-    per policy seed: the first use of a seed hashes every pose's candidates
-    in one call and keeps the words split by pose.
+    Flat columns over the candidates of every pose: pose k's candidates are
+    rows ptr[k]:ptr[k + 1], with their ids (ascending within the pose),
+    their class ids in `index`, and whether each is detected if selected.
+    error_z holds each pose's standard normal error draw.
     """
 
     fingerprint: tuple
     index: EquivalenceClassIndex
-    candidates: list[np.ndarray]
-    classes: list[np.ndarray]
-    detected: list[np.ndarray]
+    ptr: np.ndarray
+    ids: np.ndarray
+    classes: np.ndarray
+    detected: np.ndarray
     error_z: np.ndarray
-    _tiebreaks: dict[int, list[np.ndarray]] = field(default_factory=dict, init=False)
+    _orders: dict[int, np.ndarray] = field(default_factory=dict, init=False)
 
-    def tiebreak(self, policy: SelectionPolicy, k: int) -> np.ndarray | None:
-        """hash_stream(policy.seed, k, candidates[k]); None for the unranked policy."""
-        if policy.ranking is RankingKind.ALL:
-            return None
-        words = self._tiebreaks.get(policy.seed)
-        if words is None:
-            sizes = [len(c) for c in self.candidates]
-            poses = np.repeat(np.arange(len(sizes)), sizes)
-            flat = hash_stream(policy.seed, poses, np.concatenate(self.candidates))
-            words = self._tiebreaks[policy.seed] = np.split(flat, np.cumsum(sizes)[:-1])
-        return words[k]
+    @property
+    def n_poses(self) -> int:
+        return len(self.ptr) - 1
+
+    def tiebreak_order(self, seed: int) -> np.ndarray:
+        """Rows pose by pose, each pose's candidates by (hash_stream(seed, k, id), id).
+
+        Computed on the first use of a seed and kept.
+        """
+        order = self._orders.get(seed)
+        if order is None:
+            pose_type = np.min_scalar_type(max(self.n_poses - 1, 0))  # small: a radix sort
+            poses = np.repeat(np.arange(self.n_poses, dtype=pose_type), np.diff(self.ptr))
+            words = hash_stream(seed, poses, self.ids)
+            by_word = np.argsort(words)
+            order = by_word[np.argsort(poses[by_word], kind="stable")]
+            ordered = words[order]
+            if np.any((ordered[1:] == ordered[:-1]) & (poses[1:] == poses[:-1])):
+                order = np.lexsort((words, poses))  # equal words in a pose: by id, which ascends
+            self._orders[seed] = order
+        return order
 
 
 def sortie_draws(
@@ -177,25 +205,187 @@ def sortie_draws(
 
     Detections are drawn per block of CANDIDATE_BLOCK_POSES poses, salted
     with each candidate's pose index, so each pose sees the draws
-    uniform01(observation_seed, k, candidates[k]) that a per-pose call gives.
+    uniform01(observation_seed, k, candidates of k) that a per-pose call gives.
     """
     index = m.index
     ids = m.landmark_ids
     p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
     n_poses = len(dataset.poses)
-    candidates, classes, detected = [], [], []
+    counts, rows, hits = [], [], []
     for start in range(0, n_poses, CANDIDATE_BLOCK_POSES):
         block = dataset.poses[start : start + CANDIDATE_BLOCK_POSES]
         mask = m.candidate_mask(block, dataset.sensor_range)
-        poses, rows = np.nonzero(mask)  # pose-major, rows ascending within a pose
-        ends = np.cumsum(mask.sum(axis=1))[:-1]
-        block_ids = ids[rows]
-        hit = uniform01(dataset.observation_seed, poses + start, block_ids) < p_det[rows]
-        candidates += np.split(block_ids, ends)
-        classes += np.split(index.class_ids[rows], ends)
-        detected += np.split(hit, ends)
-    error_z = normal_pair_stream(dataset.error_seed, np.arange(n_poses))
-    return SortieDraws(dataset.fingerprint(), index, candidates, classes, detected, error_z)
+        poses, block_rows = np.nonzero(mask)  # pose-major, rows ascending within a pose
+        counts.append(mask.sum(axis=1))
+        rows.append(block_rows)
+        draw = uniform01(dataset.observation_seed, poses + start, ids[block_rows])
+        hits.append(draw < p_det[block_rows])
+    ptr = np.zeros(n_poses + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts + [np.empty(0, np.int64)]), out=ptr[1:])
+    rows = np.concatenate(rows + [np.empty(0, np.int64)])
+    return SortieDraws(
+        dataset.fingerprint(),
+        index,
+        ptr,
+        ids[rows],
+        index.class_ids[rows],
+        np.concatenate(hits + [np.empty(0, bool)]),
+        normal_pair_stream(dataset.error_seed, np.arange(n_poses)),
+    )
+
+
+def _window_scores(index: EquivalenceClassIndex, sums: np.ndarray, n_ratio: int) -> np.ndarray:
+    """(policy, class) scores from (policy, class, [undetected, detected]) window sums.
+
+    The first n_ratio policies rank by class_ratio, the rest by session_weight.
+    """
+    observed = sums[:, :, 1]
+    selected = sums[:, :, 0] + observed
+    if n_ratio == len(sums):
+        return class_ratio_scores(selected, observed)
+    weights = session_weight_scores(index, selected[n_ratio:], observed[n_ratio:])
+    if n_ratio == 0:
+        return weights
+    ratios = class_ratio_scores(selected[:n_ratio], observed[:n_ratio])
+    return np.concatenate([ratios, weights])
+
+
+def _lockstep_picks(
+    draws: SortieDraws, policies: Sequence[SelectionPolicy], sizes: np.ndarray, bootstrap: bool
+) -> list[np.ndarray]:
+    """Ranked policies' selections, class_ratio ones first, stepped through the poses together.
+
+    Returns, per policy, the positions of its selections in its tie-break
+    order, pose after pose and in rank order within a pose; sizes holds
+    each policy's selection size per pose.  The window sums of every
+    policy are one (policy, class, [undetected, detected]) table, kept
+    over a ring of past window rows with each policy's own window_len.  A
+    pose's rank order is a stable sort of the negated class scores over
+    the tie-break order, which is selection_order's (score descending,
+    tie-break word, id) order.
+    """
+    n_policies, n_classes, n_poses = len(policies), len(draws.index), draws.n_poses
+    n_ratio = sum(p.ranking is RankingKind.CLASS_RATIO for p in policies)
+    n_candidates = np.diff(draws.ptr)
+    # Each candidate's table key, 2 * (policy * n_classes + class) + detected, in
+    # tie-break order; and whether its rank in the pose is within the policy's size.
+    key = (2 * draws.classes + draws.detected).astype(np.min_scalar_type(2 * n_classes * n_policies))
+    by_seed = {p.seed: key[draws.tiebreak_order(p.seed)] for p in policies}
+    keys = np.stack([by_seed[p.seed] for p in policies])
+    keys += (2 * n_classes * np.arange(n_policies, dtype=key.dtype))[:, None]
+    local_rank = np.arange(len(key)) - np.repeat(draws.ptr[:-1], n_candidates)
+    takes = np.empty(keys.shape, dtype=bool)
+    for size, take in zip(sizes, takes):
+        np.less(local_rank, np.repeat(size, n_candidates), out=take)
+    window = np.array([p.window_len for p in policies])
+    ring_len = int(window.max())
+    ring = np.zeros((ring_len, n_policies, n_classes, 2), dtype=np.int64)
+    sums = np.zeros(ring.shape[1:], dtype=np.int64)
+    flat_ring, flat_sums = ring.reshape(ring_len, -1), sums.reshape(-1)
+    # Each policy's ring slot of pose k - window_len's row, still empty while k < window_len.
+    evicted = (np.arange(n_poses)[:, None] - window) % ring_len
+    policy_row = np.arange(n_policies)
+    policy_col = policy_row[:, None]
+    picks = []
+    ptr = draws.ptr.tolist()
+    for k, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        row = 0  # a pose without candidates pushes an empty row
+        if a < b:
+            pose_keys, take = keys[:, a:b], takes[:, a:b]
+            if k == 0 and bootstrap:  # every candidate is selected: the order is set later
+                by_score, ranked_keys = np.broadcast_to(local_rank[a:b], take.shape), pose_keys
+            else:
+                scores = -_window_scores(draws.index, sums, n_ratio)
+                by_score = np.argsort(scores.ravel()[pose_keys >> 1], axis=1, kind="stable")
+                ranked_keys = pose_keys[policy_col, by_score]
+            picks.append(by_score[take])
+            row = np.bincount(ranked_keys[take], minlength=len(flat_sums))
+            flat_sums += row
+        sums -= ring[evicted[k], policy_row]
+        flat_ring[k % ring_len] = row
+    # picks hold each pose's selections policy after policy; gather each policy's.
+    flat = np.concatenate(picks + [np.empty(0, np.int64)])
+    del picks
+    by_pose = sizes.T.ravel()
+    starts = (np.cumsum(by_pose) - by_pose).reshape(n_poses, n_policies).T
+    return [
+        flat[_runs(start, size)] + np.repeat(draws.ptr[:-1], size)
+        for start, size in zip(starts, sizes)
+    ]
+
+
+def localize_policies(
+    m: MultiSessionMap,
+    dataset: SortieDataset,
+    policies: Sequence[SelectionPolicy],
+    kernels: Mapping[int, ObservabilityKernel],
+    *,
+    draws: SortieDraws | None = None,
+    bootstrap_full_first: bool = True,
+) -> list[LocalizationRun]:
+    """Run every policy's selection/observation loop over one sortie, one run per policy.
+
+    Each run equals what the policy's own loop gives: per pose, score the
+    candidates from the policy's rolling window, take the first
+    selection_size of selection_order, observe the detected ones, and push
+    the pose's class tallies to the window.  Runs over the same map state
+    and dataset may share one `sortie_draws(m, dataset, kernels)`; without
+    one it is built here.  With bootstrap_full_first the first pose selects
+    every candidate, to warm the rolling window up.
+
+    The unranked policy takes each pose's lowest ids and the random one the
+    head of each pose's tie-break order, for every pose at once; the ranked
+    policies step through the poses together (_lockstep_picks).
+    """
+    if draws is None:
+        draws = sortie_draws(m, dataset, kernels)
+    elif draws.index is not m.index or draws.fingerprint != dataset.fingerprint():
+        raise ValueError("draws were made for another map state or dataset")
+    n_candidates = np.diff(draws.ptr)
+    bootstrap = bootstrap_full_first and draws.n_poses > 0
+    sizes = np.array(
+        [selection_size(p.selection_ratio, n_candidates, p.max_selected) for p in policies],
+        dtype=np.int64,
+    ).reshape(len(policies), draws.n_poses)
+    if bootstrap:
+        sizes[:, 0] = n_candidates[0]
+    # Each policy's selections as positions in its order: rows for the
+    # unranked policy, the seed's tie-break order for the others.
+    ranked = sorted(
+        (i for i, p in enumerate(policies) if p.ranking in WINDOWED),
+        key=lambda i: WINDOWED.index(policies[i].ranking),
+    )
+    picks = {}
+    if ranked:
+        lockstep = _lockstep_picks(draws, [policies[i] for i in ranked], sizes[ranked], bootstrap)
+        picks = dict(zip(ranked, lockstep))
+    runs = []
+    for i, (p, size) in enumerate(zip(policies, sizes)):
+        pos = picks.pop(i) if i in picks else _runs(draws.ptr[:-1], size)
+        rows = pos if p.ranking is RankingKind.ALL else draws.tiebreak_order(p.seed)[pos]
+        if bootstrap:
+            rows[: size[0]] = np.arange(size[0])  # the whole first candidate set, by id
+        detected = draws.detected[rows]
+        observed = np.zeros(len(draws.ids), dtype=bool)
+        observed[rows[detected]] = True
+        observed_counts = np.bincount(
+            np.repeat(np.arange(draws.n_poses), size)[detected], minlength=draws.n_poses
+        )
+        runs.append(
+            LocalizationRun(
+                policy=p,
+                label=dataset.label,
+                condition=dataset.condition,
+                dataset_fingerprint=draws.fingerprint,
+                selected_counts=size,
+                selected_ids=draws.ids[rows],
+                # rows ascend pose by pose and by id within a pose
+                observed_ids=draws.ids[observed],
+                observed_counts=observed_counts,
+                errors_m=pose_errors(observed_counts, draws.error_z),
+            )
+        )
+    return runs
 
 
 def localize_dataset(
@@ -207,49 +397,11 @@ def localize_dataset(
     draws: SortieDraws | None = None,
     bootstrap_full_first: bool = True,
 ) -> LocalizationRun:
-    """Run the full selection/observation/error loop over one sortie.
-
-    Runs of several policies over the same map state and dataset may share
-    one `sortie_draws(m, dataset, kernels)`; without one it is built here.
-    With bootstrap_full_first the first iteration selects every candidate,
-    to warm the rolling window up.
-    """
-    if draws is None:
-        draws = sortie_draws(m, dataset, kernels)
-    elif draws.index is not m.index or draws.fingerprint != dataset.fingerprint():
-        raise ValueError("draws were made for another map state or dataset")
-    index = draws.index
-    n_poses = len(draws.candidates)
-    stats = RollingSelectionStats(policy.window_len)
-    iterations: list[IterationRecord] = []
-    observed_counts = np.zeros(n_poses, dtype=np.int64)
-    errors = np.zeros(n_poses)
-
-    for k, (ids_c, classes_c) in enumerate(zip(draws.candidates, draws.classes)):
-        scores = class_scores(policy, stats, index, classes_c)
-        if k == 0 and bootstrap_full_first:
-            top = np.arange(len(ids_c))  # warm-up: select the whole candidate set
-        else:
-            ksel = selection_size(policy.selection_ratio, len(ids_c), policy.max_selected)
-            top = selection_order(policy, ids_c, scores, draws.tiebreak(policy, k))[:ksel]
-        sel_ids = ids_c[top]
-        obs_mask = draws.detected[k][top]
-        obs_ids = np.sort(sel_ids[obs_mask])
-        observed_counts[k] = len(obs_ids)
-        errors[k] = pose_error_proxy(len(obs_ids), POSE_ERROR, z=draws.error_z[k])
-        update_window(stats, classes_c[top], obs_mask, index)
-        iterations.append(IterationRecord(ids_c, sel_ids, obs_ids, float(errors[k])))
-
-    return LocalizationRun(
-        policy=policy,
-        label=dataset.label,
-        condition=dataset.condition,
-        dataset_fingerprint=dataset.fingerprint(),
-        iterations=iterations,
-        observed_counts=observed_counts,
-        errors_m=errors,
-        n_failures=int(np.sum(observed_counts < POSE_ERROR.min_landmarks)),
+    """One policy's run over one sortie: localize_policies with a single policy."""
+    (run,) = localize_policies(
+        m, dataset, (policy,), kernels, draws=draws, bootstrap_full_first=bootstrap_full_first
     )
+    return run
 
 
 @dataclass

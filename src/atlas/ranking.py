@@ -15,7 +15,6 @@ policy complete the set.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -94,17 +93,37 @@ def parse_policy(spec: str, seed: int = 0, window_len: int = 10) -> SelectionPol
     return SelectionPolicy(parse_ranking(name), selection_ratio=sr, seed=seed, window_len=window_len)
 
 
-def selection_size(selection_ratio: float, n_candidates: int, max_selected: int) -> int:
-    """min(ceil(ratio * n), max_selected), safe against float round-off."""
-    if n_candidates <= 0:
-        return 0
-    k = math.ceil(selection_ratio * n_candidates - 1e-9)
-    return max(1, min(k, max_selected, n_candidates))
+def selection_size(selection_ratio: float, n_candidates, max_selected: int):
+    """min(ceil(ratio * n), max_selected), at least 1, and 0 without candidates.
+
+    Safe against float round-off.  n_candidates is an int (giving an int)
+    or an array of candidate counts (giving one size per count).
+    """
+    n = np.asarray(n_candidates, dtype=np.int64)
+    k = np.ceil(selection_ratio * n - 1e-9).astype(np.int64)
+    size = np.where(n > 0, np.maximum(1, np.minimum(np.minimum(k, max_selected), n)), 0)
+    return size if size.ndim else int(size)
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den elementwise, 0 where den is 0."""
-    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+def class_ratio_scores(selected: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Observed/selected ratio of each class (the last axis) from window sums.
+
+    Nothing is observed without being selected, so a class never selected
+    scores 0 / 1 = 0.
+    """
+    return observed / np.maximum(selected, 1)
+
+
+def session_weight_scores(
+    index: EquivalenceClassIndex, selected: np.ndarray, observed: np.ndarray
+) -> np.ndarray:
+    """Best observed/selected weight among the sessions of each class (the last axis).
+
+    Session counts are the class sums spread over each class's key, as in
+    RollingSelectionStats.session_counts.
+    """
+    weight = class_ratio_scores(selected @ index.session_matrix, observed @ index.session_matrix)
+    return np.maximum.reduceat(weight[..., index.key_sessions], index.key_ptr[:-1], axis=-1)
 
 
 class RollingSelectionStats:
@@ -161,7 +180,7 @@ class RollingSelectionStats:
         """Observed/selected ratio of each class in class_ids; 0 when never selected."""
         if not self.rows:
             return np.zeros(np.shape(class_ids))
-        return _ratio(self.observed, self.selected)[class_ids]
+        return class_ratio_scores(self.selected, self.observed)[class_ids]
 
     def session_counts(self, index: EquivalenceClassIndex) -> tuple[np.ndarray, np.ndarray]:
         """Per-session (selected, observed) counts, indexed by session id.
@@ -169,14 +188,10 @@ class RollingSelectionStats:
         A class's counts go to every session of its key, so a session's
         count is the number of selections of landmarks it observed.
         """
-        n = int(index.key_sessions.max()) + 1 if len(index.key_sessions) else 0
-        lens = np.diff(index.key_ptr)
         if not self.rows:
+            n = index.session_matrix.shape[1]
             return np.zeros(n), np.zeros(n)
-        return tuple(
-            np.bincount(index.key_sessions, weights=np.repeat(c, lens), minlength=n)
-            for c in (self.selected, self.observed)
-        )
+        return self.selected @ index.session_matrix, self.observed @ index.session_matrix
 
     def session_weight(
         self, index: EquivalenceClassIndex, class_ids: np.ndarray | int
@@ -184,10 +199,7 @@ class RollingSelectionStats:
         """Best observed/selected weight among the sessions of each class in class_ids."""
         if not self.rows:
             return np.zeros(np.shape(class_ids))
-        selected, observed = self.session_counts(index)
-        weight = _ratio(observed, selected)
-        best = np.maximum.reduceat(weight[index.key_sessions], index.key_ptr[:-1])
-        return best[class_ids]
+        return session_weight_scores(index, self.selected, self.observed)[class_ids]
 
 
 def update_window(

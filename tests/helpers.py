@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import math
 import random
 import string
+from dataclasses import dataclass
 
 import numpy as np
 
+from atlas.locsim import POSE_ERROR
 from atlas.mapcore import MultiSessionMap
 from atlas.protocol import ERR_BAD_REPORT, ERR_BAD_REQUEST, ERR_NO_SESSION, Message, MessageKind
+from atlas.ranking import (
+    RankingKind,
+    RollingSelectionStats,
+    class_scores,
+    selection_order,
+    selection_size,
+    update_window,
+)
+from atlas.rng import hash_stream
 from atlas.summarize import SummarizationProblem
 from atlas.worldgen import Scenario, SortieSpec
 
@@ -118,3 +130,62 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+@dataclass
+class ReferenceRun:
+    """Per-pose arrays of one policy's run, as the per-policy loop makes them."""
+
+    selected: list[np.ndarray]  # ids, rank order
+    observed: list[np.ndarray]  # ids, ascending
+    observed_counts: np.ndarray
+    errors_m: np.ndarray
+
+
+def reference_localize(draws, policy, *, bootstrap_full_first=True) -> ReferenceRun:
+    """One policy's selection/observation loop over a sortie, one pose at a time.
+
+    The oracle for locsim.localize_policies: a RollingSelectionStats window,
+    class_scores, selection_order and update_window per pose, and the
+    scalar error formula.
+    """
+    index = draws.index
+    split = np.cumsum(np.diff(draws.ptr))[:-1]
+    candidates, classes, detected = (
+        np.split(col, split) for col in (draws.ids, draws.classes, draws.detected)
+    )
+    n_poses = draws.n_poses
+    stats = RollingSelectionStats(policy.window_len)
+    selected, observed = [], []
+    observed_counts = np.zeros(n_poses, dtype=np.int64)
+    errors = np.zeros(n_poses)
+    p = POSE_ERROR
+
+    for k, (ids_c, classes_c) in enumerate(zip(candidates, classes)):
+        scores = class_scores(policy, stats, index, classes_c)
+        if k == 0 and bootstrap_full_first:
+            top = np.arange(len(ids_c))  # warm-up: select the whole candidate set
+        else:
+            ksel = selection_size(policy.selection_ratio, len(ids_c), policy.max_selected)
+            tiebreak = None
+            if policy.ranking is not RankingKind.ALL:
+                tiebreak = hash_stream(policy.seed, k, ids_c)
+            top = selection_order(policy, ids_c, scores, tiebreak)[:ksel]
+        sel_ids = ids_c[top]
+        obs_mask = detected[k][top]
+        obs_ids = np.sort(sel_ids[obs_mask])
+        n = len(obs_ids)
+        observed_counts[k] = n
+        z = draws.error_z[k]
+        errors[k] = p.failure_error_m if n < p.min_landmarks else abs(z) * (
+            p.floor + p.sigma0 / math.sqrt(n)
+        )
+        update_window(stats, classes_c[top], obs_mask, index)
+        selected.append(sel_ids)
+        observed.append(obs_ids)
+    return ReferenceRun(selected, observed, observed_counts, errors)
+
+
+def by_pose(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """A flat column split into its per-pose pieces of the given lengths."""
+    return np.split(flat, np.cumsum(counts)[:-1])

@@ -1,58 +1,72 @@
 """Localization proxy, selection/observation loop, and sortie ingestion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import atlas.locsim
 from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.locsim import (
-    IterationRecord,
     LocalizationRun,
     PipelineConfig,
     PoseErrorParams,
     decide_update,
     localize_dataset,
+    localize_policies,
     observation_ratio,
-    pose_error_proxy,
-    pose_error_sigma,
+    pose_errors,
     process_sortie,
     sortie_draws,
 )
-from atlas.ranking import parse_policy, reference_policy
-from atlas.rng import normal_pair_stream, uniform01
+from atlas.ranking import RankingKind, SelectionPolicy, parse_policy, reference_policy
+from atlas.rng import hash_stream, normal_pair_stream, uniform01
 from atlas.worldgen import detection_probabilities, generate_sortie, generate_world
 
-from helpers import tiny_scenario
+from helpers import by_pose, reference_localize, tiny_scenario
 
 
 PARAMS = PoseErrorParams()
 
 
 def test_error_sigma_formula():
-    assert pose_error_sigma(4, PARAMS) == pytest.approx(0.035 + 0.15 / 2.0)
-    assert pose_error_sigma(100, PARAMS) == pytest.approx(0.035 + 0.015)
-    assert pose_error_sigma(9, PARAMS) == pytest.approx(0.035 + 0.05)
+    for n, sigma in ((4, 0.035 + 0.15 / 2.0), (100, 0.035 + 0.015), (9, 0.035 + 0.05)):
+        assert pose_errors(np.array([n]), np.array([1.0]))[0] == pytest.approx(sigma)
 
 
 def test_error_proxy_failure_and_scale():
-    assert pose_error_proxy(0, PARAMS, z=0.5) == 1.0
-    assert pose_error_proxy(3, PARAMS, z=0.5) == 1.0  # below min_landmarks
-    assert pose_error_proxy(4, PARAMS, z=-2.0) == pytest.approx(2.0 * (0.035 + 0.075))
-    assert pose_error_proxy(16, PARAMS, z=1.0) == pytest.approx(0.035 + 0.0375)
+    got = pose_errors(np.array([0, 3, 4, 16]), np.array([0.5, 0.5, -2.0, 1.0]))
+    assert got[0] == 1.0
+    assert got[1] == 1.0  # below min_landmarks
+    assert got[2] == pytest.approx(2.0 * (0.035 + 0.075))
+    assert got[3] == pytest.approx(0.035 + 0.0375)
 
 
-def make_run(errors, n_failures=0):
+def test_pose_errors_equal_the_scalar_formula_bit_for_bit():
+    n = np.repeat(np.arange(65), 3)
+    z = np.tile([-1.7, 0.0, 0.9], 65)
+    want = [
+        PARAMS.failure_error_m if k < PARAMS.min_landmarks
+        else abs(zk) * (PARAMS.floor + PARAMS.sigma0 / math.sqrt(k))
+        for k, zk in zip(n.tolist(), z.tolist())
+    ]
+    assert pose_errors(n, z).tolist() == want
+
+
+def make_run(errors):
     errs = np.asarray(errors, dtype=np.float64)
+    counts = np.zeros(len(errs), dtype=np.int64)
     return LocalizationRun(
         policy=reference_policy(),
         label="t",
         condition=0.1,
         dataset_fingerprint=("t", len(errs), 1, 2),
-        iterations=[IterationRecord(np.empty(0), np.empty(0), np.empty(0), e) for e in errs],
-        observed_counts=np.zeros(len(errs), dtype=np.int64),
+        selected_counts=counts,
+        selected_ids=np.empty(0, dtype=np.int64),
+        observed_counts=counts,
+        observed_ids=np.empty(0, dtype=np.int64),
         errors_m=errs,
-        n_failures=n_failures,
     )
 
 
@@ -84,25 +98,114 @@ def built():
 def test_localize_invariants(built):
     m, cfg, dataset = built
     run = localize_dataset(m, dataset, parse_policy("class_ratio@0.3"), cfg.kernels)
-    assert run.n_iterations == dataset.n_iterations
-    for k, it in enumerate(run.iterations):
-        cand = set(it.candidates.tolist())
-        sel = set(it.selected.tolist())
-        obs = set(it.observed.tolist())
+    draws = sortie_draws(m, dataset, cfg.kernels)
+    candidates = by_pose(draws.ids, np.diff(draws.ptr))
+    assert run.n_iterations == dataset.n_iterations == draws.n_poses
+    selected = by_pose(run.selected_ids, run.selected_counts)
+    observed = by_pose(run.observed_ids, run.observed_counts)
+    for cand_k, sel_k, obs_k in zip(candidates, selected, observed):
+        cand, sel, obs = (set(a.tolist()) for a in (cand_k, sel_k, obs_k))
         assert obs <= sel <= cand
-        assert list(it.candidates) == sorted(cand)
-        assert list(it.observed) == sorted(obs)
-        assert run.observed_counts[k] == len(obs)
+        assert len(sel) == len(sel_k)
+        assert list(cand_k) == sorted(cand)
+        assert list(obs_k) == sorted(obs)
     # every error is reproducible from the count and the keyed error stream
     proxy = PoseErrorParams()
-    for k, it in enumerate(run.iterations):
-        n = int(run.observed_counts[k])
+    for k, n in enumerate(run.observed_counts.tolist()):
         if n < proxy.min_landmarks:
             assert run.errors_m[k] == proxy.failure_error_m
         else:
             z = normal_pair_stream(dataset.error_seed, k)
-            assert run.errors_m[k] == pytest.approx(abs(z) * pose_error_sigma(n, proxy))
+            sigma = proxy.floor + proxy.sigma0 / math.sqrt(n)
+            assert run.errors_m[k] == pytest.approx(abs(z) * sigma)
     assert run.n_failures == int(np.sum(run.errors_m == proxy.failure_error_m))
+
+
+def assert_same_run(run, ref):
+    """A LocalizationRun equals a per-pose reference run array for array, errors bit for bit."""
+    assert [a.tolist() for a in by_pose(run.selected_ids, run.selected_counts)] == [
+        a.tolist() for a in ref.selected
+    ]
+    assert [a.tolist() for a in by_pose(run.observed_ids, run.observed_counts)] == [
+        a.tolist() for a in ref.observed
+    ]
+    assert run.selected_counts.tolist() == [len(a) for a in ref.selected]
+    assert np.array_equal(run.observed_counts, ref.observed_counts)
+    assert run.errors_m.tolist() == ref.errors_m.tolist()
+
+
+def assert_same_runs(a, b):
+    for field in ("selected_counts", "selected_ids", "observed_counts", "observed_ids", "errors_m"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.fixture(scope="module")
+def many_classes():
+    """A map grown by seven sorties under varying conditions, with a revisit."""
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=11)
+    cfg = PipelineConfig(threshold_m=sc.threshold_m)
+    m = MultiSessionMap()
+    for i, condition in enumerate((0.10, 0.12, 0.45, 0.5, 0.11, 0.3, 0.13)):
+        sortie = generate_sortie(world, condition, seed=700 + i, label=f"s{i}")
+        m, _ = process_sortie(m, sortie, reference_policy(), cfg)
+    revisit = generate_sortie(world, 0.12, seed=799, label="revisit")
+    # Pose 7 is moved out of sensor range of every landmark.
+    poses = revisit.poses.copy()
+    poses[7, :2] = 1e4
+    return m, cfg.kernels, replace(revisit, poses=poses)
+
+
+ORACLE_POLICIES = [reference_policy()] + [
+    SelectionPolicy(kind, ratio, seed=seed, window_len=window)
+    for kind in RankingKind
+    for ratio in (0.2, 0.5)
+    for seed in (0, 5)
+    for window in (3, 10, 13)
+] + [
+    SelectionPolicy(RankingKind.CLASS_RATIO, 0.5, max_selected=7, window_len=3),
+    SelectionPolicy(RankingKind.SESSION_WEIGHT, 0.5, max_selected=7, seed=5),
+    SelectionPolicy(RankingKind.RANDOM, 0.5, max_selected=7),
+    SelectionPolicy(RankingKind.ALL, 0.5, max_selected=7),
+]
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_localize_policies_matches_the_per_policy_loop(many_classes, bootstrap):
+    m, kernels, dataset = many_classes
+    assert len(m.index) >= 5
+    draws = sortie_draws(m, dataset, kernels)
+    assert draws.ptr[7] == draws.ptr[8]  # a pose without candidates
+    runs = localize_policies(
+        m, dataset, ORACLE_POLICIES, kernels, draws=draws, bootstrap_full_first=bootstrap
+    )
+    assert [run.policy for run in runs] == ORACLE_POLICIES
+    for policy, run in zip(ORACLE_POLICIES, runs):
+        assert_same_run(run, reference_localize(draws, policy, bootstrap_full_first=bootstrap))
+        alone = localize_dataset(m, dataset, policy, kernels, bootstrap_full_first=bootstrap)
+        assert_same_runs(run, alone)
+
+
+def test_localize_policies_on_an_empty_map(many_classes):
+    _, _, dataset = many_classes
+    empty = MultiSessionMap()
+    draws = sortie_draws(empty, dataset, {})
+    runs = localize_policies(empty, dataset, ORACLE_POLICIES, {}, draws=draws)
+    for policy, run in zip(ORACLE_POLICIES, runs):
+        assert_same_run(run, reference_localize(draws, policy))
+        assert run.total_selected == 0 and run.n_failures == dataset.n_iterations
+
+
+def test_tiebreak_order_breaks_equal_words_by_id(built, monkeypatch):
+    m, cfg, dataset = built
+    draws = sortie_draws(m, dataset, cfg.kernels)
+    poses = np.repeat(np.arange(draws.n_poses), np.diff(draws.ptr))
+    words = hash_stream(3, poses, draws.ids)
+    assert np.array_equal(draws.tiebreak_order(3), np.lexsort((draws.ids, words, poses)))
+    # Four distinct words per pose: most candidates tie with others of their pose.
+    monkeypatch.setattr(atlas.locsim, "hash_stream", lambda seed, salt, ids: (ids * 7) % 4)
+    coarse = (draws.ids * 7) % 4
+    assert np.array_equal(draws.tiebreak_order(4), np.lexsort((draws.ids, coarse, poses)))
 
 
 def test_shared_draws_give_the_runs_built_alone(built):
@@ -111,37 +214,33 @@ def test_shared_draws_give_the_runs_built_alone(built):
         parse_policy(f"{name}@{ratio}")
         for name in ("class_ratio", "session_weight", "random")
         for ratio in (0.2, 0.4)
-    ] + [parse_policy("random@0.4", seed=7)]  # tie-break words are kept per seed
+    ] + [parse_policy("random@0.4", seed=7)]  # tie-break orders are kept per seed
     draws = sortie_draws(m, dataset, cfg.kernels)
-    shared = [localize_dataset(m, dataset, p, cfg.kernels, draws=draws) for p in policies]
+    shared = localize_policies(m, dataset, policies, cfg.kernels, draws=draws)
     for policy, run in zip(policies, shared):
-        alone = localize_dataset(m, dataset, policy, cfg.kernels)
-        assert np.array_equal(run.errors_m, alone.errors_m)
-        for a, b in zip(run.iterations, alone.iterations):
-            assert np.array_equal(a.candidates, b.candidates)
-            assert np.array_equal(a.selected, b.selected)
-            assert np.array_equal(a.observed, b.observed)
+        assert_same_runs(run, localize_dataset(m, dataset, policy, cfg.kernels))
     other = generate_sortie(generate_world(tiny_scenario(), seed=11), 0.11, seed=999)
     with pytest.raises(ValueError):
         localize_dataset(m, other, policies[1], cfg.kernels, draws=draws)
     with pytest.raises(ValueError):
-        localize_dataset(m.copy(), dataset, policies[1], cfg.kernels, draws=draws)
+        localize_policies(m.copy(), dataset, policies, cfg.kernels, draws=draws)
 
 
 def test_detection_matches_keyed_uniform_oracle(built):
     m, cfg, dataset = built
     for spec in ("all", "class_ratio@0.2", "random@0.4"):
         run = localize_dataset(m, dataset, parse_policy(spec), cfg.kernels)
-        for k, it in enumerate(run.iterations):
-            kern = [cfg.kernels[int(i)] for i in it.selected]
+        observed = by_pose(run.observed_ids, run.observed_counts)
+        for k, selected in enumerate(by_pose(run.selected_ids, run.selected_counts)):
+            kern = [cfg.kernels[int(i)] for i in selected]
             p_det = detection_probabilities(
                 np.array([q.center for q in kern]),
                 np.array([q.width for q in kern]),
                 np.array([q.peak for q in kern]),
                 dataset.condition,
             )
-            hit = uniform01(dataset.observation_seed, k, it.selected) < p_det
-            assert it.observed.tolist() == sorted(it.selected[hit].tolist())
+            hit = uniform01(dataset.observation_seed, k, selected) < p_det
+            assert observed[k].tolist() == sorted(selected[hit].tolist())
 
 
 def test_run_observations_match_per_iteration_recount(built):
@@ -149,7 +248,9 @@ def test_run_observations_match_per_iteration_recount(built):
     for policy in (reference_policy(), parse_policy("class_ratio@0.3")):
         run = localize_dataset(m, dataset, policy, cfg.kernels)
         recount = [
-            (lid, k, 1) for k, it in enumerate(run.iterations) for lid in it.observed.tolist()
+            (lid, k, 1)
+            for k, observed in enumerate(by_pose(run.observed_ids, run.observed_counts))
+            for lid in observed.tolist()
         ]
         assert run.observations.dtype == np.int64
         assert [tuple(row) for row in run.observations.tolist()] == recount
@@ -159,23 +260,24 @@ def test_run_observations_match_per_iteration_recount(built):
 def test_bootstrap_selects_everything_first(built):
     m, cfg, dataset = built
     policy = parse_policy("random@0.2")
+    n_candidates = np.diff(sortie_draws(m, dataset, cfg.kernels).ptr)
     run = localize_dataset(m, dataset, policy, cfg.kernels)
-    first = run.iterations[0]
-    assert set(first.selected.tolist()) == set(first.candidates.tolist())
-    later = run.iterations[1]
-    assert len(later.selected) < len(later.candidates)
+    first = by_pose(run.selected_ids, run.selected_counts)[0]
+    assert len(first) == n_candidates[0] > 0
+    assert first.tolist() == sorted(first.tolist())  # the whole first set, by id
+    assert run.selected_counts[1] < n_candidates[1]
     no_boot = localize_dataset(m, dataset, policy, cfg.kernels, bootstrap_full_first=False)
-    first_nb = no_boot.iterations[0]
-    assert len(first_nb.selected) == max(1, math.ceil(0.2 * len(first_nb.candidates) - 1e-9))
+    assert no_boot.selected_counts[0] == max(1, math.ceil(0.2 * n_candidates[0] - 1e-9))
 
 
 def test_policy_observations_subset_of_reference(built):
     m, cfg, dataset = built
     ref = localize_dataset(m, dataset, reference_policy(), cfg.kernels)
+    ref_observed = by_pose(ref.observed_ids, ref.observed_counts)
     for spec in ("class_ratio@0.2", "session_weight@0.3", "random@0.4"):
         run = localize_dataset(m, dataset, parse_policy(spec), cfg.kernels)
-        for it_run, it_ref in zip(run.iterations, ref.iterations):
-            assert set(it_run.observed.tolist()) <= set(it_ref.observed.tolist())
+        for got, full in zip(by_pose(run.observed_ids, run.observed_counts), ref_observed):
+            assert set(got.tolist()) <= set(full.tolist())
         ratio = observation_ratio(run, ref)
         per = ratio.per_iteration
         assert np.all((per[~np.isnan(per)] >= 0) & (per[~np.isnan(per)] <= 1))
@@ -187,8 +289,8 @@ def test_full_ratio_ranked_policy_matches_reference_exactly(built):
     m, cfg, dataset = built
     ref = localize_dataset(m, dataset, reference_policy(), cfg.kernels)
     ranked_full = localize_dataset(m, dataset, parse_policy("class_ratio@1.0"), cfg.kernels)
-    for it_run, it_ref in zip(ranked_full.iterations, ref.iterations):
-        assert it_run.observed.tolist() == it_ref.observed.tolist()
+    assert np.array_equal(ranked_full.observed_counts, ref.observed_counts)
+    assert np.array_equal(ranked_full.observed_ids, ref.observed_ids)
     assert observation_ratio(ranked_full, ref).mean_of_ratios == pytest.approx(1.0)
 
 

@@ -33,7 +33,7 @@ from atlas.worldgen import (
     sortie_to_doc,
 )
 
-from helpers import tiny_scenario, two_session_map
+from helpers import by_pose, tiny_scenario, two_session_map
 
 
 class Wire:
@@ -551,8 +551,7 @@ def test_driven_sortie_matches_local_simulation(grown):
         with VehicleClient(host, port) as client:
             client.open_session(policy="all@1", sensor_range=sc.sensor_range)
             drive = drive_sortie(client, revisit, dict(kernels), upload=False)
-    assert np.array_equal(drive.selected_counts,
-                          [len(it.selected) for it in local.iterations])
+    assert np.array_equal(drive.selected_counts, local.selected_counts)
     assert np.array_equal(drive.observed_counts, local.observed_counts)
     assert np.array_equal(drive.errors_m, local.errors_m)
     assert drive.n_failures == local.n_failures
@@ -583,11 +582,33 @@ def test_served_selection_matches_simulated_selection(many_classes, spec):
         host, port = server.address
         with VehicleClient(host, port) as client:
             client.open_session(policy=spec, sensor_range=revisit.sensor_range)
-            for k, it in enumerate(local.iterations):
+            selected = by_pose(local.selected_ids, local.selected_counts)
+            observed = by_pose(local.observed_ids, local.observed_counts)
+            for k, (sel, obs) in enumerate(zip(selected, observed)):
                 result = client.query(revisit.poses[k])
-                assert result.landmark_ids == it.selected.tolist(), f"iteration {k}"
-                assert result.class_ids == [m.index.class_of_landmark(i) for i in it.selected]
-                client.report(it.observed.tolist())
+                assert result.landmark_ids == sel.tolist(), f"iteration {k}"
+                assert result.class_ids == [m.index.class_of_landmark(i) for i in sel]
+                client.report(obs.tolist())
+
+
+@pytest.mark.parametrize(
+    "spec", ["class_ratio@0.2", "session_weight@0.3", "random@0.4", "all@1"]
+)
+def test_driven_sortie_matches_localize_dataset(many_classes, spec):
+    """Whole sorties: what a vehicle observes against a served map is what localize_dataset
+    computes on the same map, pose for pose."""
+    sc, m, kernels, revisit = many_classes
+    local = localize_dataset(m, revisit, parse_policy(spec), kernels, bootstrap_full_first=False)
+    backend = MapBackend(m.copy(), dict(kernels), threshold_m=sc.threshold_m)
+    with MapServer(backend) as server:
+        host, port = server.address
+        with VehicleClient(host, port) as client:
+            client.open_session(policy=spec, sensor_range=revisit.sensor_range)
+            drive = drive_sortie(client, revisit, dict(kernels), upload=False)
+    assert np.array_equal(drive.selected_counts, local.selected_counts)
+    assert np.array_equal(drive.observed_counts, local.observed_counts)
+    assert drive.errors_m.tolist() == local.errors_m.tolist()
+    assert drive.n_failures == local.n_failures
 
 
 def test_serve_forever_returns_cleanly_on_interrupt_after_listening(monkeypatch):
