@@ -310,14 +310,14 @@ def observation_session_gap(
         r: dict[bool, float] = {}
         for w, m in twins.items():
             draws = sortie_draws(m, ds, cfgs[w].kernels)
-            (ref_run,) = localize_policies(m, ds, (ref,), cfgs[w].kernels, draws=draws)
+            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels, draws=draws)
             is_probe = (
                 stage >= 1
                 and n_obs >= 1
                 and decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
             )
             if is_probe:
-                (run,) = localize_policies(m, ds, (policy,), cfgs[w].kernels, draws=draws)
+                run = localize_dataset(m, ds, policy, cfgs[w].kernels, draws=draws)
                 r[w] = observation_ratio(run, ref_run).mean_of_ratios
             del draws
             twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)

@@ -68,9 +68,6 @@ COVERAGE_FLOOR_PER_VERTEX = 18
 # (poses x landmarks) temporaries.  One pose per call costs CPU.
 CANDIDATE_BLOCK_POSES = 32
 
-# The rankings that read the rolling window, in the order the lockstep scores them.
-WINDOWED = (RankingKind.CLASS_RATIO, RankingKind.SESSION_WEIGHT)
-
 
 @dataclass(frozen=True)
 class PoseErrorParams:
@@ -186,14 +183,15 @@ class SortieDraws:
         """
         order = self._orders.get(seed)
         if order is None:
-            pose_type = np.min_scalar_type(max(self.n_poses - 1, 0))  # small: a radix sort
-            poses = np.repeat(np.arange(self.n_poses, dtype=pose_type), np.diff(self.ptr))
+            poses = np.repeat(np.arange(self.n_poses), np.diff(self.ptr))
             words = hash_stream(seed, poses, self.ids)
-            by_word = np.argsort(words)
-            order = by_word[np.argsort(poses[by_word], kind="stable")]
-            ordered = words[order]
-            if np.any((ordered[1:] == ordered[:-1]) & (poses[1:] == poses[:-1])):
-                order = np.lexsort((words, poses))  # equal words in a pose: by id, which ascends
+            ptr = self.ptr.tolist()
+            # Stable, so equal words in a pose stay by id, which ascends.  One
+            # sort per pose: a whole-sortie sort of the words costs more.
+            order = np.concatenate(
+                [np.argsort(words[a:b], kind="stable") + a for a, b in zip(ptr, ptr[1:])]
+                + [np.empty(0, np.int64)]
+            )
             self._orders[seed] = order
         return order
 
@@ -234,26 +232,26 @@ def sortie_draws(
     )
 
 
-def _window_scores(index: EquivalenceClassIndex, sums: np.ndarray, n_ratio: int) -> np.ndarray:
+def _window_scores(
+    index: EquivalenceClassIndex, sums: np.ndarray, by_weight: np.ndarray
+) -> np.ndarray:
     """(policy, class) scores from (policy, class, [undetected, detected]) window sums.
 
-    The first n_ratio policies rank by class_ratio, the rest by session_weight.
+    Policies rank by class_ratio, except the rows by_weight lists, which
+    rank by session_weight.
     """
     observed = sums[:, :, 1]
     selected = sums[:, :, 0] + observed
-    if n_ratio == len(sums):
-        return class_ratio_scores(selected, observed)
-    weights = session_weight_scores(index, selected[n_ratio:], observed[n_ratio:])
-    if n_ratio == 0:
-        return weights
-    ratios = class_ratio_scores(selected[:n_ratio], observed[:n_ratio])
-    return np.concatenate([ratios, weights])
+    scores = class_ratio_scores(selected, observed)
+    if len(by_weight):
+        scores[by_weight] = session_weight_scores(index, selected[by_weight], observed[by_weight])
+    return scores
 
 
 def _lockstep_picks(
     draws: SortieDraws, policies: Sequence[SelectionPolicy], sizes: np.ndarray, bootstrap: bool
 ) -> list[np.ndarray]:
-    """Ranked policies' selections, class_ratio ones first, stepped through the poses together.
+    """Ranked policies' selections, stepped through the poses together.
 
     Returns, per policy, the positions of its selections in its tie-break
     order, pose after pose and in rank order within a pose; sizes holds
@@ -265,7 +263,7 @@ def _lockstep_picks(
     tie-break word, id) order.
     """
     n_policies, n_classes, n_poses = len(policies), len(draws.index), draws.n_poses
-    n_ratio = sum(p.ranking is RankingKind.CLASS_RATIO for p in policies)
+    by_weight = np.flatnonzero([p.ranking is RankingKind.SESSION_WEIGHT for p in policies])
     n_candidates = np.diff(draws.ptr)
     # Each candidate's table key, 2 * (policy * n_classes + class) + detected, in
     # tie-break order; and whether its rank in the pose is within the policy's size.
@@ -295,7 +293,7 @@ def _lockstep_picks(
             if k == 0 and bootstrap:  # every candidate is selected: the order is set later
                 by_score, ranked_keys = np.broadcast_to(local_rank[a:b], take.shape), pose_keys
             else:
-                scores = -_window_scores(draws.index, sums, n_ratio)
+                scores = -_window_scores(draws.index, sums, by_weight)
                 by_score = np.argsort(scores.ravel()[pose_keys >> 1], axis=1, kind="stable")
                 ranked_keys = pose_keys[policy_col, by_score]
             picks.append(by_score[take])
@@ -351,10 +349,8 @@ def localize_policies(
         sizes[:, 0] = n_candidates[0]
     # Each policy's selections as positions in its order: rows for the
     # unranked policy, the seed's tie-break order for the others.
-    ranked = sorted(
-        (i for i, p in enumerate(policies) if p.ranking in WINDOWED),
-        key=lambda i: WINDOWED.index(policies[i].ranking),
-    )
+    windowed = (RankingKind.CLASS_RATIO, RankingKind.SESSION_WEIGHT)
+    ranked = [i for i, p in enumerate(policies) if p.ranking in windowed]
     picks = {}
     if ranked:
         lockstep = _lockstep_picks(draws, [policies[i] for i in ranked], sizes[ranked], bootstrap)

@@ -30,7 +30,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from copy import copy as shallow_copy
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -201,17 +200,6 @@ class EquivalenceClassIndex:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    @cached_property
-    def session_matrix(self) -> np.ndarray:
-        """(classes, sessions) 0/1 float matrix: row c marks the sessions of class c's key.
-
-        Per-class counts times this matrix are the per-session counts.
-        """
-        n_sessions = int(self.key_sessions.max()) + 1 if len(self.key_sessions) else 0
-        matrix = np.zeros((len(self.keys), n_sessions))
-        matrix[np.repeat(np.arange(len(self.keys)), np.diff(self.key_ptr)), self.key_sessions] = 1.0
-        return matrix
 
     def class_of_landmark(self, landmark_id: int) -> int:
         return int(self.classes_of([landmark_id])[0])

@@ -114,15 +114,27 @@ def class_ratio_scores(selected: np.ndarray, observed: np.ndarray) -> np.ndarray
     return observed / np.maximum(selected, 1)
 
 
+def session_sums(index: EquivalenceClassIndex, counts: np.ndarray) -> np.ndarray:
+    """Per-session sums of per-class counts (the last axis), indexed by session id.
+
+    A class's count goes to every session of its key.  Every row of counts
+    is summed in one bincount, each into its own block of session ids.
+    """
+    n = int(index.key_sessions.max()) + 1 if len(index.key_sessions) else 0
+    counts = np.asarray(counts)
+    rows = counts.reshape(int(np.prod(counts.shape[:-1])), counts.shape[-1])
+    keys = (np.arange(len(rows))[:, None] * n + index.key_sessions).ravel()
+    weights = np.repeat(rows, np.diff(index.key_ptr), axis=-1).ravel()
+    sums = np.bincount(keys, weights=weights, minlength=len(rows) * n)
+    return sums.reshape(*counts.shape[:-1], n)
+
+
 def session_weight_scores(
     index: EquivalenceClassIndex, selected: np.ndarray, observed: np.ndarray
 ) -> np.ndarray:
-    """Best observed/selected weight among the sessions of each class (the last axis).
-
-    Session counts are the class sums spread over each class's key, as in
-    RollingSelectionStats.session_counts.
-    """
-    weight = class_ratio_scores(selected @ index.session_matrix, observed @ index.session_matrix)
+    """Best observed/selected weight among the sessions of each class (the last axis)."""
+    by_session = session_sums(index, np.stack((selected, observed)))
+    weight = class_ratio_scores(*by_session)
     return np.maximum.reduceat(weight[..., index.key_sessions], index.key_ptr[:-1], axis=-1)
 
 
@@ -188,10 +200,9 @@ class RollingSelectionStats:
         A class's counts go to every session of its key, so a session's
         count is the number of selections of landmarks it observed.
         """
-        if not self.rows:
-            n = index.session_matrix.shape[1]
-            return np.zeros(n), np.zeros(n)
-        return self.selected @ index.session_matrix, self.observed @ index.session_matrix
+        counts = np.stack((self.selected, self.observed)) if self.rows else np.zeros((2, len(index)))
+        selected, observed = session_sums(index, counts)
+        return selected, observed
 
     def session_weight(
         self, index: EquivalenceClassIndex, class_ids: np.ndarray | int
