@@ -60,6 +60,8 @@ class VehicleClient:
 
     def __init__(self, host: str, port: int, timeout: float | None = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # Each request goes out whole in one sendall: send it at once.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rb")
         self._next_cid = 1
         self.token: int | None = None

@@ -39,6 +39,7 @@ from atlas.ranking import SelectionPolicy, parse_policy, reference_policy
 from atlas.rng import derive_seed
 from atlas.worldgen import (
     NO_PROPOSALS,
+    KernelRegistry,
     Scenario,
     SortieDataset,
     World,
@@ -280,11 +281,15 @@ def observation_session_gap(
     Builds twin maps over the same schedule, one ingesting observation
     sessions and one dropping them, with rich ingestion identical (the twins
     stay in lockstep: observation sessions add no landmarks or vertices, so
-    both maps always hold the same landmark ids).  At every sortie the
-    policy's observation ratio is measured on both twins against their
-    shared full-selection reference; the probe counts when the map already
-    has a rich and an observation session and the sortie itself localizes
-    well enough to be an observation session, i.e. a genuine revisit.
+    both maps always hold the same landmark ids, and they share one kernel
+    registry).  Everything that does not read the class index is therefore
+    twin-independent: each sortie's draws are made once, on the twin with
+    observation sessions, and its full-selection reference run (which
+    selects by id) is made once and stands for both twins.  The probe
+    counts when the map already has a rich and an observation session and
+    the sortie itself localizes well enough to be an observation session,
+    i.e. a genuine revisit; the policy's observation ratio is then measured
+    on both twins, each reading the shared draws under its own classes.
 
     Each converged policy is then probed on the fully built twin that
     ingested observation sessions, with one fresh sortie at the final
@@ -296,8 +301,10 @@ def observation_session_gap(
     sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
     world = build_world(sc, seed)
     twins = {True: MultiSessionMap(), False: MultiSessionMap()}
+    kernels: KernelRegistry = {}
     cfgs = {
-        w: PipelineConfig(threshold_m=sc.threshold_m, use_observation_sessions=w) for w in twins
+        w: PipelineConfig(kernels, threshold_m=sc.threshold_m, use_observation_sessions=w)
+        for w in twins
     }
     ref = reference_policy()
     gaps: dict[int, list[float]] = {}
@@ -307,30 +314,31 @@ def observation_session_gap(
         ds = build_dataset(world, i, seed)
         stage = twins[True].n_rich_sessions
         n_obs = twins[True].n_observation_sessions
-        r: dict[bool, float] = {}
-        for w, m in twins.items():
-            draws = sortie_draws(m, ds, cfgs[w].kernels)
-            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels, draws=draws)
-            is_probe = (
-                stage >= 1
-                and n_obs >= 1
-                and decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
-            )
-            if is_probe:
-                run = localize_dataset(m, ds, policy, cfgs[w].kernels, draws=draws)
-                r[w] = observation_ratio(run, ref_run).mean_of_ratios
-            del draws
-            twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
-        if not np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids):
-            raise RuntimeError("twin maps diverged; observation sessions must not add landmarks")
-        if len(r) == 2:
+        draws = sortie_draws(twins[True], ds, kernels)
+        ref_run = localize_dataset(twins[True], ds, ref, kernels, draws=draws)
+        if (
+            stage >= 1
+            and n_obs >= 1
+            and decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
+        ):
+            r = {
+                w: observation_ratio(
+                    localize_dataset(m, ds, policy, kernels, draws=draws.on(m)), ref_run
+                ).mean_of_ratios
+                for w, m in twins.items()
+            }
             gaps.setdefault(stage, []).append(r[True] - r[False])
             with_r.setdefault(stage, []).append(r[True])
             without_r.setdefault(stage, []).append(r[False])
+        del draws  # released before ingestion raises the peak
+        for w, m in twins.items():
+            twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
+        if not np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids):
+            raise RuntimeError("twin maps diverged; observation sessions must not add landmarks")
 
     converged: dict[str, float] = {}
     if converged_policies:
-        m, kernels = twins[True], cfgs[True].kernels
+        m = twins[True]
         probe = generate_sortie(
             world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
         )

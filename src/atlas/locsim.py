@@ -8,7 +8,9 @@ evaluated on the same sortie sees the same outcome for the same landmark:
 observation ratios between policies then measure selection quality alone.
 Everything a run draws that no policy changes (candidate sets, detection
 outcomes, error draws, tie-break orders) is held in one SortieDraws per
-(map, sortie), in flat per-candidate columns.
+(map, sortie), in flat per-candidate columns.  Maps that hold the same
+landmarks under different class indexes (the twins of a gap study) share
+one SortieDraws: `SortieDraws.on` swaps only the class index it reads.
 
 `localize_policies` runs any number of policies over one sortie in one
 pass.  Policies that never read the rolling window (`all`, `random`)
@@ -29,7 +31,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -158,19 +160,27 @@ class SortieDraws:
     """What localizing one sortie against one map state draws, whatever the policy.
 
     Flat columns over the candidates of every pose: pose k's candidates are
-    rows ptr[k]:ptr[k + 1], with their ids (ascending within the pose),
-    their class ids in `index`, and whether each is detected if selected.
-    error_z holds each pose's standard normal error draw.
+    rows ptr[k]:ptr[k + 1], with their rows in the map, their ids
+    (ascending within the pose), and whether each is detected if selected.
+    error_z holds each pose's standard normal error draw.  `positions` is
+    the landmark position column of the map the draws were made on, and
+    `index` its class index.
     """
 
     fingerprint: tuple
     index: EquivalenceClassIndex
+    positions: np.ndarray
     ptr: np.ndarray
+    rows: np.ndarray
     ids: np.ndarray
-    classes: np.ndarray
     detected: np.ndarray
     error_z: np.ndarray
     _orders: dict[int, np.ndarray] = field(default_factory=dict, init=False)
+
+    @property
+    def classes(self) -> np.ndarray:
+        """Each candidate's class id in `index`."""
+        return self.index.class_ids[self.rows]
 
     @property
     def n_poses(self) -> int:
@@ -194,6 +204,27 @@ class SortieDraws:
             )
             self._orders[seed] = order
         return order
+
+    def on(self, m: MultiSessionMap) -> SortieDraws:
+        """These draws for m, a map with the same landmarks and kernels but
+        its own class index.
+
+        Every column is shared, and so is the tie-break cache; only the
+        class ids read m's index.  ValueError unless m holds the landmark
+        ids and positions the draws were made on; equal kernels are the
+        caller's to ensure.
+        """
+        index = m.index
+        if index is self.index:
+            return self
+        if not (
+            np.array_equal(index.ids, self.index.ids)
+            and np.array_equal(m.landmark_positions, self.positions)
+        ):
+            raise ValueError("draws were made on a map with other landmarks")
+        draws = replace(self, index=index)
+        draws._orders = self._orders
+        return draws
 
 
 def sortie_draws(
@@ -224,9 +255,10 @@ def sortie_draws(
     return SortieDraws(
         dataset.fingerprint(),
         index,
+        m.landmark_positions,
         ptr,
+        rows,
         ids[rows],
-        index.class_ids[rows],
         np.concatenate(hits + [np.empty(0, bool)]),
         normal_pair_stream(dataset.error_seed, np.arange(n_poses)),
     )

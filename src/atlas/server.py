@@ -450,6 +450,9 @@ class MapServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         stream = conn.makefile("rb")
         try:
+            # Replies go out whole, one sendall each; without this a client
+            # pipelining requests waits on Nagle plus its delayed ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 try:
                     raw = read_frame(stream)

@@ -30,6 +30,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -63,19 +64,33 @@ def detection_probabilities(
     return np.where(d <= KERNEL_CUTOFF_WIDTHS * np.asarray(widths), p, 0.0)
 
 
+def _kernel_bounds_error(lo, hi) -> str | None:
+    """The bound broken by kernels whose smallest (center, width, peak) is lo
+    and largest is hi, or None.
+
+    Each kernel needs its center in [0, 1), a finite positive width and its
+    peak in (0, 1].  A NaN breaks every bound, since no comparison with it
+    holds.
+    """
+    if not (0.0 <= lo[0] and hi[0] < 1.0):
+        return "kernel center must be in [0, 1)"
+    if not (0.0 < lo[1] and hi[1] < math.inf):
+        return "kernel width must be finite and positive"
+    if not (0.0 < lo[2] and hi[2] <= 1.0):
+        return "kernel peak must be in (0, 1]"
+    return None
+
+
 def check_kernels(params) -> np.ndarray:
     """The (center, width, peak) rows as an (n, 3) float64 array; ValueError
     unless each has its center in [0, 1), a finite positive width and its
     peak in (0, 1].  A NaN fails: it propagates into the column extremes."""
     rows = np.asarray(params, dtype=np.float64).reshape(-1, 3)
-    lo = rows.min(axis=0, initial=math.inf).tolist()
-    hi = rows.max(axis=0, initial=-math.inf).tolist()
-    if not (0.0 <= lo[0] and hi[0] < 1.0):
-        raise ValueError("kernel center must be in [0, 1)")
-    if not (0.0 < lo[1] and hi[1] < math.inf):
-        raise ValueError("kernel width must be finite and positive")
-    if not (0.0 < lo[2] and hi[2] <= 1.0):
-        raise ValueError("kernel peak must be in (0, 1]")
+    error = _kernel_bounds_error(
+        rows.min(axis=0, initial=math.inf).tolist(), rows.max(axis=0, initial=-math.inf).tolist()
+    )
+    if error:
+        raise ValueError(error)
     return rows
 
 
@@ -88,7 +103,10 @@ class ObservabilityKernel:
     peak: float
 
     def __post_init__(self) -> None:
-        check_kernels((self.center, self.width, self.peak))
+        row = (float(self.center), float(self.width), float(self.peak))
+        error = _kernel_bounds_error(row, row)
+        if error:
+            raise ValueError(error)
 
     def p_detect(self, condition) -> float | np.ndarray:
         p = detection_probabilities(
@@ -246,6 +264,26 @@ class World:
     sites: list[GroundSite]
     path_length: float
 
+    @cached_property
+    def site_positions(self) -> np.ndarray:
+        """(n_sites, 3) site positions, in site order; computed once, read-only."""
+        positions = np.array([s.position for s in self.sites]).reshape(-1, 3)
+        positions.flags.writeable = False
+        return positions
+
+    @cached_property
+    def visibility(self) -> np.ndarray:
+        """(site, trajectory pose) table: whether the site lies within sensor
+        range (inclusive) of the noise-free pose lifted to z = 0.
+
+        Depends on the world alone, so it is computed once and read-only.
+        """
+        poses = np.column_stack([self.trajectory[:, :2], np.zeros(len(self.trajectory))])
+        d2 = ((self.site_positions[:, None, :] - poses[None, :, :]) ** 2).sum(axis=2)
+        within = d2 <= self.scenario.sensor_range * self.scenario.sensor_range
+        within.flags.writeable = False
+        return within
+
 
 @dataclass(frozen=True)
 class Proposals:
@@ -368,12 +406,7 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
         np.sin(poses[:, 2] + rng.normal(0.0, sc.odom_noise_heading, len(poses))),
         np.cos(poses[:, 2] + rng.normal(0.0, sc.odom_noise_heading, len(poses))),
     )
-    site_pos = np.array([s.position for s in world.sites]).reshape(-1, 3)
-    traj_xy0 = np.column_stack(
-        [world.trajectory[:, 0], world.trajectory[:, 1], np.zeros(len(world.trajectory))]
-    )
-    d2 = ((site_pos[:, None, :] - traj_xy0[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= sc.sensor_range * sc.sensor_range
+    within = world.visibility
     n_seen = within.sum(axis=1)
     chosen, kernels = [], []
     for i, site in enumerate(world.sites):
@@ -388,7 +421,7 @@ def generate_sortie(world: World, condition: float, seed: int, label: str = "") 
         condition=condition,
         poses=poses,
         proposals=Proposals(
-            site_pos[chosen],
+            world.site_positions[chosen],
             np.column_stack((rows, pose_ids, np.ones_like(pose_ids))),
             np.array(kernels, dtype=np.float64).reshape(-1, 3),
         ),

@@ -9,20 +9,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from atlas.locsim import POSE_ERROR
-from atlas.mapcore import MultiSessionMap
+from atlas.experiment import GapStudy, build_dataset, build_world
+from atlas.locsim import (
+    POSE_ERROR,
+    PipelineConfig,
+    decide_update,
+    localize_dataset,
+    observation_ratio,
+    process_sortie,
+)
+from atlas.mapcore import UNBOUNDED_CAP, MultiSessionMap, SessionKind
 from atlas.protocol import ERR_BAD_REPORT, ERR_BAD_REQUEST, ERR_NO_SESSION, Message, MessageKind
 from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
+    SelectionPolicy,
     class_scores,
+    reference_policy,
     selection_order,
     selection_size,
     update_window,
 )
-from atlas.rng import hash_stream
+from atlas.rng import derive_seed, hash_stream
 from atlas.summarize import SummarizationProblem
-from atlas.worldgen import Scenario, SortieSpec
+from atlas.worldgen import Scenario, SortieSpec, generate_sortie, with_overrides
 
 LINE_POSES = np.array([[float(x), 0.0, 0.0] for x in range(5)])
 
@@ -189,3 +199,55 @@ def reference_localize(draws, policy, *, bootstrap_full_first=True) -> Reference
 def by_pose(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     """A flat column split into its per-pose pieces of the given lengths."""
     return np.split(flat, np.cumsum(counts)[:-1])
+
+
+def reference_gap_study(
+    scenario: Scenario,
+    seed: int,
+    policy: SelectionPolicy,
+    converged_policies: tuple[SelectionPolicy, ...] = (),
+) -> GapStudy:
+    """The twin gap study with every run made on its own twin, one policy at a time.
+
+    The oracle for experiment.observation_session_gap: each twin keeps its
+    own kernel registry and localizes the reference and the probed policy
+    itself; each converged policy is localized on its own.
+    """
+    sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
+    world = build_world(sc, seed)
+    twins = {True: MultiSessionMap(), False: MultiSessionMap()}
+    cfgs = {
+        w: PipelineConfig(threshold_m=sc.threshold_m, use_observation_sessions=w) for w in twins
+    }
+    ref = reference_policy()
+    gaps: dict[int, list[float]] = {}
+    with_r: dict[int, list[float]] = {}
+    without_r: dict[int, list[float]] = {}
+    for i in range(len(sc.schedule)):
+        ds = build_dataset(world, i, seed)
+        stage = twins[True].n_rich_sessions
+        n_obs = twins[True].n_observation_sessions
+        r: dict[bool, float] = {}
+        for w, m in twins.items():
+            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels)
+            revisit = decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
+            if stage >= 1 and n_obs >= 1 and revisit:
+                run = localize_dataset(m, ds, policy, cfgs[w].kernels)
+                r[w] = observation_ratio(run, ref_run).mean_of_ratios
+            twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
+        assert np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids)
+        if len(r) == 2:
+            gaps.setdefault(stage, []).append(r[True] - r[False])
+            with_r.setdefault(stage, []).append(r[True])
+            without_r.setdefault(stage, []).append(r[False])
+    converged: dict[str, float] = {}
+    if converged_policies:
+        m, kernels = twins[True], cfgs[True].kernels
+        probe = generate_sortie(
+            world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
+        )
+        ref_run = localize_dataset(m, probe, ref, kernels)
+        for p in converged_policies:
+            run = localize_dataset(m, probe, p, kernels)
+            converged[p.name] = observation_ratio(run, ref_run).mean_of_ratios
+    return GapStudy(seed, gaps, with_r, without_r, converged)

@@ -29,7 +29,7 @@ from atlas.ranking import parse_policy, reference_policy
 from atlas.rng import derive_seed
 from atlas.worldgen import SortieSpec, generate_sortie, get_scenario, with_overrides
 
-from helpers import tiny_scenario
+from helpers import reference_gap_study, tiny_scenario
 
 POLICIES = ("class_ratio@0.5", "random@0.5")
 
@@ -149,6 +149,19 @@ def test_observation_session_gap_structure():
     assert set(means) == set(study.gaps_by_stage)
     assert all(math.isfinite(v) for v in means.values())
     assert study.converged == {}  # no converged policies asked for
+
+
+@pytest.mark.parametrize("scenario, seed", [(tiny_scenario(), 42), (get_scenario("parking_year"), 7)])
+def test_gap_study_equals_the_per_twin_loop(scenario, seed):
+    policy = parse_policy("class_ratio@0.2")
+    converged = (policy, parse_policy("random@0.2"), reference_policy())
+    got = observation_session_gap(scenario, seed, policy, converged)
+    want = reference_gap_study(scenario, seed, policy, converged)
+    assert got.gaps_by_stage  # probes fired
+    assert got.gaps_by_stage == want.gaps_by_stage
+    assert got.with_by_stage == want.with_by_stage
+    assert got.without_by_stage == want.without_by_stage
+    assert got.converged == want.converged
 
 
 def test_converged_probe_reference_is_exact():

@@ -226,6 +226,43 @@ def test_shared_draws_give_the_runs_built_alone(built):
         localize_policies(m.copy(), dataset, policies, cfg.kernels, draws=draws)
 
 
+def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
+    m, kernels, dataset = many_classes
+    # The twin holds the same landmarks; an observation session splits classes.
+    twin = m.copy()
+    some = m.landmark_ids[::3]
+    twin.add_observation_session(
+        np.column_stack((some, np.full(len(some), m.vertex_ids[0]), np.ones_like(some)))
+    )
+    assert len(twin.index) > len(m.index)
+    draws = sortie_draws(m, dataset, kernels)
+    policies = [p for p in ORACLE_POLICIES if p.ranking is not RankingKind.ALL]
+    localize_policies(m, dataset, policies, kernels, draws=draws)  # fills the tie-break cache
+    on, fresh = draws.on(twin), sortie_draws(twin, dataset, kernels)
+    assert draws.on(m) is draws
+    assert on.index is twin.index and on.fingerprint == fresh.fingerprint
+    for column in ("ptr", "rows", "ids", "classes", "detected", "error_z"):
+        assert np.array_equal(getattr(on, column), getattr(fresh, column)), column
+    assert not np.array_equal(on.classes, draws.classes)
+    assert on._orders is draws._orders
+    for seed in {p.seed for p in policies}:
+        assert np.array_equal(on.tiebreak_order(seed), fresh.tiebreak_order(seed))
+    for a, b in zip(
+        localize_policies(twin, dataset, policies, kernels, draws=on),
+        localize_policies(twin, dataset, policies, kernels, draws=fresh),
+    ):
+        assert_same_runs(a, b)
+    fewer = m.copy()
+    fewer.drop_landmarks([int(m.landmark_ids[0])])
+    records = list(m.landmarks.values())
+    records[0] = replace(records[0], position=records[0].position + 0.5)
+    moved = MultiSessionMap.from_records(m.landmark_cap, m.sessions, m.vertices.values(), records)
+    assert np.array_equal(moved.landmark_ids, m.landmark_ids)
+    for other in (fewer, moved):
+        with pytest.raises(ValueError):
+            draws.on(other)
+
+
 def test_detection_matches_keyed_uniform_oracle(built):
     m, cfg, dataset = built
     for spec in ("all", "class_ratio@0.2", "random@0.4"):

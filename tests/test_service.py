@@ -6,6 +6,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -796,3 +797,30 @@ def test_finished_connection_threads_are_dropped():
                 sock.sendall(encode_frame(Message(MessageKind.OPEN_SESSION, cid=cid)))
                 assert decode_body(read_frame(sock.makefile("rb"))).cid == cid
         assert len(server._threads) <= 5
+
+
+def test_pipelined_requests_are_answered_without_delay():
+    # A client that sends two requests at once and then reads both replies
+    # must not wait on Nagle plus a delayed ACK for the second reply (about
+    # 40 ms a pair on Linux loopback without TCP_NODELAY on the server).
+    with MapServer(fresh_backend()) as server:
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            stream = sock.makefile("rb")
+            cids = []
+            start = time.perf_counter()
+            for first in range(1, 101, 2):
+                sock.sendall(b"".join(
+                    encode_frame(Message(MessageKind.OPEN_SESSION, cid=cid))
+                    for cid in (first, first + 1)
+                ))
+                cids += [decode_body(read_frame(stream)).cid for _ in range(2)]
+            elapsed = time.perf_counter() - start
+            stream.close()
+        assert cids == list(range(1, 101))
+        assert elapsed < 1.0
+        client = VehicleClient(host, port)
+        try:
+            assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            client.close_transport()

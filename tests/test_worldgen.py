@@ -235,6 +235,26 @@ def test_generate_sortie_deterministic_and_well_formed():
     assert not np.array_equal(a.poses, c.poses)
 
 
+def test_world_visibility_is_computed_once_and_read_by_every_sortie():
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=5)
+    table = world.visibility
+    sites = np.stack([s.position for s in world.sites])
+    lifted = np.column_stack([world.trajectory[:, :2], np.zeros(len(world.trajectory))])
+    d2 = ((sites[:, None, :] - lifted[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(table, d2 <= sc.sensor_range * sc.sensor_range)
+    assert np.array_equal(world.site_positions, sites)
+    for seed in (9, 10):
+        ds = generate_sortie(world, 0.3, seed=seed)
+        assert world.visibility is table
+        # each proposal's site, then the poses that see it
+        site = (sites[:, None] == ds.proposals.positions[None]).all(axis=2).argmax(axis=0)
+        assert np.array_equal(ds.proposals.observations[:, :2].T, np.nonzero(table[site]))
+    # A sortie reads the cached table: with every site hidden it proposes nothing.
+    world.__dict__["visibility"] = np.zeros_like(table)
+    assert len(generate_sortie(world, 0.3, seed=9).proposals) == 0
+
+
 def test_generate_sortie_wraps_condition():
     world = generate_world(tiny_scenario(), seed=5)
     ds = generate_sortie(world, 1.3, seed=1)
