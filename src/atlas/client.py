@@ -17,9 +17,12 @@ import numpy as np
 
 from .locsim import n_failed, pose_errors
 from .protocol import (
+    EncodedBody,
     Message,
     MessageKind,
+    canonical_json,
     encode_frame,
+    float_texts,
     read_message,
 )
 from .rng import normal_pair_stream, uniform01
@@ -29,8 +32,51 @@ from .worldgen import (
     SortieDataset,
     add_kernels,
     detection_probabilities,
-    sortie_to_doc,
+    sortie_to_doc,  # noqa: F401  (the document sortie_json writes; perfbench wraps this name)
 )
+
+
+def sortie_json(ds: SortieDataset) -> str:
+    """canonical_json(sortie_to_doc(ds)), written from the columns.
+
+    Keys go in sorted order at every level, so a proposal's observations go
+    by pose index as a string ("10" before "9"); numbers are written as
+    json.dumps writes them and a non-finite one raises ProtocolError.  The
+    observation rows hold each (proposal, pose) once, as Proposals says.
+    """
+    props = ds.proposals
+    rows, poses, counts = props.observations.T
+    # Rank the distinct pose indices in the order of their strings.
+    distinct, which = np.unique(poses, return_inverse=True)
+    keys = [f'"{p}":' for p in distinct.tolist()]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    order = np.lexsort((rank[which], rows))
+    which, counts = which[order], counts[order]
+    # Nearly every count is 1: take '"pose":1' whole and write the rest.
+    entries = np.array([key + "1" for key in keys], dtype=object)[which]
+    other = np.flatnonzero(counts != 1)
+    entries[other] = [keys[k] + repr(c) for k, c in zip(which[other].tolist(), counts[other].tolist())]
+    entries = entries.tolist()
+    bounds = np.searchsorted(rows[order], np.arange(len(props) + 1)).tolist()
+    xyz = iter(float_texts(props.positions))
+    kernel = iter(float_texts(props.kernels))  # center, width, peak
+    proposals = ",".join([
+        f'{{"kernel":{{"center":{center},"peak":{peak},"width":{width}}},'
+        f'"observations":{{{",".join(entries[lo:hi])}}},"position":[{x},{y},{z}]}}'
+        for (center, width, peak), (x, y, z), lo, hi
+        in zip(zip(kernel, kernel, kernel), zip(xyz, xyz, xyz), bounds, bounds[1:])
+    ])
+    pose = iter(float_texts(np.asarray(ds.poses, dtype=np.float64)))
+    return "".join((
+        '{"condition":', canonical_json(ds.condition),
+        ',"error_seed":', canonical_json(ds.error_seed),
+        ',"label":', canonical_json(ds.label),
+        ',"observation_seed":', canonical_json(ds.observation_seed),
+        ',"poses":[', ",".join([f"[{x},{y},{h}]" for x, y, h in zip(pose, pose, pose)]),
+        '],"proposals":[', proposals,
+        '],"sensor_range":', canonical_json(ds.sensor_range), "}",
+    ))
 
 
 class BackendError(RuntimeError):
@@ -83,7 +129,7 @@ class VehicleClient:
                 pass
         self.close_transport()
 
-    def call(self, kind: MessageKind, body: dict, token: int | None = None) -> Message:
+    def call(self, kind: MessageKind, body: dict | EncodedBody, token: int | None = None) -> Message:
         """Send one request and wait for its reply."""
         cid = self._next_cid
         self._next_cid += 1
@@ -108,21 +154,23 @@ class VehicleClient:
         return reply.token
 
     def query(self, pose) -> QueryResult:
-        reply = self.call(MessageKind.QUERY, {"pose": [float(v) for v in pose]})
+        pose = float_texts(np.asarray(pose, dtype=np.float64))
+        reply = self.call(MessageKind.QUERY, EncodedBody(f'{{"pose":[{",".join(pose)}]}}'))
         b = reply.body
         return QueryResult(
-            landmark_ids=[int(i) for i in b["landmark_ids"]],
-            class_ids=[int(c) for c in b["class_ids"]],
+            landmark_ids=list(map(int, b["landmark_ids"])),
+            class_ids=list(map(int, b["class_ids"])),
             n_candidates=int(b["n_candidates"]),
             map_version=int(b["map_version"]),
         )
 
     def report(self, observed_ids) -> dict:
-        reply = self.call(MessageKind.REPORT, {"observed": [int(i) for i in observed_ids]})
+        ids = observed_ids.tolist() if isinstance(observed_ids, np.ndarray) else map(int, observed_ids)
+        reply = self.call(MessageKind.REPORT, EncodedBody(f'{{"observed":[{",".join(map(str, ids))}]}}'))
         return reply.body
 
     def upload_sortie(self, dataset: SortieDataset) -> dict:
-        reply = self.call(MessageKind.UPLOAD_SORTIE, {"sortie": sortie_to_doc(dataset)})
+        reply = self.call(MessageKind.UPLOAD_SORTIE, EncodedBody(f'{{"sortie":{sortie_json(dataset)}}}'))
         return reply.body
 
     def close_session(self) -> dict:
@@ -170,18 +218,16 @@ def drive_sortie(
     selected_counts = np.zeros(n, dtype=np.int64)
     observed_counts = np.zeros(n, dtype=np.int64)
     table = KernelTable(kernels)  # the sidecar grows only after the upload
+    # One detection probability per kernel column, the sortie's condition being fixed.
+    p_det = detection_probabilities(*table.params, dataset.condition)
     for k in range(n):
         result = client.query(dataset.poses[k])
-        ids = np.asarray(result.landmark_ids, dtype=np.int64)
+        ids = np.array(result.landmark_ids, dtype=np.int64)
         selected_counts[k] = len(ids)
-        if len(ids):
-            p_det = detection_probabilities(*table.lookup(ids), dataset.condition)
-            hit = uniform01(dataset.observation_seed, k, ids) < p_det
-            observed = ids[hit]
-        else:
-            observed = np.empty(0, dtype=np.int64)
+        hit = uniform01(dataset.observation_seed, k, ids) < p_det[table.columns(ids)]
+        observed = ids[hit]
         observed_counts[k] = len(observed)
-        client.report(int(i) for i in observed)
+        client.report(observed)
     errors = pose_errors(observed_counts, normal_pair_stream(dataset.error_seed, np.arange(n)))
     ack: dict = {}
     if upload:

@@ -20,10 +20,16 @@ is canonical: keys sorted, compact separators, no NaN/Infinity.  Re-encoding
 a decoded frame reproduces the original bytes exactly, which makes frames
 safe to hash, diff, and count for bandwidth accounting.
 
-``landmarks`` replies, the bulk of the traffic, have a second encoder:
-``encode_landmarks_frame`` joins positions that were encoded once per map
-snapshot (``position_fragments``) into the envelope, and writes exactly
-the bytes ``encode_frame`` writes for the same reply.
+A body may also arrive already written as canonical JSON text
+(``EncodedBody``): the vehicle writes its queries, reports and sortie
+uploads from its arrays that way, and ``landmarks`` replies, the bulk of
+the traffic, are joined by ``encode_landmarks_frame`` from positions that
+were encoded once per map snapshot (``position_fragments``).  Both go
+through one envelope writer and give exactly the bytes ``encode_frame``
+writes for the same message with the body as a dict.
+
+Decoding gives exactly what ``json.loads`` gives, parsed by orjson where
+the two agree (see ``parse_json``).
 
 Every request receives exactly one reply carrying the same ``cid``: a
 ``query`` is answered by ``landmarks`` or ``error``; ``open_session``,
@@ -34,12 +40,14 @@ or ``error``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
+import orjson
 
 MAX_FRAME_BYTES = 16 * 2**20
 
@@ -84,6 +92,17 @@ ERR_BAD_REPORT = "bad_report"
 
 _ERROR_CODES = frozenset({ERR_NO_SESSION, ERR_BAD_REQUEST, ERR_BAD_REPORT})
 
+_ENVELOPE_KEYS = frozenset({"body", "cid", "kind", "token"})
+_KINDS = {kind.value: kind for kind in MessageKind}
+
+
+class EncodedBody(str):
+    """A message body already written as canonical JSON text (an object).
+
+    encode_body writes it into the envelope as it is, so it must be what
+    canonical_json writes for the body as a dict.
+    """
+
 
 @dataclass(frozen=True)
 class Message:
@@ -92,7 +111,7 @@ class Message:
     kind: MessageKind
     cid: int
     token: int | None = None
-    body: dict[str, Any] = field(default_factory=dict)
+    body: dict[str, Any] | EncodedBody = field(default_factory=dict)
 
     def reply(self, kind: MessageKind, body: dict[str, Any]) -> "Message":
         """Build a reply echoing this message's correlation id and token."""
@@ -104,20 +123,52 @@ class Message:
         return self.reply(MessageKind.ERROR, {"code": code, "detail": detail})
 
 
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of a value: sorted keys, compact separators,
+    floats by float.__repr__; ProtocolError for NaN, infinities and
+    anything JSON cannot hold."""
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unserializable message body: {exc}") from exc
+
+
+def float_texts(values: np.ndarray) -> list[str]:
+    """canonical_json of each element of a numeric array, in C order.
+
+    Elements are written as json.dumps writes the Python numbers tolist()
+    gives (float.__repr__ for a float); ProtocolError unless all are finite.
+    """
+    values = np.asarray(values).ravel().tolist()
+    if not all(map(math.isfinite, values)):
+        raise ProtocolError("unserializable message body: "
+                            "Out of range float values are not JSON compliant")
+    return list(map(repr, values))
+
+
 def encode_body(message: Message) -> bytes:
     """Serialize a message to canonical JSON bytes (no length prefix)."""
+    if isinstance(message.body, EncodedBody):
+        return _envelope(message.kind, message.cid, message.token, message.body)
     payload = {
         "body": message.body,
         "cid": message.cid,
         "kind": message.kind.value,
         "token": message.token,
     }
-    try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"unserializable message body: {exc}") from exc
-    return text.encode("utf-8")
+    return canonical_json(payload).encode("utf-8")
+
+
+def _envelope(kind: MessageKind, cid: int, token: int | None, body: str) -> bytes:
+    """The canonical body bytes of a message whose body is canonical JSON text.
+
+    The one place the envelope is written by hand: keys in sorted order,
+    and cid and token are ints, which json.dumps writes with str.
+    """
+    return "".join((
+        '{"body":', body, ',"cid":', str(cid), ',"kind":"', kind.value,
+        '","token":', "null" if token is None else str(token), "}",
+    )).encode("utf-8")
 
 
 def encode_frame(message: Message) -> bytes:
@@ -166,38 +217,150 @@ def position_fragments(positions: np.ndarray) -> np.ndarray:
 def encode_landmarks_frame(reply: LandmarksReply) -> bytes:
     """The frame encode_frame makes for the same reply, joined from its parts.
 
-    Keys go in sorted order at both levels, ints are written with str (as
-    json.dumps writes them) and positions are joined from their fragments.
+    Body keys go in sorted order, ints are written with str (as json.dumps
+    writes them) and positions are joined from their fragments.
     """
-    text = "".join((
-        '{"body":{"class_ids":[', ",".join(map(str, reply.class_ids)),
+    body = "".join((
+        '{"class_ids":[', ",".join(map(str, reply.class_ids)),
         '],"landmark_ids":[', ",".join(map(str, reply.landmark_ids)),
         '],"map_version":', str(reply.map_version),
         ',"n_candidates":', str(reply.n_candidates),
-        ',"positions":[', ",".join(reply.positions),
-        ']},"cid":', str(reply.cid),
-        ',"kind":"landmarks","token":', str(reply.token), "}",
+        ',"positions":[', ",".join(reply.positions), "]}",
     ))
-    return _framed(text.encode("utf-8"))
+    return _framed(_envelope(reply.kind, reply.cid, reply.token, body))
+
+
+# json.loads recurses once per nesting level and orjson does not recurse
+# at all.  From any call site with fewer than (recursion limit - this many)
+# frames on the stack, json.loads parses every frame nested less deeply.
+_TRUSTED_DEPTH = 500
+_INT64_MIN, _UINT64_MAX = -(2**63), 2**64 - 1  # the integers orjson keeps as int
+# Byte classes of a frame: 1 for a digit, 2 for '[' or '{', 0 for the rest.
+_CLASSES = bytes(1 if 48 <= b <= 57 else 2 if b in b"[{" else 0 for b in range(256))
+# Every integer literal beyond 64 bits holds a run of this many digits.
+_LONG_DIGIT_RUN = b"\x01" * 19
+# A frame's structure: its brackets as '[' and ']', its quotes and backslashes.
+_SQUARE = bytes.maketrans(b"{}", b"[]")
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
+# Nesting read from the brackets up to this depth, deeper by a walk.
+_SHALLOW = 16
+# orjson 3.8 parses into a buffer that it keeps for the life of the
+# process, and what the largest frame parsed touched of it stays resident:
+# about 1.5 MB for a 385 kB sortie upload, against 1.4 MB for a 67 kB
+# frame of short lists.  Frames up to this length (replies and every
+# request but an upload) go to orjson.
+_ORJSON_MAX_BYTES = 64 * 1024
+
+
+def parse_json(raw: bytes) -> Any:
+    """Exactly what json.loads(raw.decode("utf-8")) returns or raises.
+
+    orjson parses the frame; its result stands unless the frame is one on
+    which orjson differs from json.loads.  These go to json.loads itself:
+    frames orjson refuses (NaN and Infinity, lone surrogate escapes,
+    overflowing floats such as 1e400, and what is not JSON at all), frames
+    that may hold an integer literal beyond 64 bits (orjson would make it
+    a float) and frames nested _TRUSTED_DEPTH or more levels deep (orjson
+    parses any depth; json.loads raises RecursionError).  Frames longer
+    than _ORJSON_MAX_BYTES (sortie uploads) go to json.loads as well.
+    """
+    if len(raw) > _ORJSON_MAX_BYTES:
+        return _json_loads(raw)
+    try:
+        payload = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return _json_loads(raw)
+    if _beyond_orjson(raw, payload):
+        return _json_loads(raw)
+    return payload
+
+
+def _json_loads(raw: bytes) -> Any:
+    return json.loads(raw.decode("utf-8"))
+
+
+def _beyond_orjson(raw: bytes, payload: Any) -> bool:
+    """Whether raw may hold an integer literal beyond 64 bits, or nest
+    _TRUSTED_DEPTH deep.  False positives only cost a json.loads."""
+    classes = raw.translate(_CLASSES)
+    start = classes.find(_LONG_DIGIT_RUN)
+    while start >= 0:
+        end = start + len(_LONG_DIGIT_RUN)
+        while end < len(raw) and classes[end] == 1:
+            end += 1
+        if not _read_alike(raw, start, end):
+            return True
+        start = classes.find(_LONG_DIGIT_RUN, end)
+    # Each level of nesting opens with one '[' or '{'.
+    if len(raw) < 2 * _TRUSTED_DEPTH or classes.count(2) < _TRUSTED_DEPTH:
+        return False
+    return _nests(raw, payload)
+
+
+def _read_alike(raw: bytes, start: int, end: int) -> bool:
+    """Whether orjson reads the number holding the long digit run
+    raw[start:end] as json.loads does.
+
+    It does for a float's digits (orjson rounds floats correctly) and for an
+    integer literal in [-2**63, 2**64 - 1]; an exponent's digits go to
+    json.loads.  A run inside a string is judged like a number: at worst it
+    costs a json.loads.
+    """
+    before, after = raw[max(start - 2, 0):start], raw[end:end + 1]
+    if before[-1:] in (b"e", b"E", b"+") or before in (b"e-", b"E-"):
+        return False  # an exponent
+    if before[-1:] == b"." or after in (b".", b"e", b"E"):
+        return True  # a float's fraction or integer part
+    if end - start > 20:
+        return False
+    value = int(raw[start:end])
+    return value <= (-_INT64_MIN if before[-1:] == b"-" else _UINT64_MAX)
+
+
+def _nests(raw: bytes, payload: Any) -> bool:
+    """Whether payload, parsed from raw, nests _TRUSTED_DEPTH levels deep.
+
+    Read from the brackets of raw while no string holds a bracket, quote or
+    backslash and the nesting is shallow; else found by walking payload.
+    """
+    brackets = raw.translate(_SQUARE, _NOT_STRUCTURE)
+    if b"\\" not in brackets:
+        # Drops every string, leaving a quote if a string holds a bracket:
+        # the quotes before that bracket are odd in number.
+        brackets = brackets.replace(b'""', b"")
+        if b'"' not in brackets:
+            for _ in range(_SHALLOW):
+                brackets = brackets.replace(b"[]", b"")  # the innermost containers
+                if not brackets:
+                    return False
+    level = [payload]  # payload itself, if a container, is level 1
+    for _ in range(_TRUSTED_DEPTH):
+        level = [node for node in level if isinstance(node, (dict, list))]
+        if not level:
+            return False
+        level = [child for node in level
+                 for child in (node.values() if isinstance(node, dict) else node)]
+    return True
 
 
 def decode_body(raw: bytes) -> Message:
     """Parse and validate one frame body."""
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = parse_json(raw)
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer of over 4300 digits
         raise ProtocolError(f"frame is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError("frame is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ProtocolError("frame body must be a JSON object")
-    extra = set(payload) - {"body", "cid", "kind", "token"}
-    if extra:
-        raise ProtocolError(f"unexpected envelope keys: {sorted(extra)}")
-    missing = {"body", "cid", "kind", "token"} - set(payload)
-    if missing:
-        raise ProtocolError(f"missing envelope keys: {sorted(missing)}")
+    if payload.keys() != _ENVELOPE_KEYS:
+        extra = set(payload) - _ENVELOPE_KEYS
+        if extra:
+            raise ProtocolError(f"unexpected envelope keys: {sorted(extra)}")
+        raise ProtocolError(f"missing envelope keys: {sorted(_ENVELOPE_KEYS - set(payload))}")
     try:
-        kind = MessageKind(payload["kind"])
-    except ValueError:
+        kind = _KINDS[payload["kind"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ProtocolError(f"unknown message kind {payload['kind']!r}") from None
     cid = payload["cid"]
     if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
@@ -210,7 +373,7 @@ def decode_body(raw: bytes) -> Message:
         raise ProtocolError("body must be a JSON object")
     if kind is MessageKind.ERROR:
         code = body.get("code")
-        if code not in _ERROR_CODES:
+        if not isinstance(code, str) or code not in _ERROR_CODES:
             raise ProtocolError(f"error reply carries unknown code {code!r}")
     return Message(kind=kind, cid=cid, token=token, body=body)
 

@@ -15,6 +15,7 @@ policy complete the set.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +27,8 @@ from atlas.rng import hash_stream
 
 # max_selected for reference runs: effectively "no budget".
 NO_BUDGET = 2**31
+# Largest max_selected: selection sizes are int64.
+MAX_BUDGET = 2**63 - 1
 
 
 class RankingKind(str, Enum):
@@ -68,8 +71,8 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.selection_ratio <= 1.0:
             raise ValueError("selection_ratio must be in (0, 1]")
-        if self.max_selected < 1:
-            raise ValueError("max_selected must be >= 1")
+        if not 1 <= self.max_selected <= MAX_BUDGET:
+            raise ValueError(f"max_selected must be in [1, {MAX_BUDGET}]")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
 
@@ -96,13 +99,16 @@ def parse_policy(spec: str, seed: int = 0, window_len: int = 10) -> SelectionPol
 def selection_size(selection_ratio: float, n_candidates, max_selected: int):
     """min(ceil(ratio * n), max_selected), at least 1, and 0 without candidates.
 
-    Safe against float round-off.  n_candidates is an int (giving an int)
-    or an array of candidate counts (giving one size per count).
+    Safe against float round-off.  n_candidates is an int (giving an int,
+    computed in Python with the same float64 arithmetic) or an array of
+    candidate counts (giving one size per count).
     """
+    if np.ndim(n_candidates) == 0:
+        n = int(n_candidates)
+        return max(1, min(math.ceil(selection_ratio * n - 1e-9), max_selected, n)) if n > 0 else 0
     n = np.asarray(n_candidates, dtype=np.int64)
     k = np.ceil(selection_ratio * n - 1e-9).astype(np.int64)
-    size = np.where(n > 0, np.maximum(1, np.minimum(np.minimum(k, max_selected), n)), 0)
-    return size if size.ndim else int(size)
+    return np.where(n > 0, np.maximum(1, np.minimum(np.minimum(k, max_selected), n)), 0)
 
 
 def class_ratio_scores(selected: np.ndarray, observed: np.ndarray) -> np.ndarray:

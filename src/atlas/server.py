@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -92,9 +93,22 @@ class _Published:
     positions: np.ndarray
 
     @classmethod
-    def of(cls, m: MultiSessionMap, kernels: KernelRegistry) -> "_Published":
+    def of(cls, m: MultiSessionMap, kernels: KernelRegistry,
+           previous: "_Published | None" = None) -> "_Published":
+        """The version m; rows that previous published with the same id and
+        the same position bits keep their fragment."""
         m.index  # built here, under the write lock, rather than by the first query
-        return cls(m, kernels, position_fragments(m.landmark_positions))
+        positions = m.landmark_positions
+        fragments = np.empty(len(positions), dtype=object)
+        fresh = np.ones(len(positions), dtype=bool)
+        if previous is not None and len(previous.map.landmark_ids):
+            old_ids = previous.map.landmark_ids
+            rows = np.minimum(np.searchsorted(old_ids, m.landmark_ids), len(old_ids) - 1)
+            old_bits = previous.map.landmark_positions[rows].view(np.uint64)
+            fresh = (old_ids[rows] != m.landmark_ids) | (old_bits != positions.view(np.uint64)).any(axis=1)
+            fragments[~fresh] = previous.positions[rows[~fresh]]
+        fragments[fresh] = position_fragments(positions[fresh])
+        return cls(m, kernels, fragments)
 
 
 @dataclass
@@ -117,6 +131,16 @@ class _Session:
     n_queries: int = 0
     closed: bool = False
     ledger: BandwidthLedger = field(default_factory=BandwidthLedger)
+
+
+def _finite_number(v: Any) -> bool:
+    """Whether v is an int or a float, not a bool, and finite as a float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 class MapBackend:
@@ -250,7 +274,7 @@ class MapBackend:
             sensor_range = float(body.get("sensor_range", self.default_sensor_range))
             if not (sensor_range > 0 and np.isfinite(sensor_range)):
                 raise ValueError("sensor_range must be finite and positive")
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             return msg.error(ERR_BAD_REQUEST, f"bad session parameters: {exc}")
         snap = self.snapshot
         with self._session_lock:
@@ -281,8 +305,7 @@ class MapBackend:
         if (
             not isinstance(pose, (list, tuple))
             or len(pose) not in (2, 3)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pose)
-            or not all(np.isfinite(v) for v in pose)
+            or not all(map(_finite_number, pose))
         ):
             return msg.error(ERR_BAD_REQUEST, "pose must be [x, y] or [x, y, heading]")
         if session.pending is not None:
@@ -323,14 +346,16 @@ class MapBackend:
         if session.pending is None:
             return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
         observed = msg.body.get("observed")
-        if not isinstance(observed, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in observed
+        if not isinstance(observed, list) or not (
+            set(map(type, observed)) <= {int}  # what a decoded frame holds
+            or all(isinstance(i, int) and not isinstance(i, bool) for i in observed)
         ):
             return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
         pending = session.pending
         distinct = set(observed)
         # The mask credits each distinct observed id once, however often it is named.
-        observed_mask = np.array([i in distinct for i in pending.selected.tolist()], dtype=bool)
+        observed_mask = np.fromiter(map(distinct.__contains__, pending.selected.tolist()),
+                                    dtype=bool, count=len(pending.selected))
         if int(observed_mask.sum()) != len(distinct):
             # A selection holds distinct ids, so some observed id was not selected.
             # Reject without touching the window; the selection stays pending.
@@ -347,13 +372,15 @@ class MapBackend:
     def _upload(self, msg: Message, session: _Session | None) -> Message:
         if session is None:
             return msg.error(ERR_NO_SESSION, "unknown or closed session token")
-        doc = msg.body.get("sortie")
+        # Taken out of the request, the document is freed once parsed, before the update.
+        doc = msg.body.pop("sortie", None)
         if not isinstance(doc, dict):
             return msg.error(ERR_BAD_REQUEST, "upload body must carry a sortie object")
         try:
             dataset = sortie_from_doc(doc)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             return msg.error(ERR_BAD_REQUEST, f"malformed sortie: {exc}")
+        del doc
         with self._write_lock:
             # process_sortie extends and prunes the registry it is given, so it
             # gets a copy; a failed upload leaves the published registry as it was.
@@ -372,7 +399,7 @@ class MapBackend:
             )
             # Atomic publish of the map, its registry and its reply table;
             # readers hold old refs.
-            self._published = _Published.of(new_map, kernels)
+            self._published = _Published.of(new_map, kernels, self._published)
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,

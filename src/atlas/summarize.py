@@ -71,6 +71,34 @@ class SummarizationProblem:
             raise ValueError("costs must be positive and finite")
         if len(self.landmark_vertices) != n:
             raise ValueError("one coverage column per landmark required")
+        if not self._columns_are_normal():
+            self._normalize_columns()
+        if not 1 <= self.keep_count <= n:
+            raise ValueError("keep_count must satisfy 1 <= keep_count <= n_landmarks")
+        if self.min_per_vertex < 1:
+            raise ValueError("min_per_vertex must be >= 1")
+        if self.slack_penalty < 0:
+            raise ValueError("slack_penalty must be >= 0")
+
+    def _columns_are_normal(self) -> bool:
+        """Whether every coverage column is a non-empty, strictly ascending
+        int64 array of vertex rows in range, as build_coobservability makes them."""
+        cols = self.landmark_vertices
+        if not all(isinstance(col, np.ndarray) and col.dtype == np.int64 and col.ndim == 1
+                   for col in cols):
+            return False
+        sizes = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
+        if not sizes.all():
+            return False
+        vertex = np.concatenate(cols)
+        ascending = np.diff(vertex) > 0
+        ascending[np.cumsum(sizes)[:-1] - 1] = True  # a column may start below the last one's end
+        return bool(ascending.all()) and int(vertex.min()) >= 0 and int(vertex.max()) < self.n_vertices
+
+    def _normalize_columns(self) -> None:
+        """Sort and de-duplicate each column; ValueError for an empty one or a
+        vertex out of range."""
+        n = len(self.costs)
         owner = np.repeat(np.arange(n), [len(col) for col in self.landmark_vertices])
         vertex = np.concatenate([np.asarray(col, dtype=np.int64) for col in self.landmark_vertices])
         covers = np.bincount(owner, minlength=n) > 0
@@ -83,12 +111,6 @@ class SummarizationProblem:
         key = key[np.diff(key, prepend=-1) != 0]
         starts = np.searchsorted(key, np.arange(1, n) * self.n_vertices)
         self.landmark_vertices = np.split(key % self.n_vertices, starts)
-        if not 1 <= self.keep_count <= n:
-            raise ValueError("keep_count must satisfy 1 <= keep_count <= n_landmarks")
-        if self.min_per_vertex < 1:
-            raise ValueError("min_per_vertex must be >= 1")
-        if self.slack_penalty < 0:
-            raise ValueError("slack_penalty must be >= 0")
 
     @property
     def n_landmarks(self) -> int:

@@ -31,7 +31,8 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -137,14 +138,18 @@ class KernelTable:
             self.params[row, :n] = np.fromiter(map(attrgetter(name), values), np.float64, n)[order]
         self.params[:, n] = (0.0, 1.0, 0.0)
 
-    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(centers, widths, peaks) of the given landmark ids, in input order."""
+    def columns(self, ids: np.ndarray) -> np.ndarray:
+        """The column of params of each given landmark id, in input order."""
         ids = np.asarray(ids, dtype=np.int64)
         cols = np.searchsorted(self.ids, ids)
         known = cols < len(self.ids)
         known[known] = self.ids[cols[known]] == ids[known]
         cols[~known] = len(self.ids)
-        centers, widths, peaks = self.params[:, cols]
+        return cols
+
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, widths, peaks) of the given landmark ids, in input order."""
+        centers, widths, peaks = self.params[:, self.columns(ids)]
         return centers, widths, peaks
 
 
@@ -456,15 +461,47 @@ def sortie_to_doc(ds: SortieDataset) -> dict:
     }
 
 
+# What a JSON list of integer literals holds inside its brackets.
+_INTEGER_LIST_BYTES = b"0123456789-, \t\n\r"
+
+
+def _int64s(values: list) -> np.ndarray:
+    """np.array([int(v) for v in values], dtype=np.int64), read in C where
+    that gives the same: ints (or bools) as they are, and strings (the keys
+    of a decoded document) that are one JSON integer literal each, read as
+    one JSON array.  Anything else goes through int() itself.
+    """
+    column = None
+    try:
+        text = ",".join(values).encode()
+    except TypeError:  # not all str
+        try:
+            column = np.array(values)
+        except ValueError:  # ragged
+            pass
+    else:
+        if not text.translate(None, _INTEGER_LIST_BYTES):
+            try:
+                column = np.array(json.loads(b"[" + text + b"]"))
+            except ValueError:  # not JSON
+                pass
+    # An int64 column of len(values) holds one int (or bool) per value; of
+    # strings, that means no string held a comma or no literal.
+    if column is not None and column.dtype == np.int64 and column.shape == (len(values),):
+        return column
+    return np.array(list(map(int, values)), dtype=np.int64)
+
+
 def _pose_counts(observations: list[Mapping]) -> np.ndarray:
     """The proposals' observations as int64 (proposal row, pose index, count)
-    rows sorted by row, then pose.
+    rows sorted by row, then pose; each key and count is read as by int().
 
     ValueError when a proposal names one pose twice ("1" and "01", say).
     """
-    poses = np.array([int(k) for obs in observations for k in obs], dtype=np.int64)
-    counts = np.array([int(c) for obs in observations for c in obs.values()], dtype=np.int64)
-    rows = np.repeat(np.arange(len(observations)), [len(obs) for obs in observations])
+    sizes = np.fromiter(map(len, observations), dtype=np.int64, count=len(observations))
+    poses = _int64s(list(chain.from_iterable(observations)))
+    counts = _int64s(list(chain.from_iterable(map(methodcaller("values"), observations))))
+    rows = np.repeat(np.arange(len(observations)), sizes)
     order = np.lexsort((poses, rows))
     triples = np.column_stack((rows, poses[order], counts[order]))  # rows already ascend
     if np.any((np.diff(triples[:, 1]) == 0) & (np.diff(rows) == 0)):
@@ -485,11 +522,11 @@ def sortie_from_doc(doc: Mapping) -> SortieDataset:
     proposals = doc["proposals"]
     positions, observations = check_new_landmarks(
         len(poses),
-        [p["position"] for p in proposals],
-        _pose_counts([p["observations"] for p in proposals]),
+        list(map(itemgetter("position"), proposals)),
+        _pose_counts(list(map(itemgetter("observations"), proposals))),
     )
     kernels = check_kernels(
-        [(k["center"], k["width"], k["peak"]) for k in (p["kernel"] for p in proposals)]
+        list(map(itemgetter("center", "width", "peak"), map(itemgetter("kernel"), proposals)))
     )
     return SortieDataset(
         label=str(doc["label"]),

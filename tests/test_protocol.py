@@ -4,13 +4,17 @@ import io
 import json
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlas.protocol import (
     ERR_BAD_REQUEST,
     MAX_FRAME_BYTES,
+    EncodedBody,
     FrameTooLarge,
     LandmarksReply,
     Message,
@@ -19,10 +23,13 @@ from atlas.protocol import (
     REPLY_KINDS,
     REQUEST_KINDS,
     TruncatedFrame,
+    canonical_json,
     decode_body,
     encode_body,
     encode_frame,
     encode_landmarks_frame,
+    float_texts,
+    parse_json,
     position_fragments,
     read_frame,
     read_message,
@@ -217,3 +224,147 @@ def test_oversized_landmarks_frame_refused():
                            positions=["[0.0,0.0,0.0]"] * n, n_candidates=n, map_version=0)
     with pytest.raises(FrameTooLarge):
         encode_landmarks_frame(reply)
+
+
+# -- decoding is json.loads, parsed by orjson where the two agree --
+
+
+def same_json(a, b) -> bool:
+    """Equal values of equal types all the way down: 1 is not 1.0 nor True,
+    -0.0 is not 0.0, and dict keys come in the same order."""
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, float):
+            if a.hex() != b.hex() and not (a != a and b != b):
+                return False
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                return False
+            pending.extend(zip(a, b))
+        elif isinstance(a, dict):
+            if list(a) != list(b):
+                return False
+            pending.extend((a[k], b[k]) for k in a)
+        elif a != b:
+            return False
+    return True
+
+
+def reference_parse(raw: bytes):
+    """json.loads(raw.decode("utf-8")), or the exception type it raises."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return type(exc)
+
+
+def assert_parses_like_json_loads(raw: bytes) -> None:
+    want = reference_parse(raw)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            parse_json(raw)
+    else:
+        assert same_json(parse_json(raw), want)
+    # inside an envelope: the same value, or the same refusal as ProtocolError
+    frame = b'{"body":{"v":' + raw + b'},"cid":1,"kind":"query","token":null}'
+    if isinstance(reference_parse(frame), type):
+        with pytest.raises(ProtocolError):
+            decode_body(frame)
+    else:
+        assert same_json(decode_body(frame).body, reference_parse(frame)["body"])
+
+
+JSON_EDGE_CASES = [
+    b"NaN", b"Infinity", b"-Infinity", b"[1e400]", b"-1E400", b"1e-400",
+    b"18446744073709551615", b"18446744073709551616", b"-9223372036854775808",
+    b"-9223372036854775809", b"[12345678901234567890,-1234567890123456789]",
+    b"99999999999999999999999", b"1" * 5000, b"-0", b"-0.0",
+    b"0.00012345678901234567", b"12345678901234567890.5", b"12345678901234567890e-3",
+    b"1e-12345678901234567890", b"1e+00000000000000000001", b'"12345678901234567890123"',
+    b'"\\ud800"', b'"\\udc00x"', b'"\\ud83d\\ude00"', b'"\xed\xa0\x80"', b"\xff",
+    b"\xef\xbb\xbf{}", b'"\x01"', b'{"a":1,"a":2,"b":3}', b" {} ", b"[1,]",
+    b"[" * 100000, b"[" * 2000 + b"]" * 2000, b"[" * 300 + b"]" * 300,
+    b'{"a":' * 600 + b"1" + b"}" * 600,
+    b'["]]]]",' + b"[" * 600 + b"]" * 600 + b"]",
+    b'["]",' * 600 + b"1" + b"]" * 600,  # a string closes each level's bracket
+    b'["\\\\",' * 600 + b"1" + b"]" * 600,
+]
+
+
+@pytest.mark.parametrize("raw", JSON_EDGE_CASES, ids=lambda raw: repr(raw[:24]))
+def test_parse_json_edge_cases_match_json_loads(raw):
+    assert_parses_like_json_loads(raw)
+
+
+json_leaves = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1])
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+# json.dumps writes NaN and Infinity as json.loads reads them; orjson refuses them.
+json_texts = st.builds(json.dumps, json_values)
+# Lone surrogates, broken UTF-8 and stray bytes, spliced into a valid text.
+json_splices = st.builds(
+    lambda text, at, junk: text.encode()[:at] + junk + text.encode()[at:],
+    json_texts, st.integers(0, 40),
+    st.sampled_from([b"", b"\xff", b"\xed\xa0\x80", b'"\\ud800"', b"[", b"]", b",", b"\\", b"1e400"]),
+)
+
+
+def nested(depth: int, width: int, text: str) -> bytes:
+    """text beside width small lists, in a list inside depth lists and objects."""
+    inner = "[" + text + ",[1.5,2]" * width + "]"
+    for level in range(depth):
+        inner = f"[{inner}]" if level % 2 else f'{{"k":{inner}}}'
+    return inner.encode()
+
+
+# json.loads refuses nesting near the recursion limit at a depth that moves
+# with its caller's stack, so depths stay clear of that band on both sides
+# (hypothesis may raise the limit while it runs a test).
+nesting_depths = (
+    st.integers(0, 40) | st.integers(480, 520)
+    | st.integers(0, 500).map(lambda k: sys.getrecursionlimit() + 500 + k)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    json_texts.map(str.encode),
+    json_splices,
+    st.binary(max_size=40),
+    st.builds(nested, nesting_depths, st.integers(0, 600), st.sampled_from(['"]"', '"\\"', "1", '"["'])),
+))
+def test_parse_json_matches_json_loads(raw):
+    assert_parses_like_json_loads(raw)
+
+
+# -- bodies written as canonical text --
+
+
+def test_encoded_body_frames_equal_dict_built_frames():
+    rnd = random.Random(20261019)
+    for _ in range(300):
+        msg = random_message(rnd)
+        text = EncodedBody(canonical_json(msg.body))
+        encoded = Message(msg.kind, cid=msg.cid, token=msg.token, body=text)
+        assert encode_frame(encoded) == encode_frame(msg)
+
+
+def test_float_texts_are_json_floats_and_refuse_non_finite():
+    values = np.array([0.0, -0.0, 1e16, 1e-05, 0.1, 1 / 3, 5e-324, -1.7976931348623157e308])
+    assert ",".join(float_texts(values)) == json.dumps(values.tolist(), separators=(",", ":"))[1:-1]
+    assert float_texts(np.array([[1, 2], [3, 4]])) == ["1", "2", "3", "4"]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ProtocolError):
+            float_texts(np.array([1.0, bad]))
+    with pytest.raises(ProtocolError):
+        canonical_json({"x": float("nan")})

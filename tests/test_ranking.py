@@ -65,6 +65,27 @@ def test_selection_size_matches_oracle(ratio, n, m):
     assert selection_size(ratio, n, m) == oracle_selection_size(ratio, n, m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=1e-6, max_value=2.0),
+    st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=2**62),
+)
+def test_scalar_selection_size_equals_the_array_path(ratio, counts, m):
+    sizes = selection_size(ratio, np.array(counts), m)
+    for n, size in zip(counts, sizes.tolist()):
+        scalar = selection_size(ratio, n, m)
+        assert type(scalar) is int and scalar == size
+        assert selection_size(ratio, np.int64(n), m) == size
+
+
+def test_policy_budget_must_fit_int64():
+    assert SelectionPolicy(RankingKind.ALL, max_selected=2**63 - 1).max_selected == 2**63 - 1
+    for bad in (0, 2**63, 10**30):
+        with pytest.raises(ValueError):
+            SelectionPolicy(RankingKind.ALL, max_selected=bad)
+
+
 # -- rolling window --
 
 

@@ -1,6 +1,7 @@
 """Map backend service: session semantics, accounting, transport parity."""
 
 import hashlib
+import io
 import json
 import socket
 import struct
@@ -12,13 +13,15 @@ import numpy as np
 import pytest
 
 import atlas.locsim
-from atlas.client import BackendError, VehicleClient, drive_sortie
+from atlas.client import BackendError, VehicleClient, drive_sortie, sortie_json
 from atlas.experiment import build_dataset, build_world
 from atlas.locsim import PipelineConfig, localize_dataset, process_sortie
 from atlas.mapcore import MultiSessionMap
 from atlas.protocol import (
+    EncodedBody,
     MessageKind,
     Message,
+    ProtocolError,
     decode_body,
     encode_body,
     encode_frame,
@@ -27,6 +30,8 @@ from atlas.protocol import (
 from atlas.ranking import RollingSelectionStats, parse_policy, reference_policy, update_window
 from atlas.server import MapBackend, MapServer
 from atlas.worldgen import (
+    Proposals,
+    SortieDataset,
     generate_sortie,
     generate_world,
     get_scenario,
@@ -225,6 +230,47 @@ def test_open_session_validates_parameters():
     bad_range = wire.send(MessageKind.OPEN_SESSION, {"sensor_range": -3})
     assert bad_range.body["code"] == "bad_request"
     assert wire.backend.sessions == {}
+
+
+HUGE_INT = b"1" + b"0" * 400  # an integer literal beyond the float range
+
+# Each frame once escaped handle_frame with an exception: the connection
+# thread died, no reply went out and nothing was charged.  token is the
+# session the frame is sent on, opened beforehand.
+HOSTILE_FRAMES = {
+    "deep_nesting": lambda token: b"[" * 100000,
+    "integer_of_5000_digits": lambda token: b"1" * 5000,
+    "error_with_a_list_code": lambda token: (
+        b'{"body":{"code":[1]},"cid":1,"kind":"error","token":null}'),
+    "pose_beyond_float_range": lambda token: (
+        b'{"body":{"pose":[%s,0.0]},"cid":1,"kind":"query","token":%d}' % (HUGE_INT, token)),
+    "sensor_range_beyond_float_range": lambda token: (
+        b'{"body":{"sensor_range":%s},"cid":1,"kind":"open_session","token":null}' % HUGE_INT),
+    "infinite_seed": lambda token: (
+        b'{"body":{"seed":1e400},"cid":1,"kind":"open_session","token":null}'),
+    "max_selected_beyond_int64": lambda token: (
+        b'{"body":{"max_selected":%d},"cid":1,"kind":"open_session","token":null}' % 10**30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+def test_hostile_frame_gets_one_charged_bad_request(name):
+    backend = fresh_backend()
+    wire = Wire(backend)
+    token = open_session(wire)
+    wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
+    wire.send(MessageKind.REPORT, {"observed": []}, token=token)
+    before = dict(backend.ledger.to_doc())
+    raw = HOSTILE_FRAMES[name](token)
+    reply = backend.handle_frame(raw)
+    decoded = decode_body(reply[4:])
+    assert decoded.kind is MessageKind.ERROR and decoded.body["code"] == "bad_request"
+    assert backend.ledger.bytes_up == before["bytes_up"] + 4 + len(raw)
+    assert backend.ledger.bytes_down == before["bytes_down"] + len(reply)
+    assert len(backend.sessions) == 1  # no session was opened
+    # the session still works
+    ok = wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
+    assert ok.kind is MessageKind.LANDMARKS
 
 
 def test_ledger_matches_wire_bytes_exactly():
@@ -457,6 +503,96 @@ def test_upload_frame_bytes_are_pinned(name):
     sent = frame(dataset)
     assert hashlib.sha256(sent).hexdigest() == UPLOAD_FRAME_SHA256[name]
     assert frame(sortie_from_doc(sortie_to_doc(dataset))) == sent
+
+
+def upload_frame(ds, cid=3, token=7) -> bytes:
+    """The upload frame as the canonical encoder writes it from the sortie document."""
+    return encode_frame(Message(MessageKind.UPLOAD_SORTIE, cid=cid, token=token,
+                                body={"sortie": sortie_to_doc(ds)}))
+
+
+@pytest.mark.parametrize("name", ["city_dusk", "parking_year"])
+def test_upload_frames_written_from_columns_equal_the_canonical_encoder(name):
+    sc = get_scenario(name)
+    world = build_world(sc, 42)
+    for i in range(len(sc.schedule)):
+        ds = build_dataset(world, i, 42)
+        body = EncodedBody(f'{{"sortie":{sortie_json(ds)}}}')
+        written = encode_frame(Message(MessageKind.UPLOAD_SORTIE, cid=3, token=7, body=body))
+        assert written == upload_frame(ds), f"sortie {i}"
+
+
+def awkward_sortie() -> SortieDataset:
+    """Counts other than 1, pose keys whose string order is not their numeric
+    order, a proposal with no observations, and floats json.dumps writes in
+    exponent form or with a sign on zero."""
+    poses = np.zeros((120, 3))
+    poses[:3] = [[-0.0, 1e16, 1e-05], [0.1, -2.5, 5e-324], [1 / 3, 123456.789, -1e-300]]
+    observations = np.array([[0, 9, 1], [0, 10, 2], [0, 100, 7], [2, 0, 1], [2, 11, 1], [2, 2, 3]])
+    positions = np.array([[0.0, -0.0, 1e22], [1.5, 2.5, 3.5], [-1e-07, 4.0, 0.25]])
+    kernels = np.array([[0.5, 0.1, 0.9], [0.0, 0.05, 1.0], [0.999, 0.2, 0.3]])
+    return SortieDataset("awkward \u00e9\"label", 0.125, poses,
+                         Proposals(positions, observations, kernels), 25, 2**64 - 1, 7)
+
+
+def recording_client(replies: list[Message]) -> VehicleClient:
+    """A VehicleClient with no socket: it records what it sends and reads the given replies."""
+
+    class Recorder:
+        def __init__(self):
+            self.sent: list[bytes] = []
+
+        def sendall(self, data: bytes) -> None:
+            self.sent.append(data)
+
+    client = VehicleClient.__new__(VehicleClient)
+    client._sock = Recorder()
+    client._stream = io.BytesIO(b"".join(encode_frame(r) for r in replies))
+    client._next_cid = 1
+    client.token = 7
+    return client
+
+
+def test_vehicle_frames_equal_the_canonical_encoder():
+    ds = awkward_sortie()
+    assert sortie_json(ds) == json.dumps(sortie_to_doc(ds), sort_keys=True, separators=(",", ":"))
+    ack = {"session_kind": "observation", "new_landmark_ids": []}
+    client = recording_client([
+        Message(MessageKind.LANDMARKS, cid=1, token=7, body={
+            "landmark_ids": [4, 2], "class_ids": [0, 1], "positions": [[0.0, 0.0, 0.0]] * 2,
+            "n_candidates": 5, "map_version": 3}),
+        Message(MessageKind.UPDATE_ACK, cid=2, token=7, body={"n_recorded": 1, "window_fill": 1}),
+        Message(MessageKind.UPDATE_ACK, cid=3, token=7, body=ack),
+    ])
+    result = client.query(ds.poses[0])
+    assert result.landmark_ids == [4, 2] and result.class_ids == [0, 1]
+    client.report(np.array([4, 4], dtype=np.int64))
+    assert client.upload_sortie(ds) == ack
+    pose = [float(v) for v in ds.poses[0]]
+    assert client._sock.sent == [
+        encode_frame(Message(MessageKind.QUERY, cid=1, token=7, body={"pose": pose})),
+        encode_frame(Message(MessageKind.REPORT, cid=2, token=7, body={"observed": [4, 4]})),
+        upload_frame(ds, cid=3, token=7),
+    ]
+
+
+def test_vehicle_refuses_non_finite_values_as_the_encoder_does():
+    ds = awkward_sortie()
+    bad_positions = ds.proposals.positions.copy()
+    bad_positions[1, 2] = np.nan
+    bad = SortieDataset(ds.label, ds.condition, ds.poses,
+                        Proposals(bad_positions, ds.proposals.observations, ds.proposals.kernels),
+                        ds.sensor_range, ds.observation_seed, ds.error_seed)
+    with pytest.raises(ProtocolError):
+        upload_frame(bad)
+    client = recording_client([])
+    with pytest.raises(ProtocolError):
+        client.upload_sortie(bad)
+    with pytest.raises(ProtocolError):
+        client.query([0.0, np.inf, 0.0])
+    with pytest.raises(ProtocolError):
+        client.upload_sortie(SortieDataset(**{**ds.__dict__, "condition": float("nan")}))
+    assert client._sock.sent == []
 
 
 def test_window_resets_when_map_version_changes(grown):

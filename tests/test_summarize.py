@@ -56,6 +56,24 @@ def small_problem(costs, cols, n_vertices, keep, b=1, lam=10.0):
     )
 
 
+def test_ascending_columns_are_kept_and_any_other_input_normalized():
+    m = two_session_map()
+    vertex_ids, _, cols = build_coobservability(m)
+    _, costs = build_cost_vector(m)
+    problem = SummarizationProblem(costs, cols, len(vertex_ids), keep_count=2)
+    assert all(kept is col for kept, col in zip(problem.landmark_vertices, cols))
+    # descending, repeated, or given as lists: sorted and de-duplicated
+    for given in ([np.array([2, 0]), np.array([1])], [np.array([0, 0, 1]), np.array([1])],
+                  [[2, 0], [1]], [np.array([0, 2], dtype=np.int32), np.array([1])]):
+        normalized = small_problem([1.0, 1.0], given, 3, keep=1)
+        assert [c.tolist() for c in normalized.landmark_vertices] == [sorted(set(np.asarray(given[0]).tolist())), [1]]
+        assert all(c.dtype == np.int64 for c in normalized.landmark_vertices)
+    for bad in ([np.array([0, 3]), np.array([1])], [np.array([-1, 0]), np.array([1])],
+                [np.array([0, 1]), np.array([], dtype=np.int64)]):
+        with pytest.raises(ValueError):
+            small_problem([1.0, 1.0], bad, 3, keep=1)
+
+
 def test_exact_solver_worked_example():
     # Two vertices, two landmarks each; keeping one per vertex is forced
     # because uncovered vertices cost lam=10 apiece.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from atlas.rng import derive_seed
 from atlas.worldgen import (
+    _int64s,
     KERNEL_CUTOFF_WIDTHS,
     KernelTable,
     ObservabilityKernel,
@@ -276,6 +277,37 @@ def test_sortie_doc_round_trip():
         assert a.dtype == b.dtype and np.array_equal(a, b)
     # the doc is JSON-serializable as-is
     json.dumps(doc)
+
+
+def int_reference(values: list):
+    """np.array([int(v) for v in values], dtype=np.int64), or the exception type it raises."""
+    try:
+        return np.array([int(v) for v in values], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+key_texts = st.text(alphabet="0123456789-+ \t\n_.,e[]\u0663\u00a0x", max_size=6) | st.sampled_from(
+    ["9223372036854775807", "9223372036854775808", "-9223372036854775808", "1" * 30, "00", "-0"]
+)
+document_values = st.lists(
+    st.one_of(key_texts, st.integers(-(2**64), 2**64), st.booleans(), st.floats(-1e20, 1e20),
+              st.none(), st.lists(st.integers(0, 3), max_size=2)),
+    max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(key_texts, max_size=8) | st.lists(st.integers(-(2**64), 2**64), max_size=8)
+       | document_values)
+def test_int64s_reads_values_as_int_does(values):
+    want = int_reference(values)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _int64s(values)
+    else:
+        got = _int64s(values)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 # -- scenarios --
