@@ -23,6 +23,7 @@ from .protocol import (
     canonical_json,
     encode_frame,
     float_texts,
+    position_fragments,
     read_message,
 )
 from .rng import normal_pair_stream, uniform01
@@ -59,21 +60,19 @@ def sortie_json(ds: SortieDataset) -> str:
     entries[other] = [keys[k] + repr(c) for k, c in zip(which[other].tolist(), counts[other].tolist())]
     entries = entries.tolist()
     bounds = np.searchsorted(rows[order], np.arange(len(props) + 1)).tolist()
-    xyz = iter(float_texts(props.positions))
     kernel = iter(float_texts(props.kernels))  # center, width, peak
     proposals = ",".join([
         f'{{"kernel":{{"center":{center},"peak":{peak},"width":{width}}},'
-        f'"observations":{{{",".join(entries[lo:hi])}}},"position":[{x},{y},{z}]}}'
-        for (center, width, peak), (x, y, z), lo, hi
-        in zip(zip(kernel, kernel, kernel), zip(xyz, xyz, xyz), bounds, bounds[1:])
+        f'"observations":{{{",".join(entries[lo:hi])}}},"position":{position}}}'
+        for (center, width, peak), position, lo, hi in zip(
+            zip(kernel, kernel, kernel), position_fragments(props.positions), bounds, bounds[1:])
     ])
-    pose = iter(float_texts(np.asarray(ds.poses, dtype=np.float64)))
     return "".join((
         '{"condition":', canonical_json(ds.condition),
         ',"error_seed":', canonical_json(ds.error_seed),
         ',"label":', canonical_json(ds.label),
         ',"observation_seed":', canonical_json(ds.observation_seed),
-        ',"poses":[', ",".join([f"[{x},{y},{h}]" for x, y, h in zip(pose, pose, pose)]),
+        ',"poses":[', ",".join(position_fragments(np.asarray(ds.poses, dtype=np.float64))),
         '],"proposals":[', proposals,
         '],"sensor_range":', canonical_json(ds.sensor_range), "}",
     ))

@@ -204,13 +204,13 @@ class LandmarksReply:
 def position_fragments(positions: np.ndarray) -> np.ndarray:
     """One canonical JSON fragment ``"[x,y,z]"`` per row of an (n, 3) array.
 
-    Floats are written with float.__repr__, as json.dumps writes them; the
-    positions must be finite.  The result is an object array of str, so a
-    selection of rows is one fancy index.
+    Numbers are written by float_texts, so a non-finite one raises
+    ProtocolError.  The result is an object array of str, so a selection of
+    rows is one fancy index.
     """
+    xyz = iter(float_texts(positions))
     out = np.empty(len(positions), dtype=object)
-    rows = np.asarray(positions, dtype=np.float64).tolist()
-    out[:] = [f"[{x!r},{y!r},{z!r}]" for x, y, z in rows]
+    out[:] = [f"[{x},{y},{z}]" for x, y, z in zip(xyz, xyz, xyz)]
     return out
 
 
@@ -320,19 +320,18 @@ def _read_alike(raw: bytes, start: int, end: int) -> bool:
 def _nests(raw: bytes, payload: Any) -> bool:
     """Whether payload, parsed from raw, nests _TRUSTED_DEPTH levels deep.
 
-    Read from the brackets of raw while no string holds a bracket, quote or
-    backslash and the nesting is shallow; else found by walking payload.
+    Read from the brackets of raw when that settles it within _SHALLOW
+    levels, else found by walking payload.
     """
-    brackets = raw.translate(_SQUARE, _NOT_STRUCTURE)
-    if b"\\" not in brackets:
-        # Drops every string, leaving a quote if a string holds a bracket:
-        # the quotes before that bracket are odd in number.
-        brackets = brackets.replace(b'""', b"")
-        if b'"' not in brackets:
-            for _ in range(_SHALLOW):
-                brackets = brackets.replace(b"[]", b"")  # the innermost containers
-                if not brackets:
-                    return False
+    # Dropping every '""' leaves only the brackets outside strings, unless a
+    # string holds a bracket (a quote stays: the quotes before that bracket
+    # are odd in number) or an escape (its backslash stays).  Either keeps
+    # the loop below from emptying the bytes, so the walk decides.
+    brackets = raw.translate(_SQUARE, _NOT_STRUCTURE).replace(b'""', b"")
+    for _ in range(_SHALLOW):
+        brackets = brackets.replace(b"[]", b"")  # the innermost containers
+        if not brackets:
+            return False
     level = [payload]  # payload itself, if a container, is level 1
     for _ in range(_TRUSTED_DEPTH):
         level = [node for node in level if isinstance(node, (dict, list))]

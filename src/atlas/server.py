@@ -95,8 +95,8 @@ class _Published:
     @classmethod
     def of(cls, m: MultiSessionMap, kernels: KernelRegistry,
            previous: "_Published | None" = None) -> "_Published":
-        """The version m; rows that previous published with the same id and
-        the same position bits keep their fragment."""
+        """The version m.  A landmark that previous published at the same
+        position bits keeps its fragment, which is a function of those bits."""
         m.index  # built here, under the write lock, rather than by the first query
         positions = m.landmark_positions
         fragments = np.empty(len(positions), dtype=object)
@@ -105,7 +105,7 @@ class _Published:
             old_ids = previous.map.landmark_ids
             rows = np.minimum(np.searchsorted(old_ids, m.landmark_ids), len(old_ids) - 1)
             old_bits = previous.map.landmark_positions[rows].view(np.uint64)
-            fresh = (old_ids[rows] != m.landmark_ids) | (old_bits != positions.view(np.uint64)).any(axis=1)
+            fresh = (old_bits != positions.view(np.uint64)).any(axis=1)
             fragments[~fresh] = previous.positions[rows[~fresh]]
         fragments[fresh] = position_fragments(positions[fresh])
         return cls(m, kernels, fragments)

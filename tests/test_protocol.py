@@ -277,6 +277,7 @@ def assert_parses_like_json_loads(raw: bytes) -> None:
         assert same_json(decode_body(frame).body, reference_parse(frame)["body"])
 
 
+DEEP = sys.getrecursionlimit() + 500
 JSON_EDGE_CASES = [
     b"NaN", b"Infinity", b"-Infinity", b"[1e400]", b"-1E400", b"1e-400",
     b"18446744073709551615", b"18446744073709551616", b"-9223372036854775808",
@@ -289,8 +290,10 @@ JSON_EDGE_CASES = [
     b"[" * 100000, b"[" * 2000 + b"]" * 2000, b"[" * 300 + b"]" * 300,
     b'{"a":' * 600 + b"1" + b"}" * 600,
     b'["]]]]",' + b"[" * 600 + b"]" * 600 + b"]",
-    b'["]",' * 600 + b"1" + b"]" * 600,  # a string closes each level's bracket
-    b'["\\\\",' * 600 + b"1" + b"]" * 600,
+    # Strings that close each level's bracket and open it again, as written
+    # and with escaped quotes, nested deeper than json.loads can read.
+    b'["]",' * DEEP + b"1" + b',"["]' * DEEP,
+    b'["\\"]\\"",' * DEEP + b"1" + b',"\\"[\\""]' * DEEP,
 ]
 
 

@@ -43,6 +43,7 @@ def oracle_selection_size(ratio: float, n: int, m: int) -> int:
         (1.0, 10, NO_BUDGET, 10),
         (0.2, 10, NO_BUDGET, 2),  # exact product must not round up to 3
         (0.3, 10, NO_BUDGET, 3),
+        (0.07, 100, NO_BUDGET, 7),  # 0.07 * 100 is 7.000000000000001
         (0.25, 10, NO_BUDGET, 3),  # fractional product rounds up
         (0.2, 1, NO_BUDGET, 1),
         (0.01, 10, NO_BUDGET, 1),  # never below one

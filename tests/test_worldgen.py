@@ -288,7 +288,8 @@ def int_reference(values: list):
 
 
 key_texts = st.text(alphabet="0123456789-+ \t\n_.,e[]\u0663\u00a0x", max_size=6) | st.sampled_from(
-    ["9223372036854775807", "9223372036854775808", "-9223372036854775808", "1" * 30, "00", "-0"]
+    ["9223372036854775807", "9223372036854775808", "-9223372036854775808", "1" * 30, "00", "-0",
+     "true", "false", "null", "1.0", "NaN"]
 )
 document_values = st.lists(
     st.one_of(key_texts, st.integers(-(2**64), 2**64), st.booleans(), st.floats(-1e20, 1e20),
