@@ -5,6 +5,8 @@ token, and a kernel sidecar describing how its own sensor responds to
 each landmark it knows about.  The backend sends ranked selections; the
 vehicle attempts to match them, reports what it actually observed, and
 finally uploads the sortie so the backend can grow or annotate the map.
+Requests are written from the vehicle's arrays as canonical JSON text
+(``EncodedBody``), the upload by ``sortie_json`` from the sortie's columns.
 """
 
 from __future__ import annotations
@@ -49,15 +51,15 @@ def sortie_json(ds: SortieDataset) -> str:
     rows, poses, counts = props.observations.T
     # Rank the distinct pose indices in the order of their strings.
     distinct, which = np.unique(poses, return_inverse=True)
-    keys = [f'"{p}":' for p in distinct.tolist()]
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    names = list(map(str, distinct.tolist()))
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((rank[which], rows))
     which, counts = which[order], counts[order]
     # Nearly every count is 1: take '"pose":1' whole and write the rest.
-    entries = np.array([key + "1" for key in keys], dtype=object)[which]
+    entries = np.array([f'"{name}":1' for name in names], dtype=object)[which]
     other = np.flatnonzero(counts != 1)
-    entries[other] = [keys[k] + repr(c) for k, c in zip(which[other].tolist(), counts[other].tolist())]
+    entries[other] = [f'"{names[k]}":{c}' for k, c in zip(which[other].tolist(), counts[other].tolist())]
     entries = entries.tolist()
     bounds = np.searchsorted(rows[order], np.arange(len(props) + 1)).tolist()
     kernel = iter(float_texts(props.kernels))  # center, width, peak
@@ -164,7 +166,7 @@ class VehicleClient:
         )
 
     def report(self, observed_ids) -> dict:
-        ids = observed_ids.tolist() if isinstance(observed_ids, np.ndarray) else map(int, observed_ids)
+        ids = map(int, observed_ids.tolist() if isinstance(observed_ids, np.ndarray) else observed_ids)
         reply = self.call(MessageKind.REPORT, EncodedBody(f'{{"observed":[{",".join(map(str, ids))}]}}'))
         return reply.body
 

@@ -245,10 +245,10 @@ _NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
 # Nesting read from the brackets up to this depth, deeper by a walk.
 _SHALLOW = 16
 # orjson 3.8 parses into a buffer that it keeps for the life of the
-# process, and what the largest frame parsed touched of it stays resident:
-# about 1.5 MB for a 385 kB sortie upload, against 1.4 MB for a 67 kB
-# frame of short lists.  Frames up to this length (replies and every
-# request but an upload) go to orjson.
+# process, and the part of it the largest frame so far touched stays
+# resident: about 1.5 MB once a server has parsed one 385 kB city_dusk
+# upload.  Uploads are longer than this; in a city_dusk fleet pass every
+# other frame is shorter, the largest being a 40 kB landmarks reply.
 _ORJSON_MAX_BYTES = 64 * 1024
 
 

@@ -347,7 +347,7 @@ class MapBackend:
             return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
         observed = msg.body.get("observed")
         if not isinstance(observed, list) or not (
-            set(map(type, observed)) <= {int}  # what a decoded frame holds
+            set(map(type, observed)) <= {int}  # at C speed, for the ints of a decoded frame
             or all(isinstance(i, int) and not isinstance(i, bool) for i in observed)
         ):
             return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")

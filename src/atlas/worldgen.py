@@ -473,20 +473,21 @@ def _int64s(values: list) -> np.ndarray:
     """
     column = None
     try:
-        text = ",".join(values).encode()
+        text = ",".join(values)
     except TypeError:  # not all str
         try:
             column = np.array(values)
         except ValueError:  # ragged
             pass
     else:
-        if not text.translate(None, _INTEGER_LIST_BYTES):
+        if text.isascii() and not text.encode().translate(None, _INTEGER_LIST_BYTES):
             try:
-                column = np.array(json.loads(b"[" + text + b"]"))
+                column = np.array(json.loads(f"[{text}]"))
             except ValueError:  # not JSON
                 pass
-    # An int64 column of len(values) holds one int (or bool) per value; of
-    # strings, that means no string held a comma or no literal.
+    # An int64 column of len(values) holds one int (or bool) per value.  Read
+    # from strings, each string held one literal: a comma in one would make
+    # the column longer, and an empty one is not JSON.
     if column is not None and column.dtype == np.int64 and column.shape == (len(values),):
         return column
     return np.array(list(map(int, values)), dtype=np.int64)
