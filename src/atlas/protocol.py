@@ -234,16 +234,10 @@ def encode_landmarks_frame(reply: LandmarksReply) -> bytes:
 # at all.  From any call site with fewer than (recursion limit - this many)
 # frames on the stack, json.loads parses every frame nested less deeply.
 _TRUSTED_DEPTH = 500
-_INT64_MIN, _UINT64_MAX = -(2**63), 2**64 - 1  # the integers orjson keeps as int
 # Byte classes of a frame: 1 for a digit, 2 for '[' or '{', 0 for the rest.
 _CLASSES = bytes(1 if 48 <= b <= 57 else 2 if b in b"[{" else 0 for b in range(256))
 # Every integer literal beyond 64 bits holds a run of this many digits.
 _LONG_DIGIT_RUN = b"\x01" * 19
-# A frame's structure: its brackets as '[' and ']', its quotes and backslashes.
-_SQUARE = bytes.maketrans(b"{}", b"[]")
-_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"\\')
-# Nesting read from the brackets up to this depth, deeper by a walk.
-_SHALLOW = 16
 # orjson 3.8 parses into a buffer that it keeps for the life of the
 # process, and the part of it the largest frame so far touched stays
 # resident: about 1.5 MB once a server has parsed one 385 kB city_dusk
@@ -259,8 +253,9 @@ def parse_json(raw: bytes) -> Any:
     which orjson differs from json.loads.  These go to json.loads itself:
     frames orjson refuses (NaN and Infinity, lone surrogate escapes,
     overflowing floats such as 1e400, and what is not JSON at all), frames
-    that may hold an integer literal beyond 64 bits (orjson would make it
-    a float) and frames nested _TRUSTED_DEPTH or more levels deep (orjson
+    with a run of 19 or more digits that is not part of a float (every
+    integer literal beyond 64 bits has one, and orjson would make it a
+    float) and frames nested _TRUSTED_DEPTH or more levels deep (orjson
     parses any depth; json.loads raises RecursionError).  Frames longer
     than _ORJSON_MAX_BYTES (sortie uploads) go to json.loads as well.
     """
@@ -280,58 +275,23 @@ def _json_loads(raw: bytes) -> Any:
 
 
 def _beyond_orjson(raw: bytes, payload: Any) -> bool:
-    """Whether raw may hold an integer literal beyond 64 bits, or nest
-    _TRUSTED_DEPTH deep.  False positives only cost a json.loads."""
+    """Whether raw may hold an integer literal beyond 64 bits, or payload
+    nests _TRUSTED_DEPTH deep.  False positives only cost a json.loads."""
     classes = raw.translate(_CLASSES)
     start = classes.find(_LONG_DIGIT_RUN)
     while start >= 0:
         end = start + len(_LONG_DIGIT_RUN)
         while end < len(raw) and classes[end] == 1:
             end += 1
-        if not _read_alike(raw, start, end):
+        # A float's fraction or integer part reads alike in both parsers; a
+        # run inside a string is judged like a number and at worst costs a
+        # json.loads.
+        if raw[start - 1:start] != b"." and raw[end:end + 1] not in (b".", b"e", b"E"):
             return True
         start = classes.find(_LONG_DIGIT_RUN, end)
     # Each level of nesting opens with one '[' or '{'.
     if len(raw) < 2 * _TRUSTED_DEPTH or classes.count(2) < _TRUSTED_DEPTH:
         return False
-    return _nests(raw, payload)
-
-
-def _read_alike(raw: bytes, start: int, end: int) -> bool:
-    """Whether orjson reads the number holding the long digit run
-    raw[start:end] as json.loads does.
-
-    It does for a float's digits (orjson rounds floats correctly) and for an
-    integer literal in [-2**63, 2**64 - 1]; an exponent's digits go to
-    json.loads.  A run inside a string is judged like a number: at worst it
-    costs a json.loads.
-    """
-    before, after = raw[max(start - 2, 0):start], raw[end:end + 1]
-    if before[-1:] in (b"e", b"E", b"+") or before in (b"e-", b"E-"):
-        return False  # an exponent
-    if before[-1:] == b"." or after in (b".", b"e", b"E"):
-        return True  # a float's fraction or integer part
-    if end - start > 20:
-        return False
-    value = int(raw[start:end])
-    return value <= (-_INT64_MIN if before[-1:] == b"-" else _UINT64_MAX)
-
-
-def _nests(raw: bytes, payload: Any) -> bool:
-    """Whether payload, parsed from raw, nests _TRUSTED_DEPTH levels deep.
-
-    Read from the brackets of raw when that settles it within _SHALLOW
-    levels, else found by walking payload.
-    """
-    # Dropping every '""' leaves only the brackets outside strings, unless a
-    # string holds a bracket (a quote stays: the quotes before that bracket
-    # are odd in number) or an escape (its backslash stays).  Either keeps
-    # the loop below from emptying the bytes, so the walk decides.
-    brackets = raw.translate(_SQUARE, _NOT_STRUCTURE).replace(b'""', b"")
-    for _ in range(_SHALLOW):
-        brackets = brackets.replace(b"[]", b"")  # the innermost containers
-        if not brackets:
-            return False
     level = [payload]  # payload itself, if a container, is level 1
     for _ in range(_TRUSTED_DEPTH):
         level = [node for node in level if isinstance(node, (dict, list))]

@@ -93,22 +93,9 @@ class _Published:
     positions: np.ndarray
 
     @classmethod
-    def of(cls, m: MultiSessionMap, kernels: KernelRegistry,
-           previous: "_Published | None" = None) -> "_Published":
-        """The version m.  A landmark that previous published at the same
-        position bits keeps its fragment, which is a function of those bits."""
+    def of(cls, m: MultiSessionMap, kernels: KernelRegistry) -> "_Published":
         m.index  # built here, under the write lock, rather than by the first query
-        positions = m.landmark_positions
-        fragments = np.empty(len(positions), dtype=object)
-        fresh = np.ones(len(positions), dtype=bool)
-        if previous is not None and len(previous.map.landmark_ids):
-            old_ids = previous.map.landmark_ids
-            rows = np.minimum(np.searchsorted(old_ids, m.landmark_ids), len(old_ids) - 1)
-            old_bits = previous.map.landmark_positions[rows].view(np.uint64)
-            fresh = (old_bits != positions.view(np.uint64)).any(axis=1)
-            fragments[~fresh] = previous.positions[rows[~fresh]]
-        fragments[fresh] = position_fragments(positions[fresh])
-        return cls(m, kernels, fragments)
+        return cls(m, kernels, position_fragments(m.landmark_positions))
 
 
 @dataclass
@@ -346,10 +333,8 @@ class MapBackend:
         if session.pending is None:
             return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
         observed = msg.body.get("observed")
-        if not isinstance(observed, list) or not (
-            set(map(type, observed)) <= {int}  # at C speed, for the ints of a decoded frame
-            or all(isinstance(i, int) and not isinstance(i, bool) for i in observed)
-        ):
+        # A decoded frame's integers are exactly int, so this also refuses bools.
+        if not isinstance(observed, list) or not set(map(type, observed)) <= {int}:
             return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
         pending = session.pending
         distinct = set(observed)
@@ -399,7 +384,7 @@ class MapBackend:
             )
             # Atomic publish of the map, its registry and its reply table;
             # readers hold old refs.
-            self._published = _Published.of(new_map, kernels, self._published)
+            self._published = _Published.of(new_map, kernels)
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,
