@@ -15,11 +15,11 @@ one SortieDraws: `SortieDraws.on` swaps only the class index it reads.
 `localize_policies` runs any number of policies over one sortie in one
 pass.  Policies that never read the rolling window (`all`, `random`)
 select for every pose at once.  The ranked policies step through the
-poses together: one (policy, class) table of window sums, one stable sort
-of the class scores per pose over each seed's tie-break order, and one
-bincount for all their window rows.  A run hands its observations to the
-map as int64 rows of (landmark id, pose index, count), the form every map
-ingestion takes.
+poses together: one `RollingSelectionStats` with a lane per policy, one
+stable sort of the class scores per pose over each seed's tie-break
+order, and one bincount for the window row of every lane.  A run hands
+its observations to the map as int64 rows of (landmark id, pose index,
+count), the form every map ingestion takes.
 
 Translation error is a proxy, not an integrated estimator: the per-pose
 error is |N(0, sigma)| with sigma shrinking in the number of observed
@@ -39,11 +39,10 @@ import numpy as np
 from atlas.mapcore import EquivalenceClassIndex, MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.ranking import (
     RankingKind,
+    RollingSelectionStats,
     SelectionPolicy,
-    class_ratio_scores,
     selection_order,  # noqa: F401 -- the order the lockstep reproduces; perfbench wraps this name
     selection_size,
-    session_weight_scores,
 )
 from atlas.rng import hash_stream, normal_pair_stream, uniform01
 from atlas.summarize import build_problem, apply_summarization, solve
@@ -264,22 +263,6 @@ def sortie_draws(
     )
 
 
-def _window_scores(
-    index: EquivalenceClassIndex, sums: np.ndarray, by_weight: np.ndarray
-) -> np.ndarray:
-    """(policy, class) scores from (policy, class, [undetected, detected]) window sums.
-
-    Policies rank by class_ratio, except the rows by_weight lists, which
-    rank by session_weight.
-    """
-    observed = sums[:, :, 1]
-    selected = sums[:, :, 0] + observed
-    scores = class_ratio_scores(selected, observed)
-    if len(by_weight):
-        scores[by_weight] = session_weight_scores(index, selected[by_weight], observed[by_weight])
-    return scores
-
-
 def _lockstep_picks(
     draws: SortieDraws, policies: Sequence[SelectionPolicy], sizes: np.ndarray, bootstrap: bool
 ) -> list[np.ndarray]:
@@ -287,17 +270,15 @@ def _lockstep_picks(
 
     Returns, per policy, the positions of its selections in its tie-break
     order, pose after pose and in rank order within a pose; sizes holds
-    each policy's selection size per pose.  The window sums of every
-    policy are one (policy, class, [undetected, detected]) table, kept
-    over a ring of past window rows with each policy's own window_len.  A
+    each policy's selection size per pose.  The policies share one
+    RollingSelectionStats, one lane each, and every pose pushes one row.  A
     pose's rank order is a stable sort of the negated class scores over
     the tie-break order, which is selection_order's (score descending,
     tie-break word, id) order.
     """
     n_policies, n_classes, n_poses = len(policies), len(draws.index), draws.n_poses
-    by_weight = np.flatnonzero([p.ranking is RankingKind.SESSION_WEIGHT for p in policies])
     n_candidates = np.diff(draws.ptr)
-    # Each candidate's table key, 2 * (policy * n_classes + class) + detected, in
+    # Each candidate's row key, 2 * (policy * n_classes + class) + detected, in
     # tie-break order; and whether its rank in the pose is within the policy's size.
     key = (2 * draws.classes + draws.detected).astype(np.min_scalar_type(2 * n_classes * n_policies))
     by_seed = {p.seed: key[draws.tiebreak_order(p.seed)] for p in policies}
@@ -307,32 +288,24 @@ def _lockstep_picks(
     takes = np.empty(keys.shape, dtype=bool)
     for size, take in zip(sizes, takes):
         np.less(local_rank, np.repeat(size, n_candidates), out=take)
-    window = np.array([p.window_len for p in policies])
-    ring_len = int(window.max())
-    ring = np.zeros((ring_len, n_policies, n_classes, 2), dtype=np.int64)
-    sums = np.zeros(ring.shape[1:], dtype=np.int64)
-    flat_ring, flat_sums = ring.reshape(ring_len, -1), sums.reshape(-1)
-    # Each policy's ring slot of pose k - window_len's row, still empty while k < window_len.
-    evicted = (np.arange(n_poses)[:, None] - window) % ring_len
-    policy_row = np.arange(n_policies)
-    policy_col = policy_row[:, None]
+    window = RollingSelectionStats(policies, n_classes)
+    empty = np.zeros(window.sums.shape, dtype=np.int64)
+    policy_col = np.arange(n_policies)[:, None]
     picks = []
     ptr = draws.ptr.tolist()
     for k, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        row = 0  # a pose without candidates pushes an empty row
+        row = empty  # a pose without candidates pushes an empty row
         if a < b:
             pose_keys, take = keys[:, a:b], takes[:, a:b]
             if k == 0 and bootstrap:  # every candidate is selected: the order is set later
                 by_score, ranked_keys = np.broadcast_to(local_rank[a:b], take.shape), pose_keys
             else:
-                scores = -_window_scores(draws.index, sums, by_weight)
+                scores = -window.scores(draws.index)
                 by_score = np.argsort(scores.ravel()[pose_keys >> 1], axis=1, kind="stable")
                 ranked_keys = pose_keys[policy_col, by_score]
             picks.append(by_score[take])
-            row = np.bincount(ranked_keys[take], minlength=len(flat_sums))
-            flat_sums += row
-        sums -= ring[evicted[k], policy_row]
-        flat_ring[k % ring_len] = row
+            row = np.bincount(ranked_keys[take], minlength=empty.size).reshape(empty.shape)
+        window.push_record(row)
     # picks hold each pose's selections policy after policy; gather each policy's.
     flat = np.concatenate(picks + [np.empty(0, np.int64)])
     del picks

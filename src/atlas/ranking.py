@@ -9,8 +9,9 @@ observed.  The class ratio observed/selected is the ranking signal.  A
 per-session variant (the max over the class's sessions of the session's
 observed/selected weight) is kept as a baseline; its session counts are
 derived from the class counts through the index's class keys, so the
-window holds no second table.  A uniform random and an unranked reference
-policy complete the set.
+window holds no second table.  A window has one lane per policy: the
+simulator's ranked policies share one, and a served session has its own.
+A uniform random and an unranked reference policy complete the set.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -144,115 +146,92 @@ def session_weight_scores(
     return np.maximum.reduceat(weight[..., index.key_sessions], index.key_ptr[:-1], axis=-1)
 
 
-class RollingSelectionStats:
-    """Sliding window of per-class selection/observation counts.
+def _lanes(mask: list[bool]) -> slice | np.ndarray | None:
+    """The lanes mask picks: None for none, and a slice (a view, not a copy) for all."""
+    if not any(mask):
+        return None
+    return slice(None) if all(mask) else np.flatnonzero(mask)
 
-    Each row is a pair of count arrays indexed by class id: how many members
-    of each class one localization iteration selected and how many of those
-    it then observed.  The running sums are kept incrementally on push and
-    eviction and always equal a sum over the stored rows (`recount`).  Class
-    ids belong to the index that was current when the rows were pushed;
-    users clear the stats when the map, and therefore the class numbering,
-    changes.
+
+class RollingSelectionStats:
+    """Rolling windows of per-class selection/observation counts, one lane per policy.
+
+    A row is a (lane, class, [unobserved, observed]) count array: per lane,
+    how many members of each class one localization iteration selected and
+    did not observe, and how many it observed.  Each lane sums its policy's
+    last window_len rows, kept incrementally on push and eviction; a row is
+    dropped once no lane holds it, so memory follows the rows pushed, never
+    window_len.  A window is made for one class index; users make a new one
+    when the map, and therefore the class numbering, changes.
     """
 
-    def __init__(self, window_len: int = 10):
-        if window_len < 1:
-            raise ValueError("window_len must be >= 1")
-        self.window_len = window_len
-        self.rows: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        self.selected = np.zeros(0, dtype=np.int64)
-        self.observed = np.zeros(0, dtype=np.int64)
+    def __init__(self, policies: Sequence[SelectionPolicy], n_classes: int):
+        lens = [p.window_len for p in policies]
+        self.sums = np.zeros((len(lens), n_classes, 2), dtype=np.int64)
+        self.rows: deque[np.ndarray] = deque()
+        self._longest = max(lens)
+        # The lanes each window length evicts from, and the lanes ranked by weight.
+        self._evictions = [(w, _lanes([n == w for n in lens])) for w in sorted(set(lens))]
+        self._by_weight = _lanes([p.ranking is RankingKind.SESSION_WEIGHT for p in policies])
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def clear(self) -> None:
-        self.rows.clear()
-        self.selected = np.zeros(0, dtype=np.int64)
-        self.observed = np.zeros(0, dtype=np.int64)
+    def push_record(self, row: np.ndarray) -> None:
+        """Append one iteration's (lane, class, [unobserved, observed]) counts.
 
-    def push_record(self, selected: np.ndarray, observed: np.ndarray) -> None:
-        """Append one iteration's per-class (selected, observed) counts."""
-        if not self.rows:
-            self.selected = np.zeros(len(selected), dtype=np.int64)
-            self.observed = np.zeros(len(observed), dtype=np.int64)
-        elif len(selected) != len(self.selected):
-            raise ValueError("a window holds rows of one class index only")
-        self.rows.append((selected, observed))
-        self.selected += selected
-        self.observed += observed
-        while len(self.rows) > self.window_len:
-            sel, obs = self.rows.popleft()
-            self.selected -= sel
-            self.observed -= obs
-
-    def recount(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-class sums recomputed from the stored rows (the oracle for push_record)."""
-        if not self.rows:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        sel, obs = zip(*self.rows)
-        return np.sum(sel, axis=0), np.sum(obs, axis=0)
-
-    def class_ratio(self, class_ids: np.ndarray | int) -> np.ndarray:
-        """Observed/selected ratio of each class in class_ids; 0 when never selected."""
-        if not self.rows:
-            return np.zeros(np.shape(class_ids))
-        return class_ratio_scores(self.selected, self.observed)[class_ids]
-
-    def session_counts(self, index: EquivalenceClassIndex) -> tuple[np.ndarray, np.ndarray]:
-        """Per-session (selected, observed) counts, indexed by session id.
-
-        A class's counts go to every session of its key, so a session's
-        count is the number of selections of landmarks it observed.
+        The window keeps row itself, so the caller must not change it.
         """
-        counts = np.stack((self.selected, self.observed)) if self.rows else np.zeros((2, len(index)))
-        selected, observed = session_sums(index, counts)
-        return selected, observed
+        if row.shape != self.sums.shape:
+            raise ValueError("a row holds every lane and every class of the window")
+        self.rows.append(row)
+        self.sums += row
+        n = len(self.rows)
+        for w, lanes in self._evictions:
+            if n > w:
+                self.sums[lanes] -= self.rows[-1 - w][lanes]
+        if n > self._longest:
+            self.rows.popleft()
 
-    def session_weight(
-        self, index: EquivalenceClassIndex, class_ids: np.ndarray | int
-    ) -> np.ndarray:
-        """Best observed/selected weight among the sessions of each class in class_ids."""
-        if not self.rows:
-            return np.zeros(np.shape(class_ids))
-        return session_weight_scores(index, self.selected, self.observed)[class_ids]
+    def class_ratio(self, class_ids: np.ndarray | int | slice = slice(None)) -> np.ndarray:
+        """Each lane's observed/selected ratio of the classes in class_ids; 0 when never selected."""
+        observed = self.sums[:, class_ids, 1]
+        return class_ratio_scores(self.sums[:, class_ids, 0] + observed, observed)
+
+    def scores(self, index: EquivalenceClassIndex) -> np.ndarray:
+        """(lane, class) rank scores of the classes of index.
+
+        A lane scores a class by its class_ratio, or, when its policy ranks
+        by session_weight, by the best weight among the sessions that define
+        the class.  The unranked and random policies read no score.
+        """
+        lanes = self._by_weight
+        if lanes is None:
+            return self.class_ratio()
+        sums = self.sums[lanes]
+        observed = sums[..., 1]
+        weights = session_weight_scores(index, sums[..., 0] + observed, observed)
+        if isinstance(lanes, slice):  # every lane ranks by weight
+            return weights
+        scores = self.class_ratio()
+        scores[lanes] = weights
+        return scores
 
 
 def update_window(
-    stats: RollingSelectionStats,
+    window: RollingSelectionStats,
     class_ids: np.ndarray,
     observed_mask: np.ndarray,
     index: EquivalenceClassIndex,
-) -> RollingSelectionStats:
-    """Push one iteration: the class ids of its distinct selected landmarks and an observed mask.
+) -> None:
+    """Push one iteration to a one-lane window: the class ids of its distinct
+    selected landmarks and an observed mask.
 
-    Class ids must come from the given index, which sizes the count rows.
+    Class ids must come from the given index, which sizes the row.
     """
     n = len(index)
-    stats.push_record(
-        np.bincount(class_ids, minlength=n), np.bincount(class_ids[observed_mask], minlength=n)
-    )
-    return stats
-
-
-def class_scores(
-    policy: SelectionPolicy,
-    stats: RollingSelectionStats,
-    index: EquivalenceClassIndex,
-    class_ids: np.ndarray,
-) -> np.ndarray:
-    """Rank score for each entry of class_ids.
-
-    class_ratio scores a class by its observed/selected ratio and
-    session_weight by the best weight among the sessions that define it;
-    the unranked and random policies score everything 0.
-    """
-    if policy.ranking is RankingKind.CLASS_RATIO:
-        return stats.class_ratio(class_ids)
-    if policy.ranking is RankingKind.SESSION_WEIGHT:
-        return stats.session_weight(index, class_ids)
-    return np.zeros(len(class_ids))
+    row = np.bincount(2 * class_ids + observed_mask, minlength=2 * n)
+    window.push_record(row.reshape(1, n, 2))
 
 
 def selection_order(

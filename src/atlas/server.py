@@ -2,7 +2,8 @@
 
 The backend owns one published map snapshot at a time.  Queries rank
 candidate landmarks against the snapshot with the per-vehicle rolling
-window and never block behind uploads; uploads run the full sortie
+window and never block behind uploads; the frames of one session token
+run one at a time under its lock.  Uploads run the full sortie
 pipeline under a single writer lock and publish a fresh snapshot
 atomically, so a query sees either the old map or the new one, never a
 half-updated hybrid.  What is derived from a map version is published
@@ -51,7 +52,6 @@ from .protocol import (
 from .ranking import (
     RollingSelectionStats,
     SelectionPolicy,
-    class_scores,
     parse_policy,
     reference_policy,
     select_from_arrays,
@@ -112,12 +112,13 @@ class _Session:
     token: int
     policy: SelectionPolicy
     sensor_range: float
-    stats: RollingSelectionStats
+    window: RollingSelectionStats  # over the class index of map seen_version
     seen_version: int
     pending: _Pending | None = None
     n_queries: int = 0
     closed: bool = False
     ledger: BandwidthLedger = field(default_factory=BandwidthLedger)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _finite_number(v: Any) -> bool:
@@ -271,7 +272,7 @@ class MapBackend:
                 token=token,
                 policy=policy,
                 sensor_range=sensor_range,
-                stats=RollingSelectionStats(policy.window_len),
+                window=RollingSelectionStats((policy,), len(snap.index)),
                 seen_version=snap.version,
             )
         return Message(
@@ -295,28 +296,27 @@ class MapBackend:
             or not all(map(_finite_number, pose))
         ):
             return msg.error(ERR_BAD_REQUEST, "pose must be [x, y] or [x, y, heading]")
-        if session.pending is not None:
-            return msg.error(ERR_BAD_REQUEST, "previous selection still awaits its report")
-
-        pub = self._published
-        snap = pub.map
-        if session.seen_version != snap.version:
-            # Class numbering moved with the map, so the window restarts.
-            session.stats.clear()
-            session.seen_version = snap.version
-        candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
-        # Ids are ascending in the map and among the candidates, so
-        # searchsorted finds the map row of each candidate and each selection.
-        rows = np.searchsorted(snap.landmark_ids, candidates)
-        index = snap.index
-        candidate_classes = index.class_ids[rows]
-        scores = class_scores(session.policy, session.stats, index, candidate_classes)
-        salt = session.n_queries
-        session.n_queries += 1
-        selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
-        selected_rows = rows[np.searchsorted(candidates, selected)]
-        class_ids = index.class_ids[selected_rows]
-        session.pending = _Pending(selected, class_ids, index)
+        with session.lock:
+            if session.pending is not None:
+                return msg.error(ERR_BAD_REQUEST, "previous selection still awaits its report")
+            pub = self._published
+            snap = pub.map
+            index = snap.index
+            if session.seen_version != snap.version:
+                # Class numbering moved with the map, so the window restarts.
+                session.window = RollingSelectionStats((session.policy,), len(index))
+                session.seen_version = snap.version
+            candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
+            # Ids are ascending in the map and among the candidates, so
+            # searchsorted finds the map row of each candidate and each selection.
+            rows = np.searchsorted(snap.landmark_ids, candidates)
+            scores = session.window.scores(index)[0][index.class_ids[rows]]
+            salt = session.n_queries
+            session.n_queries += 1
+            selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
+            selected_rows = rows[np.searchsorted(candidates, selected)]
+            class_ids = index.class_ids[selected_rows]
+            session.pending = _Pending(selected, class_ids, index)
         return LandmarksReply(
             cid=msg.cid,
             token=session.token,
@@ -330,28 +330,30 @@ class MapBackend:
     def _report(self, msg: Message, session: _Session | None) -> Message:
         if session is None:
             return msg.error(ERR_NO_SESSION, "unknown or closed session token")
-        if session.pending is None:
-            return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
         observed = msg.body.get("observed")
-        # A decoded frame's integers are exactly int, so this also refuses bools.
-        if not isinstance(observed, list) or not set(map(type, observed)) <= {int}:
-            return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
-        pending = session.pending
-        distinct = set(observed)
-        # The mask credits each distinct observed id once, however often it is named.
-        observed_mask = np.fromiter(map(distinct.__contains__, pending.selected.tolist()),
-                                    dtype=bool, count=len(pending.selected))
-        if int(observed_mask.sum()) != len(distinct):
-            # A selection holds distinct ids, so some observed id was not selected.
-            # Reject without touching the window; the selection stays pending.
-            return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
-        update_window(session.stats, pending.class_ids, observed_mask, pending.index)
-        session.pending = None
+        with session.lock:
+            pending = session.pending
+            if pending is None:
+                return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
+            # A decoded frame's integers are exactly int, so this also refuses bools.
+            if not isinstance(observed, list) or not set(map(type, observed)) <= {int}:
+                return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
+            distinct = set(observed)
+            # The mask credits each distinct observed id once, however often it is named.
+            observed_mask = np.fromiter(map(distinct.__contains__, pending.selected.tolist()),
+                                        dtype=bool, count=len(pending.selected))
+            if int(observed_mask.sum()) != len(distinct):
+                # A selection holds distinct ids, so some observed id was not selected.
+                # Reject without touching the window; the selection stays pending.
+                return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
+            update_window(session.window, pending.class_ids, observed_mask, pending.index)
+            session.pending = None
+            window_fill = len(session.window)
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,
             token=session.token,
-            body={"n_recorded": len(distinct), "window_fill": len(session.stats)},
+            body={"n_recorded": len(distinct), "window_fill": window_fill},
         )
 
     def _upload(self, msg: Message, session: _Session | None) -> Message:
@@ -402,8 +404,11 @@ class MapBackend:
     def _close(self, msg: Message, session: _Session | None) -> Message:
         if session is None:
             return msg.error(ERR_NO_SESSION, "unknown or closed session token")
-        session.closed = True
-        session.pending = None
+        with session.lock:
+            if session.closed:  # closed by a frame on another connection meanwhile
+                return msg.error(ERR_NO_SESSION, "unknown or closed session token")
+            session.closed = True
+            session.pending = None
         doc = {"token": session.token, "ledger": session.ledger.to_doc()}
         if self.on_session_close is not None:
             self.on_session_close(doc)

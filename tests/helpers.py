@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import string
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,12 @@ from atlas.mapcore import UNBOUNDED_CAP, MultiSessionMap, SessionKind
 from atlas.protocol import ERR_BAD_REPORT, ERR_BAD_REQUEST, ERR_NO_SESSION, Message, MessageKind
 from atlas.ranking import (
     RankingKind,
-    RollingSelectionStats,
     SelectionPolicy,
-    class_scores,
+    class_ratio_scores,
     reference_policy,
     selection_order,
     selection_size,
-    update_window,
+    session_weight_scores,
 )
 from atlas.rng import derive_seed, hash_stream
 from atlas.summarize import SummarizationProblem
@@ -142,6 +142,57 @@ def tiny_scenario(**overrides) -> Scenario:
     return Scenario(**fields)
 
 
+class DequeWindow:
+    """One policy's rolling window kept the plain way: a deque of per-class
+    (selected, observed) count rows, summed again whenever it is read.
+
+    The oracle for ranking.RollingSelectionStats, one lane at a time.
+    """
+
+    def __init__(self, window_len: int, n_classes: int):
+        self.window_len = window_len
+        self.n_classes = n_classes
+        self.rows: deque[tuple[np.ndarray, np.ndarray]] = deque()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def push_record(self, selected: np.ndarray, observed: np.ndarray) -> None:
+        self.rows.append((selected, observed))
+        while len(self.rows) > self.window_len:
+            self.rows.popleft()
+
+    def push(self, class_ids: np.ndarray, observed_mask: np.ndarray) -> None:
+        """One iteration: the class ids of its distinct selected landmarks and an observed mask."""
+        n = self.n_classes
+        self.push_record(
+            np.bincount(class_ids, minlength=n), np.bincount(class_ids[observed_mask], minlength=n)
+        )
+
+    def recount(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-class (selected, observed) sums of the stored rows."""
+        selected = np.zeros(self.n_classes, dtype=np.int64)
+        observed = np.zeros(self.n_classes, dtype=np.int64)
+        for sel, obs in self.rows:
+            selected += sel
+            observed += obs
+        return selected, observed
+
+
+def class_scores(policy, window: DequeWindow, index, class_ids: np.ndarray) -> np.ndarray:
+    """Rank score of each entry of class_ids from a DequeWindow.
+
+    class_ratio scores a class by its observed/selected ratio and
+    session_weight by the best weight among the sessions that define it;
+    the unranked and random policies score everything 0.
+    """
+    if policy.ranking is RankingKind.CLASS_RATIO:
+        return class_ratio_scores(*window.recount())[class_ids]
+    if policy.ranking is RankingKind.SESSION_WEIGHT:
+        return session_weight_scores(index, *window.recount())[class_ids]
+    return np.zeros(len(class_ids))
+
+
 @dataclass
 class ReferenceRun:
     """Per-pose arrays of one policy's run, as the per-policy loop makes them."""
@@ -155,9 +206,8 @@ class ReferenceRun:
 def reference_localize(draws, policy, *, bootstrap_full_first=True) -> ReferenceRun:
     """One policy's selection/observation loop over a sortie, one pose at a time.
 
-    The oracle for locsim.localize_policies: a RollingSelectionStats window,
-    class_scores, selection_order and update_window per pose, and the
-    scalar error formula.
+    The oracle for locsim.localize_policies: a DequeWindow, class_scores
+    and selection_order per pose, and the scalar error formula.
     """
     index = draws.index
     split = np.cumsum(np.diff(draws.ptr))[:-1]
@@ -165,14 +215,14 @@ def reference_localize(draws, policy, *, bootstrap_full_first=True) -> Reference
         np.split(col, split) for col in (draws.ids, draws.classes, draws.detected)
     )
     n_poses = draws.n_poses
-    stats = RollingSelectionStats(policy.window_len)
+    window = DequeWindow(policy.window_len, len(index))
     selected, observed = [], []
     observed_counts = np.zeros(n_poses, dtype=np.int64)
     errors = np.zeros(n_poses)
     p = POSE_ERROR
 
     for k, (ids_c, classes_c) in enumerate(zip(candidates, classes)):
-        scores = class_scores(policy, stats, index, classes_c)
+        scores = class_scores(policy, window, index, classes_c)
         if k == 0 and bootstrap_full_first:
             top = np.arange(len(ids_c))  # warm-up: select the whole candidate set
         else:
@@ -190,7 +240,7 @@ def reference_localize(draws, policy, *, bootstrap_full_first=True) -> Reference
         errors[k] = p.failure_error_m if n < p.min_landmarks else abs(z) * (
             p.floor + p.sigma0 / math.sqrt(n)
         )
-        update_window(stats, classes_c[top], obs_mask, index)
+        window.push(classes_c[top], obs_mask)
         selected.append(sel_ids)
         observed.append(obs_ids)
     return ReferenceRun(selected, observed, observed_counts, errors)

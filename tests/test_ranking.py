@@ -12,18 +12,18 @@ from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
     SelectionPolicy,
-    class_scores,
     parse_policy,
     parse_ranking,
     reference_policy,
     select_from_arrays,
     selection_size,
+    session_sums,
     update_window,
 )
 from atlas.mapcore import MultiSessionMap
 from atlas.rng import hash_stream
 
-from helpers import LINE_POSES, two_session_map
+from helpers import LINE_POSES, DequeWindow, two_session_map
 
 
 # -- selection_size --
@@ -90,160 +90,180 @@ def test_policy_budget_must_fit_int64():
 # -- rolling window --
 
 
-def push(stats, m, selected, observed):
-    """update_window for plain id lists, with classes resolved by the map's index."""
+RATIO = parse_policy("class_ratio")
+WEIGHT = parse_policy("session_weight")
+
+
+def push(window, m, selected, observed):
+    """One iteration of plain id lists, counted by update_window, pushed to every lane."""
     ids = np.asarray(selected, dtype=np.int64)
     index = m.index
-    return update_window(stats, index.classes_of(ids), np.isin(ids, observed), index)
+    one = RollingSelectionStats([RATIO], len(index))
+    update_window(one, index.classes_of(ids), np.isin(ids, observed), index)
+    window.push_record(np.repeat(one.rows[0], len(window.sums), axis=0))
 
 
-def session_weights(stats, m, landmark_ids):
-    index = m.index
-    policy = parse_policy("session_weight")
-    return class_scores(policy, stats, index, index.classes_of(landmark_ids))
+def tallies(window, lane=0):
+    """A lane's per-class (selected, observed) window sums."""
+    observed = window.sums[lane, :, 1]
+    return window.sums[lane, :, 0] + observed, observed
+
+
+def session_tallies(window, index, lane=0):
+    """A lane's per-session (selected, observed) counts, indexed by session id."""
+    selected, observed = session_sums(index, np.stack(tallies(window, lane)))
+    return selected, observed
 
 
 def test_ratio_arithmetic_by_hand():
     # classes: {1, 2} (session 1), {3} (sessions 1, 2), {4, 5} (session 2)
     m = two_session_map()
     index = m.index
-    stats = RollingSelectionStats(window_len=10)
-    push(stats, m, [1, 2, 3], [1, 3])
-    push(stats, m, [1, 2], [2])
+    window = RollingSelectionStats([RATIO, WEIGHT], len(index))
+    push(window, m, [1, 2, 3], [1, 3])
+    push(window, m, [1, 2], [2])
     # class {1, 2}: selected 4 times (1,2,1,2), observed 2 times (1,2) -> 0.5
-    assert stats.class_ratio(index.class_of_landmark(1)) == 0.5
+    assert window.class_ratio(index.class_of_landmark(1)).tolist() == [0.5, 0.5]
     # class {3}: selected once, observed once -> 1.0
-    assert stats.class_ratio(index.class_of_landmark(3)) == 1.0
+    assert window.class_ratio(index.class_of_landmark(3)).tolist() == [1.0, 1.0]
     # session 1 backs every selected landmark: 5 selected, 3 observed
-    selected, observed = stats.session_counts(index)
+    selected, observed = session_tallies(window, index)
     assert (selected[1], observed[1]) == (5, 3)
     # session 2 backs only landmark 3 among them
     assert (selected[2], observed[2]) == (1, 1)
     # landmarks 1-2 have session 1 only; 3 takes its best session, 2; 4 has 2 as well
-    assert session_weights(stats, m, [1, 3, 4]).tolist() == [3 / 5, 1.0, 1.0]
+    scores = window.scores(index)[:, index.classes_of([1, 3, 4])]
+    assert scores.tolist() == [[0.5, 1.0, 0.0], [3 / 5, 1.0, 1.0]]
 
 
 def test_zero_when_never_selected():
     m = two_session_map()
     index = m.index
-    stats = RollingSelectionStats()
-    every_class = np.arange(len(index))
-    assert stats.class_ratio(every_class).tolist() == [0.0] * len(index)
-    assert stats.class_ratio(0) == 0.0
-    assert session_weights(stats, m, [1, 3, 4]).tolist() == [0.0] * 3
-    push(stats, m, [1], [])
-    assert stats.class_ratio(index.class_of_landmark(1)) == 0.0  # selected, never observed
-    assert stats.class_ratio(index.class_of_landmark(4)) == 0.0  # never selected
-    assert session_weights(stats, m, [1, 4]).tolist() == [0.0, 0.0]
+    window = RollingSelectionStats([RATIO, WEIGHT], len(index))
+    assert window.scores(index).tolist() == [[0.0] * len(index)] * 2
+    assert window.class_ratio(0).tolist() == [0.0, 0.0]
+    push(window, m, [1], [])
+    # selected, never observed; and never selected
+    assert window.class_ratio(index.classes_of([1, 4])).tolist() == [[0.0, 0.0]] * 2
+    assert window.scores(index)[1, index.classes_of([1, 4])].tolist() == [0.0, 0.0]
 
 
 def test_window_eviction():
     m = two_session_map()
     cid = m.index.class_of_landmark(1)
-    stats = RollingSelectionStats(window_len=2)
-    push(stats, m, [1], [1])
-    push(stats, m, [1], [])
-    push(stats, m, [1], [])
-    assert len(stats) == 2
-    assert stats.class_ratio(cid) == 0.0  # the observing row fell out
-    assert (stats.selected[cid], stats.observed[cid]) == (2, 0)
-    stats.clear()
-    assert len(stats) == 0 and len(stats.selected) == 0 and len(stats.observed) == 0
+    window = RollingSelectionStats([parse_policy("class_ratio", window_len=2)], len(m.index))
+    push(window, m, [1], [1])
+    push(window, m, [1], [])
+    push(window, m, [1], [])
+    assert len(window) == 2
+    assert window.class_ratio(cid).tolist() == [0.0]  # the observing row fell out
+    selected, observed = tallies(window)
+    assert (selected[cid], observed[cid]) == (2, 0)
 
 
 def test_observed_must_be_subset_of_selected():
     # The observed row is counted from the selection's own class ids, so an
     # observed count can never exceed the selected count of its class.
     m = two_session_map()
-    stats = RollingSelectionStats()
+    window = RollingSelectionStats([RATIO], len(m.index))
     for observed in ([1, 2, 3, 4, 5], [3], [], [2, 4]):
-        push(stats, m, [1, 2, 3, 4, 5], observed)
-        assert np.all(stats.observed <= stats.selected)
-    assert stats.observed.tolist() == [3, 2, 3] and stats.selected.tolist() == [8, 4, 8]
+        push(window, m, [1, 2, 3, 4, 5], observed)
+        sel, obs = tallies(window)
+        assert np.all(obs <= sel)
+    assert obs.tolist() == [3, 2, 3] and sel.tolist() == [8, 4, 8]
 
 
 def test_window_rejects_rows_of_another_index():
     m = two_session_map()
-    stats = RollingSelectionStats()
-    push(stats, m, [1], [1])
+    window = RollingSelectionStats([RATIO], len(m.index))
+    push(window, m, [1], [1])
     other = many_class_map(0)
     assert len(other.index) != len(m.index)
     with pytest.raises(ValueError):
-        push(stats, other, [1], [1])
-    assert len(stats) == 1
+        update_window(window, other.index.classes_of([1]), np.array([True]), other.index)
+    assert len(window) == 1
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5)), min_size=1, max_size=40),
-       st.integers(min_value=1, max_value=8))
-def test_window_tallies_match_recount_oracle(steps, window_len):
+@given(
+    st.lists(st.integers(1, 13), min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 2**16)), min_size=1, max_size=40),
+)
+def test_window_tallies_match_recount_oracle(window_lens, steps):
+    """Every lane of a window sums the same rows as its own deque window would."""
     n_classes = 4
-    stats = RollingSelectionStats(window_len=window_len)
+    policies = [parse_policy("class_ratio", window_len=w) for w in window_lens]
+    window = RollingSelectionStats(policies, n_classes)
+    oracles = [DequeWindow(w, n_classes) for w in window_lens]
     for n_sel, seed in steps:
         local = np.random.default_rng(seed)
-        class_ids = local.integers(0, n_classes, size=n_sel)
-        observed = local.random(n_sel) < 0.5
-        stats.push_record(
-            np.bincount(class_ids, minlength=n_classes),
-            np.bincount(class_ids[observed], minlength=n_classes),
-        )
-        selected_sum, observed_sum = stats.recount()
-        assert stats.selected.tolist() == selected_sum.tolist()
-        assert stats.observed.tolist() == observed_sum.tolist()
-        assert len(stats) <= window_len
+        keys = 2 * local.integers(0, n_classes, size=(len(policies), n_sel))
+        keys += local.random(keys.shape) < 0.5
+        keys += 2 * n_classes * np.arange(len(policies))[:, None]
+        row = np.bincount(keys.ravel(), minlength=window.sums.size).reshape(window.sums.shape)
+        window.push_record(row)
+        for lane, oracle in enumerate(oracles):
+            oracle.push_record(row[lane].sum(axis=1), row[lane, :, 1])
+            selected, observed = oracle.recount()
+            assert [a.tolist() for a in tallies(window, lane)] == [selected.tolist(), observed.tolist()]
+            assert min(len(window), oracle.window_len) == len(oracle)
+        assert len(window) <= max(window_lens)
+    for shape in ((len(policies), n_classes + 1, 2), (len(policies) + 1, n_classes, 2)):
+        with pytest.raises(ValueError):
+            window.push_record(np.zeros(shape, dtype=np.int64))
 
 
 def test_update_window_resolves_classes_and_sessions():
     m = two_session_map()
     index = m.index
-    stats = RollingSelectionStats()
-    push(stats, m, [1, 2, 3], [3])
+    window = RollingSelectionStats([WEIGHT], len(index))
+    push(window, m, [1, 2, 3], [3])
     cid_12 = index.class_of_landmark(1)
     cid_3 = index.class_of_landmark(3)
-    assert (stats.selected[cid_12], stats.observed[cid_12]) == (2, 0)
-    assert (stats.selected[cid_3], stats.observed[cid_3]) == (1, 1)
+    selected, observed = tallies(window)
+    assert (selected[cid_12], observed[cid_12]) == (2, 0)
+    assert (selected[cid_3], observed[cid_3]) == (1, 1)
     # landmark 3 carries sessions {1, 2}; 1 and 2 carry {1}
-    selected, observed = stats.session_counts(index)
+    selected, observed = session_tallies(window, index)
     assert (selected[1], observed[1]) == (3, 1)
     assert (selected[2], observed[2]) == (1, 1)
-    assert stats.class_ratio(index.class_of_landmark(1)) == 0.0
-    assert stats.class_ratio(index.class_of_landmark(3)) == 1.0
+    assert window.class_ratio(index.class_of_landmark(1)).tolist() == [0.0]
+    assert window.class_ratio(index.class_of_landmark(3)).tolist() == [1.0]
     # best session weight wins for multi-session landmarks
-    got = class_scores(parse_policy("session_weight"), stats, index, index.classes_of([3, 1]))
-    assert got.tolist() == [1.0, 1 / 3]
+    assert window.scores(index)[0, index.classes_of([3, 1])].tolist() == [1.0, 1 / 3]
 
 
 def test_class_constancy_within_a_class():
     m = two_session_map()
     index = m.index
-    stats = RollingSelectionStats()
-    push(stats, m, [1, 2, 4, 5], [1, 4])
-    assert stats.class_ratio(index.class_of_landmark(1)) == stats.class_ratio(
-        index.class_of_landmark(2)
-    )
-    assert stats.class_ratio(index.class_of_landmark(4)) == stats.class_ratio(
-        index.class_of_landmark(5)
-    )
+    window = RollingSelectionStats([RATIO, WEIGHT], len(index))
+    push(window, m, [1, 2, 4, 5], [1, 4])
+    scores = window.scores(index)
+    for pair in ([1, 2], [4, 5]):
+        cids = index.classes_of(pair)
+        assert cids[0] == cids[1]
+        assert window.class_ratio(cids[0]).tolist() == window.class_ratio(cids[1]).tolist()
+        assert scores[:, cids[0]].tolist() == scores[:, cids[1]].tolist()
 
 
 def test_class_scores_per_policy():
     m = two_session_map()
     index = m.index
-    stats = RollingSelectionStats()
-    push(stats, m, [1, 2, 3, 4], [1, 3])
+    policies = [parse_policy(spec) for spec in ("class_ratio", "session_weight", "all", "random")]
+    window = RollingSelectionStats(policies, len(index))
+    push(window, m, [1, 2, 3, 4], [1, 3])
     cids = index.classes_of([1, 2, 3, 4, 5])
-    ratio = class_scores(parse_policy("class_ratio"), stats, index, cids)
-    assert ratio.tolist() == [
-        stats.class_ratio(index.class_of_landmark(i)) for i in (1, 2, 3, 4, 5)
-    ]
+    ratio, weight = window.scores(index)[:2, cids]
+    assert ratio.tolist() == window.class_ratio(cids)[0].tolist()
     assert ratio.tolist() == [0.5, 0.5, 1.0, 0.0, 0.0]
     # sessions: 1 backs landmarks 1-3 (2 of 3 observed), 2 backs 3-4 (1 of 2)
-    weight = class_scores(parse_policy("session_weight"), stats, index, cids)
     assert weight.tolist() == [2 / 3, 2 / 3, 2 / 3, 0.5, 0.5]
-    for spec in ("all", "random"):
-        assert class_scores(parse_policy(spec), stats, index, cids).tolist() == [0.0] * 5
-    assert len(class_scores(parse_policy("class_ratio"), stats, index, cids[:0])) == 0
-    assert len(class_scores(parse_policy("session_weight"), stats, index, cids[:0])) == 0
+    # the unranked and random policies read no score: their order ignores it
+    ids = np.array([1, 2, 3, 4, 5])
+    for p, scores in zip(policies[2:], window.scores(index)[2:, cids]):
+        got = select_from_arrays(p, ids, scores, salt=4)
+        assert got.tolist() == select_from_arrays(p, ids, np.zeros(5), salt=4).tolist()
+    assert window.scores(index)[:, cids[:0]].shape == (4, 0)
 
 
 def many_class_map(seed: int) -> MultiSessionMap:
@@ -280,24 +300,22 @@ def per_landmark_recount(m, records):
 def test_update_window_matches_per_landmark_recount(map_seed, window_len, step_seeds):
     m = many_class_map(map_seed)
     index = m.index
-    stats = RollingSelectionStats(window_len)
+    window = RollingSelectionStats([parse_policy("class_ratio", window_len=window_len)], len(index))
     pushed = []
     for seed in step_seeds:
         rng = np.random.default_rng(seed)
         ids = np.array(sorted(lid for lid in m.landmarks if rng.random() < 0.6), dtype=np.int64)
         observed = [int(i) for i in ids if rng.random() < 0.5]
-        push(stats, m, rng.permutation(ids), observed)
+        push(window, m, rng.permutation(ids), observed)
         pushed.append((ids.tolist(), observed))
         classes, sessions = per_landmark_recount(m, pushed[-window_len:])
-        assert stats.selected.tolist() == classes[0].tolist()
-        assert stats.observed.tolist() == classes[1].tolist()
-        selected, observed_s = stats.session_counts(index)
+        assert [a.tolist() for a in tallies(window)] == classes.tolist()
+        selected, observed_s = session_tallies(window, index)
         derived = {
             s: [int(selected[s]), int(observed_s[s])] for s in range(len(selected)) if selected[s]
         }
         assert derived == {s: t for s, t in sessions.items() if t[0]}
         assert all(observed_s[s] == 0 for s in range(len(selected)) if not selected[s])
-        assert [a.tolist() for a in stats.recount()] == classes.tolist()
 
 
 def test_classes_of_agrees_with_class_of_landmark():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import atlas.locsim
+import atlas.server
 from atlas.client import BackendError, VehicleClient, drive_sortie, sortie_json
 from atlas.experiment import build_dataset, build_world
 from atlas.locsim import PipelineConfig, localize_dataset, process_sortie
@@ -27,7 +28,7 @@ from atlas.protocol import (
     encode_frame,
     read_frame,
 )
-from atlas.ranking import RollingSelectionStats, parse_policy, reference_policy, update_window
+from atlas.ranking import parse_policy, reference_policy, session_sums
 from atlas.server import MapBackend, MapServer
 from atlas.worldgen import (
     Proposals,
@@ -39,7 +40,7 @@ from atlas.worldgen import (
     sortie_to_doc,
 )
 
-from helpers import by_pose, tiny_scenario, two_session_map
+from helpers import DequeWindow, by_pose, tiny_scenario, two_session_map
 
 
 class Wire:
@@ -155,14 +156,14 @@ def test_report_credits_duplicate_ids_once():
     assert sorted(got.body["landmark_ids"]) == [1, 2, 3, 4, 5]
     ack = wire.send(MessageKind.REPORT, {"observed": [3, 3, 3]}, token=token)
     assert ack.body["n_recorded"] == 1
-    stats = backend.sessions[token].stats
+    unobserved, observed = backend.sessions[token].window.sums[0].T
+    selected = unobserved + observed
     index = backend.snapshot.index
     # landmark 3 is alone in its class and carries sessions {1, 2}
     cid = index.class_of_landmark(3)
-    assert (stats.selected[cid], stats.observed[cid]) == (1, 1)
-    selected, observed = stats.session_counts(index)
-    assert selected.tolist() == [0, 3, 3] and observed.tolist() == [0, 1, 1]
-    assert np.all(stats.observed <= stats.selected)
+    assert (selected[cid], observed[cid]) == (1, 1)
+    by_session = session_sums(index, np.stack((selected, observed)))
+    assert by_session.tolist() == [[0, 3, 3], [0, 1, 1]]
 
 
 def test_unknown_or_missing_token_paths():
@@ -342,6 +343,96 @@ def test_ledger_exact_under_concurrent_connections():
     sessions = backend.ledger_doc()["sessions"].values()
     for field in ("queries", "landmarks_sent", "bytes_down", "bytes_up"):
         assert getattr(total, field) == sum(doc[field] for doc in sessions)
+
+
+def test_frames_for_one_token_are_serialized(monkeypatch):
+    """Two threads query one token while the selection is held at a barrier.
+    Unserialized, both would select and the second selection would overwrite
+    the first; serialized, the second query finds the first one pending."""
+    backend = fresh_backend()
+    token = open_session(Wire(backend))
+    barrier = threading.Barrier(2, timeout=0.5)
+    select = atlas.server.select_from_arrays
+
+    def held_select(*args, **kwargs):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:  # the other query never got this far
+            pass
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(atlas.server, "select_from_arrays", held_select)
+    raw = encode_body(Message(MessageKind.QUERY, cid=1, token=token, body={"pose": [0.0, 1.0]}))
+    replies = []
+    threads = [
+        threading.Thread(target=lambda: replies.append(decode_body(backend.handle_frame(raw)[4:])))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    outcomes = sorted((r.kind.value, r.body.get("code")) for r in replies)
+    assert outcomes == [("error", "bad_request"), ("landmarks", None)]
+    assert backend.sessions[token].n_queries == 1
+
+
+def test_one_token_on_many_connections_keeps_one_selection_pending():
+    """Threads share one token and race query/report pairs.  Each report
+    resolves the one pending selection, so at the end at most one selection
+    is unreported, and every selection served was counted."""
+    backend = fresh_backend()
+    token = open_session(Wire(backend), policy="class_ratio@0.4")
+    counts = {"landmarks": 0, "reported": 0}
+    lock = threading.Lock()
+
+    def hammer():
+        wire = Wire(backend)
+        for k in range(100):
+            got = wire.send(MessageKind.QUERY, {"pose": [float(k % 5), 1.0]}, token=token)
+            ack = wire.send(MessageKind.REPORT, {"observed": []}, token=token)
+            with lock:
+                counts["landmarks"] += got.kind is MessageKind.LANDMARKS
+                counts["reported"] += ack.kind is MessageKind.UPDATE_ACK
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    session = backend.sessions[token]
+    assert counts["landmarks"] == session.n_queries
+    unreported = counts["landmarks"] - counts["reported"]
+    assert unreported == (session.pending is not None)
+
+
+@pytest.mark.parametrize("spec", ["class_ratio@0.5", "session_weight@0.5", "random@0.5"])
+def test_every_policy_serves_an_empty_map(spec):
+    wire = Wire(MapBackend(MultiSessionMap()))
+    token = open_session(wire, policy=spec)
+    for fill in (1, 2):
+        got = wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
+        assert got.body["landmark_ids"] == [] and got.body["n_candidates"] == 0
+        ack = wire.send(MessageKind.REPORT, {"observed": []}, token=token)
+        assert ack.body == {"n_recorded": 0, "window_fill": fill}
+
+
+@pytest.mark.parametrize("window_len", [10**12, 10**30])
+def test_sessions_accept_huge_window_lengths(window_len):
+    wire = Wire(fresh_backend())
+    token = open_session(wire, policy="session_weight@0.6", window_len=window_len)
+    for fill in (1, 2, 3):
+        got = wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
+        assert got.kind is MessageKind.LANDMARKS
+        ack = wire.send(MessageKind.REPORT, {"observed": got.body["landmark_ids"][:1]}, token=token)
+        assert ack.body == {"n_recorded": 1, "window_fill": fill}
+    assert len(wire.backend.sessions[token].window.rows) == 3
 
 
 @pytest.fixture(scope="module")
@@ -865,7 +956,7 @@ def test_served_landmarks_replies_equal_the_canonical_encoder():
         _, opened = send(MessageKind.OPEN_SESSION,
                          {"policy": spec, "seed": i, "sensor_range": sortie.sensor_range}, None)
         token = opened.token
-        shadow = RollingSelectionStats(backend.sessions[token].policy.window_len)
+        shadow = DequeWindow(backend.sessions[token].policy.window_len, len(backend.snapshot.index))
         for pose in sortie.poses:
             snap = backend.snapshot
             query = [float(pose[0]), float(pose[1])]
@@ -877,12 +968,13 @@ def test_served_landmarks_replies_equal_the_canonical_encoder():
             observed = [int(j) for j in selected if rnd.random() < 0.6]
             observed += observed[: rnd.integers(0, 3)]  # a named-twice id is credited once
             _, ack = send(MessageKind.REPORT, {"observed": observed}, token)
-            update_window(shadow, np.array(reply.body["class_ids"], dtype=np.int64),
-                          np.isin(selected, observed), snap.index)
-            stats = backend.sessions[token].stats
+            shadow.push(np.array(reply.body["class_ids"], dtype=np.int64),
+                        np.isin(selected, observed))
+            missed, seen = backend.sessions[token].window.sums[0].T
             assert ack.body == {"n_recorded": len(set(observed)), "window_fill": len(shadow)}
-            assert np.array_equal(stats.selected, shadow.selected)
-            assert np.array_equal(stats.observed, shadow.observed)
+            assert [(missed + seen).tolist(), seen.tolist()] == [
+                a.tolist() for a in shadow.recount()
+            ]
         _, up = send(MessageKind.UPLOAD_SORTIE, {"sortie": sortie_to_doc(sortie)}, token)
         assert up.kind is MessageKind.UPDATE_ACK
         kinds.append((up.body["session_kind"], up.body["summarized"]))
