@@ -354,8 +354,7 @@ def localize_policies(
         sizes[:, 0] = n_candidates[0]
     # Each policy's selections as positions in its order: rows for the
     # unranked policy, the seed's tie-break order for the others.
-    windowed = (RankingKind.CLASS_RATIO, RankingKind.SESSION_WEIGHT)
-    ranked = [i for i, p in enumerate(policies) if p.ranking in windowed]
+    ranked = [i for i, p in enumerate(policies) if p.ranking.windowed]
     picks = {}
     if ranked:
         lockstep = _lockstep_picks(draws, [policies[i] for i in ranked], sizes[ranked], bootstrap)

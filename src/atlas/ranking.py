@@ -39,6 +39,11 @@ class RankingKind(str, Enum):
     CLASS_RATIO = "class_ratio"
     SESSION_WEIGHT = "session_weight"
 
+    @property
+    def windowed(self) -> bool:
+        """Whether the ranking reads the rolling window's scores."""
+        return self in (RankingKind.CLASS_RATIO, RankingKind.SESSION_WEIGHT)
+
 
 # Accepted spellings in config files and query payloads.
 RANKING_ALIASES: dict[str, RankingKind] = {
@@ -205,16 +210,12 @@ class RollingSelectionStats:
         by session_weight, by the best weight among the sessions that define
         the class.  The unranked and random policies read no score.
         """
-        lanes = self._by_weight
-        if lanes is None:
-            return self.class_ratio()
-        sums = self.sums[lanes]
-        observed = sums[..., 1]
-        weights = session_weight_scores(index, sums[..., 0] + observed, observed)
-        if isinstance(lanes, slice):  # every lane ranks by weight
-            return weights
         scores = self.class_ratio()
-        scores[lanes] = weights
+        lanes = self._by_weight
+        if lanes is not None:
+            sums = self.sums[lanes]
+            observed = sums[..., 1]
+            scores[lanes] = session_weight_scores(index, sums[..., 0] + observed, observed)
         return scores
 
 

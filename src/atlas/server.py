@@ -194,21 +194,32 @@ class MapBackend:
             return self._account(None, bytes_up, reply)
         session = self._resolve(msg.token)
         reply = self.handle_message(msg, session)
+        if reply.kind is MessageKind.ERROR and reply.body["code"] == ERR_NO_SESSION:
+            session = None  # the token was not live, so only the total is charged
         return self._account(session, bytes_up, reply, msg.kind is MessageKind.QUERY)
 
     def handle_message(self, msg: Message, session: _Session | None) -> Message | LandmarksReply:
-        """Dispatch one decoded request of the resolved session; always returns one reply."""
-        if msg.kind is MessageKind.OPEN_SESSION:
+        """Dispatch one decoded request of the resolved session; always returns one reply.
+
+        A session's query, report and close frames run one at a time under its lock."""
+        kind = msg.kind
+        if kind is MessageKind.OPEN_SESSION:
             return self._open_session(msg)
-        if msg.kind is MessageKind.QUERY:
-            return self._query(msg, session)
-        if msg.kind is MessageKind.REPORT:
-            return self._report(msg, session)
-        if msg.kind is MessageKind.UPLOAD_SORTIE:
+        if kind not in (MessageKind.QUERY, MessageKind.REPORT, MessageKind.UPLOAD_SORTIE,
+                        MessageKind.CLOSE):
+            return msg.error(ERR_BAD_REQUEST, f"{kind.value} is not a request kind")
+        if session is None:
+            return msg.error(ERR_NO_SESSION, "unknown or closed session token")
+        if kind is MessageKind.UPLOAD_SORTIE:  # it changes no session state
             return self._upload(msg, session)
-        if msg.kind is MessageKind.CLOSE:
+        with session.lock:
+            if session.closed:  # by a close that ran after this frame resolved its token
+                return msg.error(ERR_NO_SESSION, "unknown or closed session token")
+            if kind is MessageKind.QUERY:
+                return self._query(msg, session)
+            if kind is MessageKind.REPORT:
+                return self._report(msg, session)
             return self._close(msg, session)
-        return msg.error(ERR_BAD_REQUEST, f"{msg.kind.value} is not a request kind")
 
     # -- Accounting --
 
@@ -286,9 +297,7 @@ class MapBackend:
             },
         )
 
-    def _query(self, msg: Message, session: _Session | None) -> Message | LandmarksReply:
-        if session is None:
-            return msg.error(ERR_NO_SESSION, "unknown or closed session token")
+    def _query(self, msg: Message, session: _Session) -> Message | LandmarksReply:
         pose = msg.body.get("pose")
         if (
             not isinstance(pose, (list, tuple))
@@ -296,27 +305,28 @@ class MapBackend:
             or not all(map(_finite_number, pose))
         ):
             return msg.error(ERR_BAD_REQUEST, "pose must be [x, y] or [x, y, heading]")
-        with session.lock:
-            if session.pending is not None:
-                return msg.error(ERR_BAD_REQUEST, "previous selection still awaits its report")
-            pub = self._published
-            snap = pub.map
-            index = snap.index
-            if session.seen_version != snap.version:
-                # Class numbering moved with the map, so the window restarts.
-                session.window = RollingSelectionStats((session.policy,), len(index))
-                session.seen_version = snap.version
-            candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
-            # Ids are ascending in the map and among the candidates, so
-            # searchsorted finds the map row of each candidate and each selection.
-            rows = np.searchsorted(snap.landmark_ids, candidates)
-            scores = session.window.scores(index)[0][index.class_ids[rows]]
-            salt = session.n_queries
-            session.n_queries += 1
-            selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
-            selected_rows = rows[np.searchsorted(candidates, selected)]
-            class_ids = index.class_ids[selected_rows]
-            session.pending = _Pending(selected, class_ids, index)
+        if session.pending is not None:
+            return msg.error(ERR_BAD_REQUEST, "previous selection still awaits its report")
+
+        pub = self._published
+        snap = pub.map
+        if session.seen_version != snap.version:
+            # Class numbering moved with the map, so the window restarts.
+            session.window = RollingSelectionStats((session.policy,), len(snap.index))
+            session.seen_version = snap.version
+        candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
+        # Ids are ascending in the map and among the candidates, so
+        # searchsorted finds the map row of each candidate and each selection.
+        rows = np.searchsorted(snap.landmark_ids, candidates)
+        index = snap.index
+        scores = (session.window.scores(index)[0][index.class_ids[rows]]
+                  if session.policy.ranking.windowed else np.zeros(len(candidates)))
+        salt = session.n_queries
+        session.n_queries += 1
+        selected = select_from_arrays(session.policy, candidates, scores, salt=salt)
+        selected_rows = rows[np.searchsorted(candidates, selected)]
+        class_ids = index.class_ids[selected_rows]
+        session.pending = _Pending(selected, class_ids, index)
         return LandmarksReply(
             cid=msg.cid,
             token=session.token,
@@ -327,38 +337,32 @@ class MapBackend:
             map_version=snap.version,
         )
 
-    def _report(self, msg: Message, session: _Session | None) -> Message:
-        if session is None:
-            return msg.error(ERR_NO_SESSION, "unknown or closed session token")
+    def _report(self, msg: Message, session: _Session) -> Message:
+        if session.pending is None:
+            return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
         observed = msg.body.get("observed")
-        with session.lock:
-            pending = session.pending
-            if pending is None:
-                return msg.error(ERR_BAD_REPORT, "no selection awaits a report")
-            # A decoded frame's integers are exactly int, so this also refuses bools.
-            if not isinstance(observed, list) or not set(map(type, observed)) <= {int}:
-                return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
-            distinct = set(observed)
-            # The mask credits each distinct observed id once, however often it is named.
-            observed_mask = np.fromiter(map(distinct.__contains__, pending.selected.tolist()),
-                                        dtype=bool, count=len(pending.selected))
-            if int(observed_mask.sum()) != len(distinct):
-                # A selection holds distinct ids, so some observed id was not selected.
-                # Reject without touching the window; the selection stays pending.
-                return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
-            update_window(session.window, pending.class_ids, observed_mask, pending.index)
-            session.pending = None
-            window_fill = len(session.window)
+        # A decoded frame's integers are exactly int, so this also refuses bools.
+        if not isinstance(observed, list) or not set(map(type, observed)) <= {int}:
+            return msg.error(ERR_BAD_REQUEST, "observed must be a list of landmark ids")
+        pending = session.pending
+        distinct = set(observed)
+        # The mask credits each distinct observed id once, however often it is named.
+        observed_mask = np.fromiter(map(distinct.__contains__, pending.selected.tolist()),
+                                    dtype=bool, count=len(pending.selected))
+        if int(observed_mask.sum()) != len(distinct):
+            # A selection holds distinct ids, so some observed id was not selected.
+            # Reject without touching the window; the selection stays pending.
+            return msg.error(ERR_BAD_REPORT, "observed ids are not a subset of the selection")
+        update_window(session.window, pending.class_ids, observed_mask, pending.index)
+        session.pending = None
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,
             token=session.token,
-            body={"n_recorded": len(distinct), "window_fill": window_fill},
+            body={"n_recorded": len(distinct), "window_fill": len(session.window)},
         )
 
-    def _upload(self, msg: Message, session: _Session | None) -> Message:
-        if session is None:
-            return msg.error(ERR_NO_SESSION, "unknown or closed session token")
+    def _upload(self, msg: Message, session: _Session) -> Message:
         # Taken out of the request, the document is freed once parsed, before the update.
         doc = msg.body.pop("sortie", None)
         if not isinstance(doc, dict):
@@ -401,14 +405,9 @@ class MapBackend:
             },
         )
 
-    def _close(self, msg: Message, session: _Session | None) -> Message:
-        if session is None:
-            return msg.error(ERR_NO_SESSION, "unknown or closed session token")
-        with session.lock:
-            if session.closed:  # closed by a frame on another connection meanwhile
-                return msg.error(ERR_NO_SESSION, "unknown or closed session token")
-            session.closed = True
-            session.pending = None
+    def _close(self, msg: Message, session: _Session) -> Message:
+        session.closed = True
+        session.pending = None
         doc = {"token": session.token, "ledger": session.ledger.to_doc()}
         if self.on_session_close is not None:
             self.on_session_close(doc)

@@ -377,6 +377,44 @@ def test_frames_for_one_token_are_serialized(monkeypatch):
     assert backend.sessions[token].n_queries == 1
 
 
+@pytest.mark.parametrize("kind", [MessageKind.QUERY, MessageKind.REPORT])
+def test_frame_that_resolved_its_session_before_a_close_gets_no_session(monkeypatch, kind):
+    """A frame resolves its session, a close on another connection then runs
+    to the end, and only then does the frame reach the session lock.  It must
+    answer as a frame sent after the close: no_session, no change to the
+    session, and no charge to a session ledger the close already reported."""
+    backend = fresh_backend()
+    wire = Wire(backend)
+    token = open_session(wire, policy="class_ratio@0.5")
+    if kind is MessageKind.REPORT:
+        wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
+    session = backend.sessions[token]
+    resolve = backend._resolve
+    closes = []
+
+    def resolve_then_close(t):
+        resolved = resolve(t)
+        if not closes:  # the close frame resolves through here too
+            closes.append(None)
+            closes[0] = Wire(backend).send(MessageKind.CLOSE, token=token)
+        return resolved
+
+    monkeypatch.setattr(backend, "_resolve", resolve_then_close)
+    body = {"pose": [0.0, 1.0]} if kind is MessageKind.QUERY else {"observed": []}
+    up, down = wire.bytes_up, wire.bytes_down
+    reply = wire.send(kind, body, token=token)
+    assert closes[0].kind is MessageKind.UPDATE_ACK
+    assert reply.kind is MessageKind.ERROR
+    assert reply.body["code"] == "no_session"
+    assert session.pending is None and len(session.window) == 0
+    assert session.n_queries == (kind is MessageKind.REPORT)
+    # every other frame was charged to the session; this one to the total only
+    total = backend.ledger
+    assert total.bytes_up - session.ledger.bytes_up == wire.bytes_up - up
+    assert total.bytes_down - session.ledger.bytes_down == wire.bytes_down - down
+    assert total.queries - session.ledger.queries == (kind is MessageKind.QUERY)
+
+
 def test_one_token_on_many_connections_keeps_one_selection_pending():
     """Threads share one token and race query/report pairs.  Each report
     resolves the one pending selection, so at the end at most one selection
