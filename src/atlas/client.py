@@ -213,7 +213,8 @@ def drive_sortie(
     id), the same stream the in-process localization loop uses, so a
     served vehicle and a local simulation observe identical outcomes for
     identical selections.  The kernel sidecar is extended in place with
-    the kernels of proposals the upload turned into new landmarks.
+    the kernels of proposals the upload turned into new landmarks; the ack
+    names the proposal row of each, since summarization may drop some.
     """
     n = dataset.n_iterations
     selected_counts = np.zeros(n, dtype=np.int64)
@@ -233,7 +234,8 @@ def drive_sortie(
     ack: dict = {}
     if upload:
         ack = client.upload_sortie(dataset)
-        add_kernels(kernels, ack.get("new_landmark_ids", []), dataset.proposals)
+        ids, rows = ack.get("new_landmark_ids", []), ack.get("new_landmark_rows", [])
+        add_kernels(kernels, ids, rows, dataset.proposals)
     return DriveResult(
         label=dataset.label,
         selected_counts=selected_counts,

@@ -506,7 +506,7 @@ def process_sortie(
             run.observations,
             label=dataset.label,
         )
-        add_kernels(cfg.kernels, work.landmarks_created_by(session_id), proposals)
+        add_kernels(cfg.kernels, work.landmarks_created_by(session_id), range(len(proposals)), proposals)
         if work.landmark_cap != UNBOUNDED_CAP and len(work.landmarks) > work.landmark_cap:
             problem = build_problem(
                 work, keep_count=work.landmark_cap, min_per_vertex=COVERAGE_FLOOR_PER_VERTEX

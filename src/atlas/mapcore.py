@@ -322,6 +322,12 @@ class MultiSessionMap:
     def n_observation_sessions(self) -> int:
         return sum(1 for s in self.sessions if s.kind is SessionKind.OBSERVATION)
 
+    @property
+    def next_landmark_id(self) -> int:
+        """The id of the next landmark created: a rich session numbers its
+        landmarks from here, in proposal order."""
+        return self._next_landmark_id
+
     def landmarks_created_by(self, session_id: int) -> list[int]:
         """Ids of landmarks whose origin is the given session, ascending."""
         return self.landmark_ids[self.landmark_origins == session_id].tolist()

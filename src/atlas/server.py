@@ -376,6 +376,7 @@ class MapBackend:
             # process_sortie extends and prunes the registry it is given, so it
             # gets a copy; a failed upload leaves the published registry as it was.
             kernels = dict(self.kernels)
+            first_id = self.snapshot.next_landmark_id
             cfg = PipelineConfig(kernels=kernels, threshold_m=self.threshold_m)
             try:
                 # Map updates are decided from an unranked full-selection run so the
@@ -400,6 +401,8 @@ class MapBackend:
                 "map_version": new_map.version,
                 "n_landmarks": len(new_map.landmarks),
                 "new_landmark_ids": [int(i) for i in new_ids],
+                # the proposal each id was made from: ids are numbered in proposal order
+                "new_landmark_rows": [int(i) - first_id for i in new_ids],
                 "rms_m": report.rms_m,
                 "summarized": report.summarized,
             },

@@ -18,8 +18,10 @@ often: cost_i = 1 / (1 + n_sessions_i + obs_weight * n_observations_i).
 
 Costs and coverage are read from the map's columns: the session counts
 and observation totals are bincounts over its (landmark, session) pairs
-and (landmark, vertex, count) triples, and each landmark's covered
-vertex rows are one run of the triples, which are sorted by landmark.
+and (landmark, vertex, count) triples.  The triples are sorted by
+landmark, then vertex, so the map's vertex column is A in compressed
+columns, shared and never copied; one searchsorted over the landmark
+column bounds each landmark's run.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class SummarizationProblem:
     """One summarization instance over N landmarks and M vertices."""
 
     costs: np.ndarray  # (N,) positive
-    landmark_vertices: list[np.ndarray]  # per landmark, row indices it covers
+    # A in compressed columns: landmark j covers vertex rows vertices[ptr[j]:ptr[j + 1]].
+    vertices: np.ndarray
+    ptr: np.ndarray  # (N + 1,)
     n_vertices: int
     keep_count: int
     min_per_vertex: int = DEFAULT_MIN_PER_VERTEX
@@ -69,10 +73,23 @@ class SummarizationProblem:
             raise ValueError("problem needs at least one landmark")
         if not np.all(np.isfinite(self.costs)) or np.any(self.costs <= 0):
             raise ValueError("costs must be positive and finite")
-        if len(self.landmark_vertices) != n:
+        self.vertices = np.asarray(self.vertices, dtype=np.int64)
+        self.ptr = np.asarray(self.ptr, dtype=np.int64)
+        if self.ptr.shape != (n + 1,) or self.ptr[0] != 0 or self.ptr[-1] != len(self.vertices):
             raise ValueError("one coverage column per landmark required")
-        if not self._columns_are_normal():
-            self._normalize_columns()
+        sizes = np.diff(self.ptr)
+        if not (sizes > 0).all():
+            raise ValueError(f"landmark {np.argmin(sizes > 0)} covers no vertex")
+        outside = (self.vertices < 0) | (self.vertices >= self.n_vertices)
+        if outside.any():
+            owner = np.searchsorted(self.ptr, np.argmax(outside), side="right") - 1
+            raise ValueError(f"landmark {owner} references a vertex out of range")
+        ascending = np.diff(self.vertices) > 0
+        ascending[self.ptr[1:-1] - 1] = True  # a column may start below the last one's end
+        if not ascending.all():  # sort and de-duplicate each column
+            key = np.unique(np.repeat(np.arange(n), sizes) * self.n_vertices + self.vertices)
+            self.vertices = key % self.n_vertices
+            self.ptr = np.searchsorted(key, np.arange(n + 1) * self.n_vertices)
         if not 1 <= self.keep_count <= n:
             raise ValueError("keep_count must satisfy 1 <= keep_count <= n_landmarks")
         if self.min_per_vertex < 1:
@@ -80,62 +97,30 @@ class SummarizationProblem:
         if self.slack_penalty < 0:
             raise ValueError("slack_penalty must be >= 0")
 
-    def _columns_are_normal(self) -> bool:
-        """Whether every coverage column is a non-empty, strictly ascending
-        int64 array of vertex rows in range, as build_coobservability makes them."""
-        cols = self.landmark_vertices
-        if not all(isinstance(col, np.ndarray) and col.dtype == np.int64 and col.ndim == 1
-                   for col in cols):
-            return False
-        sizes = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
-        if not sizes.all():
-            return False
-        vertex = np.concatenate(cols)
-        ascending = np.diff(vertex) > 0
-        ascending[np.cumsum(sizes)[:-1] - 1] = True  # a column may start below the last one's end
-        return bool(ascending.all()) and int(vertex.min()) >= 0 and int(vertex.max()) < self.n_vertices
-
-    def _normalize_columns(self) -> None:
-        """Sort and de-duplicate each column; ValueError for an empty one or a
-        vertex out of range."""
-        n = len(self.costs)
-        owner = np.repeat(np.arange(n), [len(col) for col in self.landmark_vertices])
-        vertex = np.concatenate([np.asarray(col, dtype=np.int64) for col in self.landmark_vertices])
-        covers = np.bincount(owner, minlength=n) > 0
-        if not covers.all():
-            raise ValueError(f"landmark {np.argmin(covers)} covers no vertex")
-        outside = (vertex < 0) | (vertex >= self.n_vertices)
-        if outside.any():
-            raise ValueError(f"landmark {owner[np.argmax(outside)]} references a vertex out of range")
-        key = np.sort(owner * self.n_vertices + vertex)  # by landmark, then vertex
-        key = key[np.diff(key, prepend=-1) != 0]
-        starts = np.searchsorted(key, np.arange(1, n) * self.n_vertices)
-        self.landmark_vertices = np.split(key % self.n_vertices, starts)
-
     @property
     def n_landmarks(self) -> int:
         return len(self.costs)
 
-    def vertex_rows(self) -> list[np.ndarray]:
-        """Per vertex, the ascending indices of landmarks covering it."""
-        sizes = [len(col) for col in self.landmark_vertices]
-        vertex = np.concatenate(self.landmark_vertices)
-        landmark = np.repeat(np.arange(self.n_landmarks), sizes)[np.argsort(vertex, kind="stable")]
-        return np.split(landmark, np.cumsum(np.bincount(vertex, minlength=self.n_vertices))[:-1])
+    @property
+    def landmark_vertices(self) -> list[np.ndarray]:
+        """Per landmark, a view of the vertex rows it covers."""
+        return np.split(self.vertices, self.ptr[1:-1])
 
     def coverage(self, kept: Sequence[int]) -> np.ndarray:
-        cov = np.zeros(self.n_vertices, dtype=np.int64)
-        for j in kept:
-            cov[self.landmark_vertices[int(j)]] += 1
-        return cov
+        """Per vertex, how many kept landmarks cover it (a repeated index counts again)."""
+        times = np.bincount(np.asarray(kept, dtype=np.int64), minlength=self.n_landmarks)
+        kept_rows = np.repeat(self.vertices, np.repeat(times, np.diff(self.ptr)))
+        return np.bincount(kept_rows, minlength=self.n_vertices)
 
     def slack(self, kept: Sequence[int]) -> np.ndarray:
         """Closed-form optimal slack for a fixed keep set."""
         return np.maximum(0, self.min_per_vertex - self.coverage(kept))
 
     def objective(self, kept: Sequence[int]) -> float:
-        kept = np.asarray(list(kept), dtype=np.int64)
-        return float(self.costs[kept].sum() + self.slack_penalty * self.slack(kept).sum())
+        return self._objective(np.asarray(kept, dtype=np.int64), self.slack(kept))
+
+    def _objective(self, kept: np.ndarray, slack: np.ndarray) -> float:
+        return float(self.costs[kept].sum() + self.slack_penalty * slack.sum())
 
 
 @dataclass
@@ -153,10 +138,11 @@ def _finish(problem: SummarizationProblem, kept: np.ndarray, exact: bool) -> Sum
     keep_ids = None
     if problem.landmark_ids is not None:
         keep_ids = tuple(problem.landmark_ids[int(j)] for j in kept)
+    slack = problem.slack(kept)
     return SummarizationSolution(
         keep=kept,
-        slack=problem.slack(kept),
-        objective=problem.objective(kept),
+        slack=slack,
+        objective=problem._objective(kept, slack),
         exact=exact,
         keep_ids=keep_ids,
         map_stamp=problem.map_stamp,
@@ -179,16 +165,17 @@ def build_cost_vector(
 
 def build_coobservability(
     m: MultiSessionMap,
-) -> tuple[tuple[int, ...], tuple[int, ...], list[np.ndarray]]:
-    """(vertex ids, landmark ids, per-landmark covered vertex rows).
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
+    """(vertex ids, landmark ids, vertices, ptr): landmark row j covers the
+    vertex rows vertices[ptr[j]:ptr[j + 1]], ascending.
 
-    Row/column order is ascending id.  An empty map yields a 0 x 0 matrix.
+    Row/column order is ascending id; vertices is the map's own
+    obs_vertices column.  An empty map yields a 0 x 0 matrix.
     """
     # The triples are sorted by (landmark row, vertex row): each landmark's
     # vertex rows are one ascending run.
-    starts = np.searchsorted(m.obs_landmarks, np.arange(1, len(m.landmark_ids)))
-    cols = np.split(m.obs_vertices, starts) if len(m.landmark_ids) else []
-    return tuple(m.vertex_ids.tolist()), tuple(m.landmark_ids.tolist()), cols
+    ptr = np.searchsorted(m.obs_landmarks, np.arange(len(m.landmark_ids) + 1))
+    return tuple(m.vertex_ids.tolist()), tuple(m.landmark_ids.tolist()), m.obs_vertices, ptr
 
 
 def build_problem(
@@ -198,11 +185,12 @@ def build_problem(
     slack_penalty: float = DEFAULT_SLACK_PENALTY,
     obs_weight: float = DEFAULT_OBS_WEIGHT,
 ) -> SummarizationProblem:
-    vertex_ids, landmark_ids, cols = build_coobservability(m)
+    vertex_ids, landmark_ids, vertices, ptr = build_coobservability(m)
     _, costs = build_cost_vector(m, obs_weight)
     return SummarizationProblem(
         costs=costs,
-        landmark_vertices=cols,
+        vertices=vertices,
+        ptr=ptr,
         n_vertices=len(vertex_ids),
         keep_count=keep_count,
         min_per_vertex=min_per_vertex,
@@ -230,7 +218,7 @@ def solve_exact(problem: SummarizationProblem) -> SummarizationSolution:
     q = problem.costs
     b = problem.min_per_vertex
     lam = problem.slack_penalty
-    cols = problem.landmark_vertices
+    vertices, ptr = problem.vertices, problem.ptr.tolist()
     # fill_cost[i][r]: cheapest cost of r more picks from suffix i.
     fill_cost = []
     for i in range(n + 1):
@@ -240,7 +228,7 @@ def solve_exact(problem: SummarizationProblem) -> SummarizationSolution:
     free_deg = np.zeros((n + 1, m), dtype=np.int64)
     for i in range(n - 1, -1, -1):
         free_deg[i] = free_deg[i + 1]
-        free_deg[i][cols[i]] += 1
+        free_deg[i][vertices[ptr[i]:ptr[i + 1]]] += 1
 
     best_obj = np.inf
     best_keep: np.ndarray | None = None
@@ -266,9 +254,10 @@ def solve_exact(problem: SummarizationProblem) -> SummarizationSolution:
         if bound >= best_obj - _TIE_EPS:
             return
         prefix.append(i)  # include first: keep sets arrive in lex order
-        cov[cols[i]] += 1
+        col = vertices[ptr[i]:ptr[i + 1]]
+        cov[col] += 1
         visit(i + 1, in_cost + float(q[i]))
-        cov[cols[i]] -= 1
+        cov[col] -= 1
         prefix.pop()
         visit(i + 1, in_cost)
 
@@ -285,20 +274,27 @@ def solve_greedy(problem: SummarizationProblem) -> SummarizationSolution:
     q = problem.costs
     b = problem.min_per_vertex
     lam = problem.slack_penalty
-    cols = problem.landmark_vertices
-    rows = problem.vertex_rows()
+    vertices, ptr = problem.vertices, problem.ptr.tolist()
+
+    def col(j: int) -> np.ndarray:
+        return vertices[ptr[j]:ptr[j + 1]]
+
+    # The covering landmarks of each vertex: entries regrouped by vertex with
+    # a stable sort, so each vertex lists its landmarks in ascending order.
+    by_vertex = np.repeat(np.arange(n), np.diff(problem.ptr))[np.argsort(vertices, kind="stable")]
+    at = np.concatenate(([0], np.cumsum(np.bincount(vertices, minlength=problem.n_vertices)))).tolist()
     kept = np.zeros(n, dtype=bool)
     cov = np.zeros(problem.n_vertices, dtype=np.int64)
     for v in range(problem.n_vertices):
         if cov[v] >= b:
             continue
-        row = rows[v]
+        row = by_vertex[at[v]:at[v + 1]]
         for j in row[np.argsort(q[row], kind="stable")]:
             if cov[v] >= b:
                 break
             if not kept[j]:
                 kept[j] = True
-                cov[cols[j]] += 1
+                cov[col(j)] += 1
     n_kept = int(kept.sum())
     if n_kept < problem.keep_count:
         order = np.lexsort((np.arange(n), q))
@@ -307,13 +303,13 @@ def solve_greedy(problem: SummarizationProblem) -> SummarizationSolution:
                 break
             if not kept[j]:
                 kept[j] = True
-                cov[cols[j]] += 1
+                cov[col(j)] += 1
                 n_kept += 1
     elif n_kept > problem.keep_count:
         # Evict the landmark whose removal improves the objective most
         # (its cost minus the slack penalty it would newly incur).
         def gain(j: int) -> float:
-            return float(q[j]) - lam * int(np.count_nonzero(cov[cols[j]] <= b))
+            return float(q[j]) - lam * int(np.count_nonzero(cov[col(j)] <= b))
 
         heap = [(-gain(int(j)), int(j)) for j in np.flatnonzero(kept)]
         heapq.heapify(heap)
@@ -326,7 +322,7 @@ def solve_greedy(problem: SummarizationProblem) -> SummarizationSolution:
                 heapq.heappush(heap, (-g, j))
                 continue
             kept[j] = False
-            cov[cols[j]] -= 1
+            cov[col(j)] -= 1
             n_kept -= 1
     return _finish(problem, np.flatnonzero(kept), exact=False)
 

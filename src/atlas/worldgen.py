@@ -311,9 +311,12 @@ class Proposals:
 NO_PROPOSALS = Proposals(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty((0, 3)))
 
 
-def add_kernels(kernels: KernelRegistry, landmark_ids: Iterable[int], proposals: Proposals) -> None:
-    """Register the kernel of proposal j for landmark_ids[j], the landmark made from it."""
-    for lid, (center, width, peak) in zip(landmark_ids, proposals.kernels.tolist()):
+def add_kernels(
+    kernels: KernelRegistry, landmark_ids: Iterable[int], rows: Iterable[int], proposals: Proposals
+) -> None:
+    """Register for landmark_ids[j] the kernel of proposal rows[j], the proposal it was made from."""
+    params = proposals.kernels[np.fromiter(rows, dtype=np.int64)].tolist()
+    for lid, (center, width, peak) in zip(landmark_ids, params, strict=True):
         kernels[int(lid)] = ObservabilityKernel(center, width, peak)
 
 
@@ -338,32 +341,23 @@ class SortieDataset:
         return (self.label, self.n_iterations, self.observation_seed, self.error_seed)
 
 
-def _resample_loop(waypoints: list[tuple[float, float]], n: int) -> tuple[np.ndarray, float]:
+def _loop_segments(waypoints: list[tuple[float, float]]) -> tuple[np.ndarray, ...]:
+    """The closed loop through the waypoints: each segment's start point,
+    vector and length, and the arc length at each start (then the total)."""
     pts = np.asarray(waypoints, dtype=np.float64)
     closed = np.vstack([pts, pts[:1]])
     seg = np.diff(closed, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    length = float(seg_len.sum())
-    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    s = np.linspace(0.0, length, n, endpoint=False)
+    return closed[:-1], seg, seg_len, np.concatenate(([0.0], np.cumsum(seg_len)))
+
+
+def _on_loop(loop: tuple[np.ndarray, ...], s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, 2) points at arc lengths s along the loop, with the vector and
+    length of the segment each one lies on."""
+    start, seg, seg_len, cum = loop
     idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
     frac = (s - cum[idx]) / seg_len[idx]
-    xy = closed[idx] + seg[idx] * frac[:, None]
-    heading = np.arctan2(seg[idx, 1], seg[idx, 0])
-    return np.column_stack([xy, heading]), length
-
-
-def _point_on_loop(waypoints: list[tuple[float, float]], s: float) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray(waypoints, dtype=np.float64)
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.diff(closed, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
-    frac = (s - cum[i]) / seg_len[i]
-    point = closed[i] + seg[i] * frac
-    normal = np.array([-seg[i, 1], seg[i, 0]]) / seg_len[i]
-    return point, normal
+    return start[idx] + seg[idx] * frac[:, None], seg[idx], seg_len[idx]
 
 
 def generate_world(scenario: Scenario, seed: int) -> World:
@@ -373,21 +367,27 @@ def generate_world(scenario: Scenario, seed: int) -> World:
     are log-uniform over the scenario's range, peaks uniform.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    trajectory, length = _resample_loop(scenario.waypoints, scenario.n_iterations)
+    loop = _loop_segments(scenario.waypoints)
+    length = float(loop[2].sum())
+    xy, seg, _ = _on_loop(loop, np.linspace(0.0, length, scenario.n_iterations, endpoint=False))
+    trajectory = np.column_stack([xy, np.arctan2(seg[:, 1], seg[:, 0])])
     n_sites = int(rng.poisson(scenario.landmark_density * length))
     w_lo, w_hi = scenario.kernel_width_range
     p_lo, p_hi = scenario.kernel_peak_range
-    sites = []
-    for _ in range(n_sites):
-        s = float(rng.uniform(0.0, length))
-        point, normal = _point_on_loop(scenario.waypoints, s)
-        offset = float(rng.uniform(-scenario.corridor_width / 2, scenario.corridor_width / 2))
-        z = float(rng.uniform(0.0, 4.0))
-        position = np.array([point[0] + normal[0] * offset, point[1] + normal[1] * offset, z])
-        width = float(np.exp(rng.uniform(np.log(w_lo), np.log(w_hi))))
-        peak = float(rng.uniform(p_lo, p_hi))
-        base_center = float(rng.uniform(0.0, 1.0))
-        sites.append(GroundSite(position, base_center, width, peak))
+    half = scenario.corridor_width / 2
+    # Per site, in site order: arc length, corridor offset, height, log width,
+    # peak, base center; one array draw takes them from the stream in that order.
+    low = [0.0, -half, 0.0, np.log(w_lo), p_lo, 0.0]
+    high = [length, half, 4.0, np.log(w_hi), p_hi, 1.0]
+    s, offset, z, log_width, peaks, centers = rng.uniform(low, high, size=(n_sites, 6)).T
+    point, seg, seg_len = _on_loop(loop, s)
+    normal = np.column_stack([-seg[:, 1], seg[:, 0]]) / seg_len[:, None]
+    positions = np.column_stack([point + normal * offset[:, None], z])
+    sites = [
+        GroundSite(position, center, width, peak)
+        for position, center, width, peak in zip(
+            positions, centers.tolist(), np.exp(log_width).tolist(), peaks.tolist())
+    ]
     return World(scenario, trajectory, sites, length)
 
 

@@ -32,7 +32,7 @@ from atlas.ranking import (
 )
 from atlas.rng import derive_seed, hash_stream
 from atlas.summarize import SummarizationProblem
-from atlas.worldgen import Scenario, SortieSpec, generate_sortie, with_overrides
+from atlas.worldgen import GroundSite, Scenario, SortieSpec, World, generate_sortie, with_overrides
 
 LINE_POSES = np.array([[float(x), 0.0, 0.0] for x in range(5)])
 
@@ -60,23 +60,63 @@ def two_session_map() -> MultiSessionMap:
     return m
 
 
+def compressed_columns(cols) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, ptr) of per-landmark vertex lists: column j is vertices[ptr[j]:ptr[j + 1]].
+
+    Entries keep their given order and dtype, so a problem built from them
+    still sees unsorted, repeated or empty columns.
+    """
+    vertices = np.concatenate([np.zeros(0, dtype=np.int64), *map(np.asarray, cols)])
+    return vertices, np.concatenate(([0], np.cumsum([len(c) for c in cols], dtype=np.int64)))
+
+
 def random_summarization_problem(rng: np.random.Generator) -> SummarizationProblem:
     """A small random instance sized so exhaustive enumeration stays cheap."""
     n = int(rng.integers(1, 16))
     n_vertices = int(rng.integers(1, 9))
     costs = rng.uniform(0.05, 1.0, size=n)
-    cols = [
+    vertices, ptr = compressed_columns([
         rng.choice(n_vertices, size=int(rng.integers(1, n_vertices + 1)), replace=False)
         for _ in range(n)
-    ]
+    ])
     return SummarizationProblem(
         costs=costs,
-        landmark_vertices=cols,
+        vertices=vertices,
+        ptr=ptr,
         n_vertices=n_vertices,
         keep_count=int(rng.integers(1, n + 1)),
         min_per_vertex=int(rng.integers(1, 4)),
         slack_penalty=float(rng.uniform(0.1, 3.0)),
     )
+
+
+def milp_objective(problem: SummarizationProblem) -> float:
+    """Optimal objective of a summarization instance, solved as a MILP by HiGHS.
+
+    One binary keep flag per landmark and one continuous slack per vertex:
+    minimise costs . keep + slack_penalty * sum(slack) subject to exactly
+    keep_count kept and A keep + slack >= min_per_vertex, with A read from
+    the problem's compressed columns.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_matrix, hstack, identity
+
+    n, m = problem.n_landmarks, problem.n_vertices
+    cover = csc_matrix((np.ones(len(problem.vertices)), problem.vertices, problem.ptr), shape=(m, n))
+    is_keep = np.concatenate([np.ones(n), np.zeros(m)])
+    res = milp(
+        np.concatenate([problem.costs, np.full(m, problem.slack_penalty)]),
+        constraints=[
+            LinearConstraint(hstack([cover, identity(m)]).tocsr(), lb=problem.min_per_vertex),
+            LinearConstraint(is_keep[None, :], lb=problem.keep_count, ub=problem.keep_count),
+        ],
+        integrality=is_keep,
+        bounds=Bounds(0, np.concatenate([np.ones(n), np.full(m, np.inf)])),
+        options={"mip_rel_gap": 1e-9},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"MILP did not reach optimality: {res.message}")
+    return float(res.fun)
 
 
 def random_json_value(rnd: random.Random, depth: int = 0):
@@ -140,6 +180,49 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+def point_on_loop(waypoints, s: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The point at arc length s along the closed waypoint loop, with the unit
+    normal and the heading of its segment, each segment table built afresh."""
+    pts = np.asarray(waypoints, dtype=np.float64)
+    closed = np.vstack([pts, pts[:1]])
+    seg = np.diff(closed, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
+    frac = (s - cum[i]) / seg_len[i]
+    point = closed[i] + seg[i] * frac
+    normal = np.array([-seg[i, 1], seg[i, 0]]) / seg_len[i]
+    return point, normal, float(np.arctan2(seg[i, 1], seg[i, 0]))
+
+
+def site_by_site_world(scenario: Scenario, seed: int) -> World:
+    """generate_world one pose and one site at a time, each site drawing its
+    scalars from the stream in turn: the oracle for the vectorized world."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pts = np.asarray(scenario.waypoints, dtype=np.float64)
+    seg = np.diff(np.vstack([pts, pts[:1]]), axis=0)
+    length = float(np.hypot(seg[:, 0], seg[:, 1]).sum())
+    trajectory = []
+    for s in np.linspace(0.0, length, scenario.n_iterations, endpoint=False):
+        point, _, heading = point_on_loop(scenario.waypoints, s)
+        trajectory.append([point[0], point[1], heading])
+    n_sites = int(rng.poisson(scenario.landmark_density * length))
+    w_lo, w_hi = scenario.kernel_width_range
+    p_lo, p_hi = scenario.kernel_peak_range
+    sites = []
+    for _ in range(n_sites):
+        s = float(rng.uniform(0.0, length))
+        point, normal, _ = point_on_loop(scenario.waypoints, s)
+        offset = float(rng.uniform(-scenario.corridor_width / 2, scenario.corridor_width / 2))
+        z = float(rng.uniform(0.0, 4.0))
+        position = np.array([point[0] + normal[0] * offset, point[1] + normal[1] * offset, z])
+        width = float(np.exp(rng.uniform(np.log(w_lo), np.log(w_hi))))
+        peak = float(rng.uniform(p_lo, p_hi))
+        base_center = float(rng.uniform(0.0, 1.0))
+        sites.append(GroundSite(position, base_center, width, peak))
+    return World(scenario, np.array(trajectory), sites, length)
 
 
 class DequeWindow:

@@ -916,6 +916,50 @@ def test_vehicle_client_drive_with_upload_extends_sidecar():
     assert backend.snapshot.n_rich_sessions == 1
 
 
+class InProcessTransport:
+    """A vehicle's socket and read stream in one: each frame sent is answered
+    at once by the backend's handle_frame, with no socket or thread."""
+
+    def __init__(self, backend: MapBackend):
+        self.backend = backend
+        self.reply = io.BytesIO()
+
+    def sendall(self, frame: bytes) -> None:
+        self.reply = io.BytesIO(self.backend.handle_frame(frame[4:]))
+
+    def read(self, n: int) -> bytes:
+        return self.reply.read(n)
+
+
+def in_process_client(backend: MapBackend) -> VehicleClient:
+    client = VehicleClient.__new__(VehicleClient)
+    client._sock = client._stream = InProcessTransport(backend)
+    client._next_cid = 1
+    client.token = None
+    return client
+
+
+def test_vehicle_sidecar_matches_the_backend_after_every_capped_upload():
+    # The fleet's schedule and cap: one upload summarizes and reports only
+    # the created ids that survived, so ids and proposals no longer pair up
+    # in order.  The vehicle is never told which landmarks were dropped, so
+    # it keeps their kernels; ids are never reused, so those are never read.
+    scenario = get_scenario("city_dusk")
+    world = build_world(scenario, 42)
+    backend = MapBackend(MultiSessionMap(landmark_cap=scenario.landmark_cap))
+    client = in_process_client(backend)
+    sidecar: dict = {}
+    summarized = 0
+    for i in range(len(scenario.schedule)):
+        client.open_session(policy="all@1", sensor_range=scenario.sensor_range)
+        ack = drive_sortie(client, build_dataset(world, i, 42), sidecar, upload=True).upload_ack
+        client.close_session()
+        summarized += ack["summarized"]
+        assert sidecar.keys() >= backend.kernels.keys(), f"upload {i + 1}"
+        assert {lid: sidecar[lid] for lid in backend.kernels} == backend.kernels, f"upload {i + 1}"
+    assert summarized == 1 and len(backend.snapshot.landmarks) == scenario.landmark_cap
+
+
 def test_client_raises_backend_errors():
     backend = fresh_backend()
     with MapServer(backend) as server:

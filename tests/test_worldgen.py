@@ -33,7 +33,7 @@ from atlas.worldgen import (
     wrap_condition,
 )
 
-from helpers import tiny_scenario
+from helpers import site_by_site_world, tiny_scenario
 
 
 # -- circle geometry --
@@ -188,6 +188,23 @@ def test_generate_world_deterministic():
     assert len(c.sites) != len(a.sites) or not np.array_equal(
         np.stack([s.position for s in c.sites]), np.stack([s.position for s in a.sites])
     )
+
+
+@pytest.mark.parametrize("scenario", [
+    # slanted segments, on some of which atan2 of the normalized vector is one ulp off
+    tiny_scenario(waypoints=[(0.0, 0.0), (18.6, 15.0), (41.6, -17.4), (51.0, -33.6)]),
+    tiny_scenario(),
+    get_scenario("city_dusk"),
+], ids=["slanted", "tiny", "city_dusk"])
+def test_generate_world_equals_the_site_by_site_oracle_bit_for_bit(scenario):
+    for seed in range(5):
+        got, want = generate_world(scenario, seed), site_by_site_world(scenario, seed)
+        assert got.path_length == want.path_length
+        assert got.trajectory.tobytes() == want.trajectory.tobytes()
+        assert len(got.sites) == len(want.sites)
+        assert got.site_positions.tobytes() == want.site_positions.tobytes()
+        assert [(a.base_center, a.width, a.peak) for a in got.sites] == \
+            [(b.base_center, b.width, b.peak) for b in want.sites]
 
 
 def test_generate_world_shapes_and_ranges():
