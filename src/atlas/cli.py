@@ -5,7 +5,7 @@ Verbs:
 * ``atlas run``      -- chronological experiment grid with side-by-side
                         policy probes, regression re-localization, and
                         map-composition tracking; writes CSV/JSON outputs.
-* ``atlas regress``  -- with/without-observation-session twin study and
+* ``atlas regress``  -- with/without-observation-session gap study and
                         converged-map policy probes.
 * ``atlas compare``  -- aggregate metrics files from earlier runs into a
                         policy comparison summary.
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON config file; flags override it")
     run.set_defaults(func=cmd_run)
 
-    regress = sub.add_parser("regress", help="observation-session twin study and converged probes")
+    regress = sub.add_parser("regress", help="observation-session gap study and converged probes")
     regress.add_argument("--scenario")
     regress.add_argument("--seeds")
     regress.add_argument("--policy", help="policy under study (default class_ratio@0.2)")

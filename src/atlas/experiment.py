@@ -39,7 +39,6 @@ from atlas.ranking import SelectionPolicy, parse_policy, reference_policy
 from atlas.rng import derive_seed
 from atlas.worldgen import (
     NO_PROPOSALS,
-    KernelRegistry,
     Scenario,
     SortieDataset,
     World,
@@ -185,7 +184,7 @@ def run_chronological(
             for p, run in zip(probed, (ref_run, *probe_runs))
         ]
         del probe_runs  # released before ingest and summarization raise the peak
-        m, report = process_sortie(m, ds, ref, cfg, run=ref_run)
+        m, report = process_sortie(m, ds, cfg, run=ref_run)
         if cap != UNBOUNDED_CAP and len(m.landmarks) > cap:
             violations += 1
         reports.append(report)
@@ -256,7 +255,7 @@ def run_regression(chrono: ChronologicalResult) -> list[dict]:
 
 @dataclass
 class GapStudy:
-    """With- vs without-observation-session twin comparison, one seed."""
+    """A policy probed with and without observation sessions (the map and its view), one seed."""
 
     seed: int
     # stage (= rich sessions in the map at probe time) -> probe gaps
@@ -278,67 +277,55 @@ def observation_session_gap(
 ) -> GapStudy:
     """Measure what ingesting observation sessions buys the given policy.
 
-    Builds twin maps over the same schedule, one ingesting observation
-    sessions and one dropping them, with rich ingestion identical (the twins
-    stay in lockstep: observation sessions add no landmarks or vertices, so
-    both maps always hold the same landmark ids, and they share one kernel
-    registry).  Everything that does not read the class index is therefore
-    twin-independent: each sortie's draws are made once, on the twin with
-    observation sessions, and its full-selection reference run (which
-    selects by id) is made once and stands for both twins.  The probe
-    counts when the map already has a rich and an observation session and
-    the sortie itself localizes well enough to be an observation session,
-    i.e. a genuine revisit; the policy's observation ratio is then measured
-    on both twins, each reading the shared draws under its own classes.
+    Builds one map over the schedule.  Observation sessions add no
+    landmarks or vertices, so the map without them is its view
+    `m.without_observation_sessions()`, and all that does not read the
+    class index is the same on both: each sortie's draws and its
+    full-selection reference run (which selects by id) are made once, on
+    the map.  The probe counts when the map already has a rich and an
+    observation session and the sortie itself localizes well enough to be
+    an observation session, i.e. a genuine revisit; the policy's
+    observation ratio is then measured on the map and on its view, each
+    reading the shared draws under its own classes.
 
-    Each converged policy is then probed on the fully built twin that
-    ingested observation sessions, with one fresh sortie at the final
-    condition; its mean observation ratio lands in `converged`.
+    Each converged policy is then probed on the fully built map, with one
+    fresh sortie at the final condition; its mean observation ratio lands in
+    `converged`.
 
-    Runs without a landmark cap: summarization depends on the session lists
-    and would let the twins drift apart.
+    Runs without a landmark cap: summarization reads the counts that
+    observation sessions add, so a capped map would keep other landmarks
+    than a map without them.
     """
     sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
     world = build_world(sc, seed)
-    twins = {True: MultiSessionMap(), False: MultiSessionMap()}
-    kernels: KernelRegistry = {}
-    cfgs = {
-        w: PipelineConfig(kernels, threshold_m=sc.threshold_m, use_observation_sessions=w)
-        for w in twins
-    }
+    m = MultiSessionMap()
+    cfg = PipelineConfig(threshold_m=sc.threshold_m)
+    kernels = cfg.kernels
     ref = reference_policy()
     gaps: dict[int, list[float]] = {}
     with_r: dict[int, list[float]] = {}
     without_r: dict[int, list[float]] = {}
     for i in range(len(sc.schedule)):
         ds = build_dataset(world, i, seed)
-        stage = twins[True].n_rich_sessions
-        n_obs = twins[True].n_observation_sessions
-        draws = sortie_draws(twins[True], ds, kernels)
-        ref_run = localize_dataset(twins[True], ds, ref, kernels, draws=draws)
-        if (
-            stage >= 1
-            and n_obs >= 1
-            and decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
-        ):
-            r = {
-                w: observation_ratio(
-                    localize_dataset(m, ds, policy, kernels, draws=draws.on(m)), ref_run
+        stage = m.n_rich_sessions
+        draws = sortie_draws(m, ds, kernels)
+        ref_run = localize_dataset(m, ds, ref, kernels, draws=draws)
+        revisit = decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
+        if stage >= 1 and m.n_observation_sessions >= 1 and revisit:
+            r_with, r_without = (
+                observation_ratio(
+                    localize_dataset(v, ds, policy, kernels, draws=draws.on(v)), ref_run
                 ).mean_of_ratios
-                for w, m in twins.items()
-            }
-            gaps.setdefault(stage, []).append(r[True] - r[False])
-            with_r.setdefault(stage, []).append(r[True])
-            without_r.setdefault(stage, []).append(r[False])
+                for v in (m, m.without_observation_sessions())
+            )
+            gaps.setdefault(stage, []).append(r_with - r_without)
+            with_r.setdefault(stage, []).append(r_with)
+            without_r.setdefault(stage, []).append(r_without)
         del draws  # released before ingestion raises the peak
-        for w, m in twins.items():
-            twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
-        if not np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids):
-            raise RuntimeError("twin maps diverged; observation sessions must not add landmarks")
+        m, _ = process_sortie(m, ds, cfg, run=ref_run)
 
     converged: dict[str, float] = {}
     if converged_policies:
-        m = twins[True]
         probe = generate_sortie(
             world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
         )

@@ -9,8 +9,9 @@ observation ratios between policies then measure selection quality alone.
 Everything a run draws that no policy changes (candidate sets, detection
 outcomes, error draws, tie-break orders) is held in one SortieDraws per
 (map, sortie), in flat per-candidate columns.  Maps that hold the same
-landmarks under different class indexes (the twins of a gap study) share
-one SortieDraws: `SortieDraws.on` swaps only the class index it reads.
+landmarks under different class indexes (a map and its rich-sessions view,
+in a gap study) share one SortieDraws: `SortieDraws.on` swaps only the
+class index it reads.
 
 `localize_policies` runs any number of policies over one sortie in one
 pass.  Policies that never read the rolling window (`all`, `random`)
@@ -41,6 +42,7 @@ from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
     SelectionPolicy,
+    reference_policy,
     selection_order,  # noqa: F401 -- the order the lockstep reproduces; perfbench wraps this name
     selection_size,
 )
@@ -453,7 +455,6 @@ class PipelineConfig:
 
     kernels: KernelRegistry = field(default_factory=dict)
     threshold_m: float = DEFAULT_THRESHOLD_M
-    use_observation_sessions: bool = True
 
 
 @dataclass
@@ -461,7 +462,7 @@ class SortieReport:
     label: str
     condition: float
     session_kind: SessionKind
-    session_id: int | None
+    session_id: int
     rms_m: float
     n_landmarks_before: int
     n_landmarks_after: int
@@ -475,29 +476,29 @@ class SortieReport:
 def process_sortie(
     m: MultiSessionMap,
     dataset: SortieDataset,
-    policy: SelectionPolicy,
     cfg: PipelineConfig,
     run: LocalizationRun | None = None,
 ) -> tuple[MultiSessionMap, SortieReport]:
     """Localize, decide rich vs observation, ingest, and re-summarize.
 
-    The input map is never mutated, so a failure at any point leaves the
-    caller's state untouched.  Ingestion works on a copy that is returned;
-    an observation sortie with observation sessions disabled ingests
-    nothing and returns the input map itself.  A pre-computed run for this
-    (map, dataset, policy) may be passed to avoid localizing twice.
+    Map updates are decided from an unranked full-selection run, so the
+    rich/observation choice never depends on which vehicle uploaded.  That
+    `reference_policy()` run may be passed in to avoid localizing twice;
+    ValueError if it is another policy's.  The input map is never mutated,
+    so a failure leaves the caller's state untouched.
     """
+    ref = reference_policy()
     if run is None:
-        run = localize_dataset(m, dataset, policy, cfg.kernels)
+        run = localize_dataset(m, dataset, ref, cfg.kernels)
+    elif run.policy != ref:
+        raise ValueError("map updates are decided from the reference policy's run")
     kind = decide_update(run, cfg.threshold_m)
     n_before = len(m.landmarks)
-    work = m  # replaced by a copy only when there is something to ingest
+    work = m.copy()
     summarized = False
     objective = None
-    session_id: int | None = None
 
     if kind is SessionKind.RICH:
-        work = m.copy()
         proposals = dataset.proposals
         session_id = work.add_rich_session(
             dataset.poses,
@@ -518,8 +519,7 @@ def process_sortie(
             work = kept
             summarized = True
             objective = solution.objective
-    elif cfg.use_observation_sessions:
-        work = m.copy()
+    else:
         seen = run.observations
         vertex = work.nearest_vertices(dataset.poses)[seen[:, 1]]
         # Poses that share a nearest vertex merge their tallies; every count is 1.

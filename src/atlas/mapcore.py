@@ -518,6 +518,19 @@ class MultiSessionMap:
         m._index = None
         return m
 
+    def without_observation_sessions(self) -> "MultiSessionMap":
+        """A copy with only the rich sessions and their pairs; every other column is shared.
+
+        The observation triples keep what observation sessions added, since
+        counts are stored per vertex, not per session.  Nothing that reads
+        the class index reads them, so the view is for localization only.
+        """
+        m = self.copy()
+        m.sessions = [s for s in self.sessions if s.kind is SessionKind.RICH]
+        rich = np.isin(self.pair_sessions, [s.id for s in m.sessions])
+        m._assign(pair_landmarks=self.pair_landmarks[rich], pair_sessions=self.pair_sessions[rich])
+        return m
+
     def validate(self) -> None:
         """Check every structural invariant; raise MapValidationError on the first hit."""
         session_ids = [s.id for s in self.sessions]

@@ -39,6 +39,7 @@ from .protocol import (
     ERR_BAD_REPORT,
     ERR_BAD_REQUEST,
     ERR_NO_SESSION,
+    REQUEST_KINDS,
     LandmarksReply,
     Message,
     MessageKind,
@@ -53,7 +54,6 @@ from .ranking import (
     RollingSelectionStats,
     SelectionPolicy,
     parse_policy,
-    reference_policy,
     select_from_arrays,
     update_window,
 )
@@ -205,8 +205,7 @@ class MapBackend:
         kind = msg.kind
         if kind is MessageKind.OPEN_SESSION:
             return self._open_session(msg)
-        if kind not in (MessageKind.QUERY, MessageKind.REPORT, MessageKind.UPLOAD_SORTIE,
-                        MessageKind.CLOSE):
+        if kind not in REQUEST_KINDS:
             return msg.error(ERR_BAD_REQUEST, f"{kind.value} is not a request kind")
         if session is None:
             return msg.error(ERR_NO_SESSION, "unknown or closed session token")
@@ -379,14 +378,12 @@ class MapBackend:
             first_id = self.snapshot.next_landmark_id
             cfg = PipelineConfig(kernels=kernels, threshold_m=self.threshold_m)
             try:
-                # Map updates are decided from an unranked full-selection run so the
-                # rich/observation choice never depends on which vehicle uploaded.
-                new_map, report = process_sortie(self.snapshot, dataset, reference_policy(), cfg)
+                new_map, report = process_sortie(self.snapshot, dataset, cfg)
             except (TypeError, ValueError) as exc:
                 return msg.error(ERR_BAD_REQUEST, f"sortie rejected: {exc}")
             new_ids = (
                 new_map.landmarks_created_by(report.session_id)
-                if report.session_kind is SessionKind.RICH and report.session_id is not None
+                if report.session_kind is SessionKind.RICH
                 else []
             )
             # Atomic publish of the map, its registry and its reply table;

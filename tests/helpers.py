@@ -340,18 +340,18 @@ def reference_gap_study(
     policy: SelectionPolicy,
     converged_policies: tuple[SelectionPolicy, ...] = (),
 ) -> GapStudy:
-    """The twin gap study with every run made on its own twin, one policy at a time.
+    """The gap study on twin maps, every run made on its own twin, one policy at a time.
 
-    The oracle for experiment.observation_session_gap: each twin keeps its
-    own kernel registry and localizes the reference and the probed policy
-    itself; each converged policy is localized on its own.
+    The oracle for experiment.observation_session_gap: one twin ingests
+    every sortie, the other only the sorties its reference run decides are
+    rich.  Each twin keeps its own kernel registry and localizes the
+    reference and the probed policy itself; each converged policy is
+    localized on its own.
     """
     sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
     world = build_world(sc, seed)
     twins = {True: MultiSessionMap(), False: MultiSessionMap()}
-    cfgs = {
-        w: PipelineConfig(threshold_m=sc.threshold_m, use_observation_sessions=w) for w in twins
-    }
+    cfgs = {w: PipelineConfig(threshold_m=sc.threshold_m) for w in twins}
     ref = reference_policy()
     gaps: dict[int, list[float]] = {}
     with_r: dict[int, list[float]] = {}
@@ -367,7 +367,8 @@ def reference_gap_study(
             if stage >= 1 and n_obs >= 1 and revisit:
                 run = localize_dataset(m, ds, policy, cfgs[w].kernels)
                 r[w] = observation_ratio(run, ref_run).mean_of_ratios
-            twins[w], _ = process_sortie(m, ds, ref, cfgs[w], run=ref_run)
+            if w or not revisit:  # the twin without observation sessions takes rich ones only
+                twins[w], _ = process_sortie(m, ds, cfgs[w], run=ref_run)
         assert np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids)
         if len(r) == 2:
             gaps.setdefault(stage, []).append(r[True] - r[False])

@@ -196,7 +196,7 @@ def test_04_ranking_arithmetic_and_full_selection_equivalence():
     cfg = PipelineConfig(threshold_m=scenario.threshold_m)
     built = MultiSessionMap()
     for i in range(2):
-        built, _ = process_sortie(built, build_dataset(world, i, 5), reference_policy(), cfg)
+        built, _ = process_sortie(built, build_dataset(world, i, 5), cfg)
     probe = build_dataset(world, 2, 5)
     ranked_run = localize_dataset(built, probe, parse_policy("class_ratio@1.0"), cfg.kernels)
     full_run = localize_dataset(built, probe, reference_policy(), cfg.kernels)

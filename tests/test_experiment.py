@@ -1,4 +1,4 @@
-"""Experiment harness: chronological runs, twin studies, reproducible files."""
+"""Experiment harness: chronological runs, gap studies, reproducible files."""
 
 import csv
 import hashlib
@@ -167,7 +167,7 @@ def test_gap_study_equals_the_per_twin_loop(scenario, seed):
 def test_converged_probe_reference_is_exact():
     policies = tuple(parse_policy(p) for p in ("all@1", "class_ratio@0.3", "random@0.3"))
     # The second schedule alternates conditions, so observation sessions change
-    # the ranked ratio: a probe of the twin without them reads 0.427, not 0.532.
+    # the ranked ratio: a probe of the map without them reads 0.427, not 0.532.
     conditions = (("one", 0.10), ("two", 0.30), ("three", 0.11), ("four", 0.29), ("five", 0.20))
     alternating = [SortieSpec(label, c) for label, c in conditions]
     for sc in (tiny_scenario(), tiny_scenario(schedule=alternating)):
@@ -178,7 +178,7 @@ def test_converged_probe_reference_is_exact():
         cfg = PipelineConfig(threshold_m=uncapped.threshold_m)
         m = MultiSessionMap()
         for i in range(len(uncapped.schedule)):
-            m, _ = process_sortie(m, build_dataset(world, i, seed=42), reference_policy(), cfg)
+            m, _ = process_sortie(m, build_dataset(world, i, seed=42), cfg)
         probe = generate_sortie(
             world, uncapped.schedule[-1].condition, derive_seed(42, "probe"), label="probe"
         )

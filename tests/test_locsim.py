@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import atlas.locsim
+from atlas.experiment import build_dataset, build_world
 from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.locsim import (
     LocalizationRun,
@@ -22,7 +23,7 @@ from atlas.locsim import (
 )
 from atlas.ranking import RankingKind, SelectionPolicy, parse_policy, reference_policy
 from atlas.rng import hash_stream, normal_pair_stream, uniform01
-from atlas.worldgen import detection_probabilities, generate_sortie, generate_world
+from atlas.worldgen import SortieSpec, detection_probabilities, generate_sortie, generate_world
 
 from helpers import by_pose, reference_localize, tiny_scenario
 
@@ -89,7 +90,7 @@ def built():
     world = generate_world(sc, seed=11)
     first = generate_sortie(world, 0.10, seed=101, label="first")
     cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, report = process_sortie(MultiSessionMap(), first, reference_policy(), cfg)
+    m, report = process_sortie(MultiSessionMap(), first, cfg)
     assert report.session_kind is SessionKind.RICH
     revisit = generate_sortie(world, 0.11, seed=102, label="revisit")
     return m, cfg, revisit
@@ -148,7 +149,7 @@ def many_classes():
     m = MultiSessionMap()
     for i, condition in enumerate((0.10, 0.12, 0.45, 0.5, 0.11, 0.3, 0.13)):
         sortie = generate_sortie(world, condition, seed=700 + i, label=f"s{i}")
-        m, _ = process_sortie(m, sortie, reference_policy(), cfg)
+        m, _ = process_sortie(m, sortie, cfg)
     revisit = generate_sortie(world, 0.12, seed=799, label="revisit")
     # Pose 7 is moved out of sensor range of every landmark.
     poses = revisit.poses.copy()
@@ -363,7 +364,7 @@ def test_process_sortie_rich_then_observation():
     cfg = PipelineConfig(threshold_m=sc.threshold_m)
     first = generate_sortie(world, 0.10, seed=201, label="first")
     empty = MultiSessionMap()
-    m1, rep1 = process_sortie(empty, first, reference_policy(), cfg)
+    m1, rep1 = process_sortie(empty, first, cfg)
     assert rep1.session_kind is SessionKind.RICH
     assert rep1.rms_m > sc.threshold_m
     assert rep1.n_landmarks_before == 0
@@ -375,7 +376,7 @@ def test_process_sortie_rich_then_observation():
     assert len(empty.landmarks) == 0 and len(empty.sessions) == 0
 
     second = generate_sortie(world, 0.11, seed=202, label="second")
-    m2, rep2 = process_sortie(m1, second, reference_policy(), cfg)
+    m2, rep2 = process_sortie(m1, second, cfg)
     assert rep2.session_kind is SessionKind.OBSERVATION
     assert rep2.rms_m <= sc.threshold_m
     assert rep2.n_landmarks_after == rep2.n_landmarks_before
@@ -392,20 +393,46 @@ def test_process_sortie_rich_then_observation():
         assert set(m2.landmarks[lid].sessions) >= {1, obs_session}
 
 
-def test_process_sortie_observation_sessions_can_be_disabled():
+def test_process_sortie_decides_from_the_reference_run_only():
     sc = tiny_scenario()
     world = generate_world(sc, seed=21)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m, use_observation_sessions=False)
-    m1, _ = process_sortie(
-        MultiSessionMap(), generate_sortie(world, 0.10, seed=201), reference_policy(), cfg
-    )
-    m2, rep = process_sortie(
-        m1, generate_sortie(world, 0.11, seed=202), reference_policy(), cfg
-    )
-    assert rep.session_kind is SessionKind.OBSERVATION
-    assert rep.session_id is None
-    assert len(m2.sessions) == len(m1.sessions)
-    assert m2 is m1  # nothing ingested, nothing copied
+    cfg = PipelineConfig(threshold_m=sc.threshold_m)
+    m1, _ = process_sortie(MultiSessionMap(), generate_sortie(world, 0.10, seed=201), cfg)
+    second = generate_sortie(world, 0.11, seed=202)
+    ranked = localize_dataset(m1, second, parse_policy("class_ratio@0.2"), cfg.kernels)
+    with pytest.raises(ValueError, match="reference policy"):
+        process_sortie(m1, second, cfg, run=ranked)
+    assert len(m1.sessions) == 1 and m1.n_rich_sessions == 1
+    ref_run = localize_dataset(m1, second, reference_policy(), cfg.kernels)
+    m2, rep = process_sortie(m1, second, cfg, run=ref_run)
+    assert rep.session_kind is SessionKind.OBSERVATION and m2.n_observation_sessions == 1
+
+
+def test_without_observation_sessions_is_the_map_that_never_ingested_them():
+    # Alternating conditions: the observation sessions split classes.
+    conditions = (("one", 0.10), ("two", 0.30), ("three", 0.11), ("four", 0.29), ("five", 0.20))
+    sc = tiny_scenario(schedule=[SortieSpec(label, c) for label, c in conditions])
+    world = build_world(sc, seed=42)
+    cfg, rich_cfg = (PipelineConfig(threshold_m=sc.threshold_m) for _ in range(2))
+    m, rich_only = MultiSessionMap(), MultiSessionMap()
+    shared = ("landmark_ids", "landmark_positions", "landmark_origins", "vertex_ids",
+              "vertex_poses", "vertex_sessions", "obs_landmarks", "obs_vertices", "obs_counts")
+    split = False
+    for i in range(len(sc.schedule)):
+        ds = build_dataset(world, i, seed=42)
+        m, report = process_sortie(m, ds, cfg)
+        if report.session_kind is SessionKind.RICH:
+            rich_only, _ = process_sortie(rich_only, ds, rich_cfg)
+        index, sessions, pairs = m.index, list(m.sessions), m.pair_sessions
+        view = m.without_observation_sessions()
+        view.validate()
+        assert np.array_equal(view.index.class_ids, rich_only.index.class_ids)
+        assert [s.label for s in view.sessions] == [s.label for s in rich_only.sessions]
+        assert all(getattr(view, name) is getattr(m, name) for name in shared)
+        # the source map is unchanged
+        assert m.index is index and m.sessions == sessions and m.pair_sessions is pairs
+        split |= len(view.index) < len(m.index)
+    assert m.n_observation_sessions >= 1 and split
 
 
 def test_process_sortie_enforces_cap_by_summarizing():
@@ -414,7 +441,7 @@ def test_process_sortie_enforces_cap_by_summarizing():
     cfg = PipelineConfig(threshold_m=sc.threshold_m)
     dataset = generate_sortie(world, 0.10, seed=301, label="big")
     assert len(dataset.proposals) > 40
-    m, rep = process_sortie(MultiSessionMap(landmark_cap=40), dataset, reference_policy(), cfg)
+    m, rep = process_sortie(MultiSessionMap(landmark_cap=40), dataset, cfg)
     assert rep.session_kind is SessionKind.RICH
     assert rep.summarized
     assert rep.objective is not None
@@ -430,7 +457,7 @@ def test_summarization_prunes_kernels_of_dropped_landmarks():
     m = MultiSessionMap(landmark_cap=40)
     for condition, seed in ((0.10, 301), (0.50, 302)):
         dataset = generate_sortie(world, condition, seed=seed)
-        m, rep = process_sortie(m, dataset, reference_policy(), cfg)
+        m, rep = process_sortie(m, dataset, cfg)
         assert rep.summarized
         assert set(cfg.kernels) == set(m.landmarks)
 
@@ -439,8 +466,6 @@ def test_uncapped_map_never_summarizes():
     sc = tiny_scenario(landmark_cap=UNBOUNDED_CAP)
     world = generate_world(sc, seed=31)
     cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, rep = process_sortie(
-        MultiSessionMap(), generate_sortie(world, 0.10, seed=301), reference_policy(), cfg
-    )
+    m, rep = process_sortie(MultiSessionMap(), generate_sortie(world, 0.10, seed=301), cfg)
     assert not rep.summarized and rep.objective is None
     assert len(m.landmarks) == rep.n_proposals

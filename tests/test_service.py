@@ -481,7 +481,7 @@ def grown():
     world = generate_world(sc, seed=11)
     first = generate_sortie(world, 0.10, seed=101, label="first")
     cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, _ = process_sortie(MultiSessionMap(), first, reference_policy(), cfg)
+    m, _ = process_sortie(MultiSessionMap(), first, cfg)
     revisit = generate_sortie(world, 0.11, seed=102, label="revisit")
     return sc, m, cfg.kernels, revisit
 
@@ -570,8 +570,9 @@ def city_revisit():
     sc = get_scenario("city_dusk")
     world = build_world(sc, 42)
     cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, _ = process_sortie(MultiSessionMap(landmark_cap=sc.landmark_cap),
-                          build_dataset(world, 0, 42), reference_policy(), cfg)
+    m, _ = process_sortie(
+        MultiSessionMap(landmark_cap=sc.landmark_cap), build_dataset(world, 0, 42), cfg
+    )
     return m, cfg.kernels, sortie_to_doc(build_dataset(world, 1, 42))
 
 
@@ -833,7 +834,7 @@ def many_classes():
     m = MultiSessionMap()
     for i, condition in enumerate((0.10, 0.12, 0.45, 0.5, 0.11, 0.3, 0.13)):
         sortie = generate_sortie(world, condition, seed=700 + i, label=f"s{i}")
-        m, _ = process_sortie(m, sortie, reference_policy(), cfg)
+        m, _ = process_sortie(m, sortie, cfg)
     revisit = generate_sortie(world, 0.12, seed=799, label="revisit")
     return sc, m, cfg.kernels, revisit
 

@@ -8,7 +8,6 @@ import pytest
 from atlas.experiment import build_dataset, build_world
 from atlas.locsim import COVERAGE_FLOOR_PER_VERTEX, PipelineConfig, process_sortie
 from atlas.mapcore import MapValidationError, MultiSessionMap
-from atlas.ranking import reference_policy
 from atlas.summarize import (
     EXACT_SIZE_LIMIT,
     StaleSolutionError,
@@ -156,7 +155,7 @@ def city_dusk_maps():
     cfg = PipelineConfig(threshold_m=scenario.threshold_m)
     m, first_over = MultiSessionMap(), None
     for i in range(len(scenario.schedule)):
-        m, _ = process_sortie(m, build_dataset(world, i, 42), reference_policy(), cfg)
+        m, _ = process_sortie(m, build_dataset(world, i, 42), cfg)
         if first_over is None and len(m.landmarks) > scenario.landmark_cap:
             first_over = m
     return scenario, first_over, m
