@@ -131,10 +131,16 @@ class VehicleClient:
         self.close_transport()
 
     def call(self, kind: MessageKind, body: dict | EncodedBody, token: int | None = None) -> Message:
-        """Send one request and wait for its reply."""
+        """Send one request and wait for its reply.
+
+        The request names token, or else the held one; an open names none
+        by default, since its reply creates the session.
+        """
         cid = self._next_cid
         self._next_cid += 1
-        request = Message(kind, cid=cid, token=self.token if token is None else token, body=body)
+        if token is None and kind is not MessageKind.OPEN_SESSION:
+            token = self.token
+        request = Message(kind, cid=cid, token=token, body=body)
         self._sock.sendall(encode_frame(request))
         reply = read_message(self._stream)
         if reply is None:
@@ -149,7 +155,7 @@ class VehicleClient:
 
     def open_session(self, policy: str = "all@1", **params) -> int:
         """Open a ranked-query session; params mirror the open_session body."""
-        reply = self.call(MessageKind.OPEN_SESSION, {"policy": policy, **params}, token=None)
+        reply = self.call(MessageKind.OPEN_SESSION, {"policy": policy, **params})
         assert reply.token is not None
         self.token = reply.token
         return reply.token

@@ -313,9 +313,8 @@ def observation_session_gap(
         revisit = decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
         if stage >= 1 and m.n_observation_sessions >= 1 and revisit:
             r_with, r_without = (
-                observation_ratio(
-                    localize_dataset(v, ds, policy, kernels, draws=draws.on(v)), ref_run
-                ).mean_of_ratios
+                observation_ratio(localize_dataset(v, ds, policy, kernels, draws=draws), ref_run)
+                .mean_of_ratios
                 for v in (m, m.without_observation_sessions())
             )
             gaps.setdefault(stage, []).append(r_with - r_without)

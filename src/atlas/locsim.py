@@ -8,10 +8,10 @@ evaluated on the same sortie sees the same outcome for the same landmark:
 observation ratios between policies then measure selection quality alone.
 Everything a run draws that no policy changes (candidate sets, detection
 outcomes, error draws, tie-break orders) is held in one SortieDraws per
-(map, sortie), in flat per-candidate columns.  Maps that hold the same
-landmarks under different class indexes (a map and its rich-sessions view,
-in a gap study) share one SortieDraws: `SortieDraws.on` swaps only the
-class index it reads.
+(map, sortie), in flat per-candidate columns.  The draws hold no class
+index: each run reads its classes from the map it localizes on, so maps
+that hold the same landmark columns under different class indexes (a map
+and its rich-sessions view, in a gap study) share one SortieDraws.
 
 `localize_policies` runs any number of policies over one sortie in one
 pass.  Policies that never read the rolling window (`all`, `random`)
@@ -32,7 +32,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -163,25 +163,21 @@ class SortieDraws:
     Flat columns over the candidates of every pose: pose k's candidates are
     rows ptr[k]:ptr[k + 1], with their rows in the map, their ids
     (ascending within the pose), and whether each is detected if selected.
-    error_z holds each pose's standard normal error draw.  `positions` is
-    the landmark position column of the map the draws were made on, and
-    `index` its class index.
+    error_z holds each pose's standard normal error draw.  landmark_ids is
+    the landmark id column of the map the draws were made on: a map's
+    columns are read-only and every mutation that changes its landmarks
+    assigns new ones, so a map holding that same column object holds the
+    same landmarks.
     """
 
     fingerprint: tuple
-    index: EquivalenceClassIndex
-    positions: np.ndarray
+    landmark_ids: np.ndarray
     ptr: np.ndarray
     rows: np.ndarray
     ids: np.ndarray
     detected: np.ndarray
     error_z: np.ndarray
     _orders: dict[int, np.ndarray] = field(default_factory=dict, init=False)
-
-    @property
-    def classes(self) -> np.ndarray:
-        """Each candidate's class id in `index`."""
-        return self.index.class_ids[self.rows]
 
     @property
     def n_poses(self) -> int:
@@ -206,27 +202,6 @@ class SortieDraws:
             self._orders[seed] = order
         return order
 
-    def on(self, m: MultiSessionMap) -> SortieDraws:
-        """These draws for m, a map with the same landmarks and kernels but
-        its own class index.
-
-        Every column is shared, and so is the tie-break cache; only the
-        class ids read m's index.  ValueError unless m holds the landmark
-        ids and positions the draws were made on; equal kernels are the
-        caller's to ensure.
-        """
-        index = m.index
-        if index is self.index:
-            return self
-        if not (
-            np.array_equal(index.ids, self.index.ids)
-            and np.array_equal(m.landmark_positions, self.positions)
-        ):
-            raise ValueError("draws were made on a map with other landmarks")
-        draws = replace(self, index=index)
-        draws._orders = self._orders
-        return draws
-
 
 def sortie_draws(
     m: MultiSessionMap, dataset: SortieDataset, kernels: Mapping[int, ObservabilityKernel]
@@ -237,7 +212,6 @@ def sortie_draws(
     with each candidate's pose index, so each pose sees the draws
     uniform01(observation_seed, k, candidates of k) that a per-pose call gives.
     """
-    index = m.index
     ids = m.landmark_ids
     p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
     n_poses = len(dataset.poses)
@@ -255,8 +229,7 @@ def sortie_draws(
     rows = np.concatenate(rows + [np.empty(0, np.int64)])
     return SortieDraws(
         dataset.fingerprint(),
-        index,
-        m.landmark_positions,
+        ids,
         ptr,
         rows,
         ids[rows],
@@ -266,9 +239,14 @@ def sortie_draws(
 
 
 def _lockstep_picks(
-    draws: SortieDraws, policies: Sequence[SelectionPolicy], sizes: np.ndarray, bootstrap: bool
+    draws: SortieDraws,
+    index: EquivalenceClassIndex,
+    policies: Sequence[SelectionPolicy],
+    sizes: np.ndarray,
+    bootstrap: bool,
 ) -> list[np.ndarray]:
-    """Ranked policies' selections, stepped through the poses together.
+    """Ranked policies' selections on the map of class index `index`, stepped
+    through the poses together.
 
     Returns, per policy, the positions of its selections in its tie-break
     order, pose after pose and in rank order within a pose; sizes holds
@@ -278,11 +256,12 @@ def _lockstep_picks(
     the tie-break order, which is selection_order's (score descending,
     tie-break word, id) order.
     """
-    n_policies, n_classes, n_poses = len(policies), len(draws.index), draws.n_poses
+    n_policies, n_classes, n_poses = len(policies), len(index), draws.n_poses
     n_candidates = np.diff(draws.ptr)
     # Each candidate's row key, 2 * (policy * n_classes + class) + detected, in
     # tie-break order; and whether its rank in the pose is within the policy's size.
-    key = (2 * draws.classes + draws.detected).astype(np.min_scalar_type(2 * n_classes * n_policies))
+    key = 2 * index.class_ids[draws.rows] + draws.detected
+    key = key.astype(np.min_scalar_type(2 * n_classes * n_policies))
     by_seed = {p.seed: key[draws.tiebreak_order(p.seed)] for p in policies}
     keys = np.stack([by_seed[p.seed] for p in policies])
     keys += (2 * n_classes * np.arange(n_policies, dtype=key.dtype))[:, None]
@@ -302,7 +281,7 @@ def _lockstep_picks(
             if k == 0 and bootstrap:  # every candidate is selected: the order is set later
                 by_score, ranked_keys = np.broadcast_to(local_rank[a:b], take.shape), pose_keys
             else:
-                scores = -window.scores(draws.index)
+                scores = -window.scores(index)
                 by_score = np.argsort(scores.ravel()[pose_keys >> 1], axis=1, kind="stable")
                 ranked_keys = pose_keys[policy_col, by_score]
             picks.append(by_score[take])
@@ -333,10 +312,13 @@ def localize_policies(
     Each run equals what the policy's own loop gives: per pose, score the
     candidates from the policy's rolling window, take the first
     selection_size of selection_order, observe the detected ones, and push
-    the pose's class tallies to the window.  Runs over the same map state
-    and dataset may share one `sortie_draws(m, dataset, kernels)`; without
-    one it is built here.  With bootstrap_full_first the first pose selects
-    every candidate, to warm the rolling window up.
+    the pose's class tallies to the window.  Runs over the same dataset on
+    maps that hold the same landmark id column may share one
+    `sortie_draws(m, dataset, kernels)`, each run reading the classes of
+    its own map; without one it is built here.  ValueError for draws made
+    on a map with another landmark column or for another dataset; equal
+    kernels are the caller's to ensure.  With bootstrap_full_first the
+    first pose selects every candidate, to warm the rolling window up.
 
     The unranked policy takes each pose's lowest ids and the random one the
     head of each pose's tie-break order, for every pose at once; the ranked
@@ -344,7 +326,7 @@ def localize_policies(
     """
     if draws is None:
         draws = sortie_draws(m, dataset, kernels)
-    elif draws.index is not m.index or draws.fingerprint != dataset.fingerprint():
+    elif draws.landmark_ids is not m.landmark_ids or draws.fingerprint != dataset.fingerprint():
         raise ValueError("draws were made for another map state or dataset")
     n_candidates = np.diff(draws.ptr)
     bootstrap = bootstrap_full_first and draws.n_poses > 0
@@ -359,7 +341,8 @@ def localize_policies(
     ranked = [i for i, p in enumerate(policies) if p.ranking.windowed]
     picks = {}
     if ranked:
-        lockstep = _lockstep_picks(draws, [policies[i] for i in ranked], sizes[ranked], bootstrap)
+        ranked_policies = [policies[i] for i in ranked]
+        lockstep = _lockstep_picks(draws, m.index, ranked_policies, sizes[ranked], bootstrap)
         picks = dict(zip(ranked, lockstep))
     runs = []
     for i, (p, size) in enumerate(zip(policies, sizes)):

@@ -508,14 +508,10 @@ class MultiSessionMap:
     # -- Copy and validation --
 
     def copy(self) -> "MultiSessionMap":
-        """The same map state; the read-only columns are shared, not copied.
-
-        The copy keeps the version but gets its own class index, so draws
-        made on one map are never taken for draws made on the other.
-        """
+        """The same map state, version and class index; the read-only columns
+        are shared, not copied."""
         m = shallow_copy(self)
         m.sessions = list(self.sessions)
-        m._index = None
         return m
 
     def without_observation_sessions(self) -> "MultiSessionMap":

@@ -194,7 +194,10 @@ class MapBackend:
             return self._account(None, bytes_up, reply)
         session = self._resolve(msg.token)
         reply = self.handle_message(msg, session)
-        if reply.kind is MessageKind.ERROR and reply.body["code"] == ERR_NO_SESSION:
+        if msg.kind is MessageKind.OPEN_SESSION:
+            # Charged to the session its reply creates; a refused open to the total only.
+            session = self._resolve(reply.token) if reply.kind is MessageKind.UPDATE_ACK else None
+        elif reply.kind is MessageKind.ERROR and reply.body["code"] == ERR_NO_SESSION:
             session = None  # the token was not live, so only the total is charged
         return self._account(session, bytes_up, reply, msg.kind is MessageKind.QUERY)
 
@@ -248,9 +251,6 @@ class MapBackend:
             frame, n_landmarks = encode_landmarks_frame(reply), len(reply.landmark_ids)
         else:
             frame, n_landmarks = encode_frame(reply), 0
-        if session is None and reply.token is not None:
-            # open_session: the reply names the token it just created.
-            session = self._resolve(reply.token)
         with self._ledger_lock:
             for ledger in (self.ledger,) + ((session.ledger,) if session else ()):
                 ledger.queries += query

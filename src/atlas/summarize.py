@@ -152,32 +152,6 @@ def _finish(problem: SummarizationProblem, kept: np.ndarray, exact: bool) -> Sum
 # -- Cost and coverage from a map --
 
 
-def build_cost_vector(
-    m: MultiSessionMap, obs_weight: float = DEFAULT_OBS_WEIGHT
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """(landmark ids ascending, costs).  Lower cost = more worth keeping."""
-    n = len(m.landmark_ids)
-    n_sessions = np.bincount(m.pair_landmarks, minlength=n)
-    n_observations = np.bincount(m.obs_landmarks, weights=m.obs_counts, minlength=n)
-    costs = 1.0 / (1.0 + n_sessions + obs_weight * n_observations)
-    return tuple(m.landmark_ids.tolist()), costs
-
-
-def build_coobservability(
-    m: MultiSessionMap,
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
-    """(vertex ids, landmark ids, vertices, ptr): landmark row j covers the
-    vertex rows vertices[ptr[j]:ptr[j + 1]], ascending.
-
-    Row/column order is ascending id; vertices is the map's own
-    obs_vertices column.  An empty map yields a 0 x 0 matrix.
-    """
-    # The triples are sorted by (landmark row, vertex row): each landmark's
-    # vertex rows are one ascending run.
-    ptr = np.searchsorted(m.obs_landmarks, np.arange(len(m.landmark_ids) + 1))
-    return tuple(m.vertex_ids.tolist()), tuple(m.landmark_ids.tolist()), m.obs_vertices, ptr
-
-
 def build_problem(
     m: MultiSessionMap,
     keep_count: int,
@@ -185,17 +159,26 @@ def build_problem(
     slack_penalty: float = DEFAULT_SLACK_PENALTY,
     obs_weight: float = DEFAULT_OBS_WEIGHT,
 ) -> SummarizationProblem:
-    vertex_ids, landmark_ids, vertices, ptr = build_coobservability(m)
-    _, costs = build_cost_vector(m, obs_weight)
+    """The instance over m's landmarks, ascending by id, bound to the map.
+
+    Lower cost is more worth keeping.  Coverage is the map's own
+    obs_vertices column: landmark j covers vertex rows vertices[ptr[j]:ptr[j + 1]].
+    """
+    n = len(m.landmark_ids)
+    n_sessions = np.bincount(m.pair_landmarks, minlength=n)
+    n_observations = np.bincount(m.obs_landmarks, weights=m.obs_counts, minlength=n)
+    # The triples are sorted by (landmark row, vertex row): each landmark's
+    # vertex rows are one ascending run.
+    ptr = np.searchsorted(m.obs_landmarks, np.arange(n + 1))
     return SummarizationProblem(
-        costs=costs,
-        vertices=vertices,
+        costs=1.0 / (1.0 + n_sessions + obs_weight * n_observations),
+        vertices=m.obs_vertices,
         ptr=ptr,
-        n_vertices=len(vertex_ids),
+        n_vertices=len(m.vertex_ids),
         keep_count=keep_count,
         min_per_vertex=min_per_vertex,
         slack_penalty=slack_penalty,
-        landmark_ids=landmark_ids,
+        landmark_ids=tuple(m.landmark_ids.tolist()),
         map_stamp=_map_stamp(m),
     )
 

@@ -286,16 +286,16 @@ class ReferenceRun:
     errors_m: np.ndarray
 
 
-def reference_localize(draws, policy, *, bootstrap_full_first=True) -> ReferenceRun:
-    """One policy's selection/observation loop over a sortie, one pose at a time.
+def reference_localize(draws, index, policy, *, bootstrap_full_first=True) -> ReferenceRun:
+    """One policy's selection/observation loop over a sortie, one pose at a time,
+    on the map of class index `index`.
 
     The oracle for locsim.localize_policies: a DequeWindow, class_scores
     and selection_order per pose, and the scalar error formula.
     """
-    index = draws.index
     split = np.cumsum(np.diff(draws.ptr))[:-1]
     candidates, classes, detected = (
-        np.split(col, split) for col in (draws.ids, draws.classes, draws.detected)
+        np.split(col, split) for col in (draws.ids, index.class_ids[draws.rows], draws.detected)
     )
     n_poses = draws.n_poses
     window = DequeWindow(policy.window_len, len(index))

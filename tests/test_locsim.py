@@ -182,7 +182,8 @@ def test_localize_policies_matches_the_per_policy_loop(many_classes, bootstrap):
     )
     assert [run.policy for run in runs] == ORACLE_POLICIES
     for policy, run in zip(ORACLE_POLICIES, runs):
-        assert_same_run(run, reference_localize(draws, policy, bootstrap_full_first=bootstrap))
+        oracle = reference_localize(draws, m.index, policy, bootstrap_full_first=bootstrap)
+        assert_same_run(run, oracle)
         alone = localize_dataset(m, dataset, policy, kernels, bootstrap_full_first=bootstrap)
         assert_same_runs(run, alone)
 
@@ -193,7 +194,7 @@ def test_localize_policies_on_an_empty_map(many_classes):
     draws = sortie_draws(empty, dataset, {})
     runs = localize_policies(empty, dataset, ORACLE_POLICIES, {}, draws=draws)
     for policy, run in zip(ORACLE_POLICIES, runs):
-        assert_same_run(run, reference_localize(draws, policy))
+        assert_same_run(run, reference_localize(draws, empty.index, policy))
         assert run.total_selected == 0 and run.n_failures == dataset.n_iterations
 
 
@@ -223,8 +224,16 @@ def test_shared_draws_give_the_runs_built_alone(built):
     other = generate_sortie(generate_world(tiny_scenario(), seed=11), 0.11, seed=999)
     with pytest.raises(ValueError):
         localize_dataset(m, other, policies[1], cfg.kernels, draws=draws)
+    for twin in (m.copy(), m.without_observation_sessions()):  # the same landmark column
+        for a, b in zip(
+            localize_policies(twin, dataset, policies, cfg.kernels, draws=draws),
+            localize_policies(twin, dataset, policies, cfg.kernels),
+        ):
+            assert_same_runs(a, b)
+    fewer = m.copy()
+    fewer.drop_landmarks([int(m.landmark_ids[-1])])
     with pytest.raises(ValueError):
-        localize_policies(m.copy(), dataset, policies, cfg.kernels, draws=draws)
+        localize_policies(fewer, dataset, policies, cfg.kernels, draws=draws)
 
 
 def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
@@ -236,23 +245,21 @@ def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
         np.column_stack((some, np.full(len(some), m.vertex_ids[0]), np.ones_like(some)))
     )
     assert len(twin.index) > len(m.index)
+    view = twin.without_observation_sessions()
+    assert not np.array_equal(view.index.class_ids, twin.index.class_ids)
     draws = sortie_draws(m, dataset, kernels)
     policies = [p for p in ORACLE_POLICIES if p.ranking is not RankingKind.ALL]
-    localize_policies(m, dataset, policies, kernels, draws=draws)  # fills the tie-break cache
-    on, fresh = draws.on(twin), sortie_draws(twin, dataset, kernels)
-    assert draws.on(m) is draws
-    assert on.index is twin.index and on.fingerprint == fresh.fingerprint
-    for column in ("ptr", "rows", "ids", "classes", "detected", "error_z"):
-        assert np.array_equal(getattr(on, column), getattr(fresh, column)), column
-    assert not np.array_equal(on.classes, draws.classes)
-    assert on._orders is draws._orders
-    for seed in {p.seed for p in policies}:
-        assert np.array_equal(on.tiebreak_order(seed), fresh.tiebreak_order(seed))
-    for a, b in zip(
-        localize_policies(twin, dataset, policies, kernels, draws=on),
-        localize_policies(twin, dataset, policies, kernels, draws=fresh),
-    ):
-        assert_same_runs(a, b)
+    on_m = localize_policies(m, dataset, policies, kernels, draws=draws)  # fills the tie-break cache
+    for other in (twin, view):
+        fresh = sortie_draws(other, dataset, kernels)
+        assert draws.landmark_ids is other.landmark_ids and draws.fingerprint == fresh.fingerprint
+        for column in ("ptr", "rows", "ids", "detected", "error_z"):
+            assert np.array_equal(getattr(draws, column), getattr(fresh, column)), column
+        shared = localize_policies(other, dataset, policies, kernels, draws=draws)
+        for a, b in zip(shared, localize_policies(other, dataset, policies, kernels, draws=fresh)):
+            assert_same_runs(a, b)
+        # The runs read the classes of the map they localize on, not of m.
+        assert any(not np.array_equal(a.selected_ids, b.selected_ids) for a, b in zip(shared, on_m))
     fewer = m.copy()
     fewer.drop_landmarks([int(m.landmark_ids[0])])
     records = list(m.landmarks.values())
@@ -261,7 +268,7 @@ def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
     assert np.array_equal(moved.landmark_ids, m.landmark_ids)
     for other in (fewer, moved):
         with pytest.raises(ValueError):
-            draws.on(other)
+            localize_policies(other, dataset, policies, kernels, draws=draws)
 
 
 def test_detection_matches_keyed_uniform_oracle(built):

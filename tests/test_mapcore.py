@@ -209,6 +209,7 @@ def test_copy_is_deep_for_mutable_state():
 
 def test_copy_shares_read_only_columns():
     m = two_session_map()
+    index = m.index
     c = m.copy()
     columns = [name for name, value in vars(m).items() if isinstance(value, np.ndarray)]
     assert len(columns) == 11
@@ -217,10 +218,27 @@ def test_copy_shares_read_only_columns():
         with pytest.raises(ValueError):
             getattr(m, name)[...] = 0
     assert c.sessions == m.sessions and c.sessions is not m.sessions
-    assert c.version == m.version and c.index is not m.index
+    assert c.version == m.version and c.index is index
     c.add_observation_session([[1, 1, 1]])
     assert not np.shares_memory(m.pair_sessions, c.pair_sessions)
     assert np.shares_memory(m.landmark_positions, c.landmark_positions)
+    assert c.index is not index and m.index is index
+
+
+def test_landmark_id_column_is_replaced_exactly_when_landmarks_change():
+    """Holding the same landmark_ids object means holding the same landmarks
+    (what sortie draws are checked against)."""
+    m = two_session_map()
+    ids = m.landmark_ids
+    assert m.copy().landmark_ids is ids
+    assert m.without_observation_sessions().landmark_ids is ids
+    m.add_observation_session([[1, 1, 1]])
+    assert m.landmark_ids is ids
+    m.drop_landmarks([5])
+    assert m.landmark_ids is not ids
+    ids = m.landmark_ids
+    m.add_rich_session(LINE_POSES, [[0.0, 2.0, 0.0]], [[0, 0, 1], [0, 1, 1]])
+    assert m.landmark_ids is not ids
 
 
 def test_cap_is_validated_not_enforced_on_ingest():

@@ -233,6 +233,32 @@ def test_open_session_validates_parameters():
     assert wire.backend.sessions == {}
 
 
+def test_each_open_is_charged_to_the_session_it_creates():
+    """A vehicle opens a second session without closing the first.  Each open
+    is charged to the session its reply creates, whatever token the request
+    names, and a refused open to the total only."""
+    backend = fresh_backend()
+    with MapServer(backend) as server, VehicleClient(*server.address, timeout=10) as client:
+        first = client.open_session("class_ratio@0.5")
+        second = client.open_session()
+        ledgers = backend.ledger_doc()
+        for token, cid, policy in ((first, 1, "class_ratio@0.5"), (second, 2, "all@1")):
+            request = Message(MessageKind.OPEN_SESSION, cid=cid, token=None, body={"policy": policy})
+            assert ledgers["sessions"][str(token)]["bytes_up"] == 4 + len(encode_body(request))
+        for field in ("bytes_up", "bytes_down"):
+            assert sum(s[field] for s in ledgers["sessions"].values()) == ledgers["total"][field]
+        wire = Wire(backend)
+        third = wire.send(MessageKind.OPEN_SESSION, {}, token=second).token
+        opened = {"bytes_up": wire.bytes_up, "bytes_down": wire.bytes_down}
+        refused = wire.send(MessageKind.OPEN_SESSION, {"policy": "sorcery@0.2"}, token=third)
+        assert refused.body["code"] == "bad_request"
+        after = backend.ledger_doc()
+        assert after["sessions"][str(second)] == ledgers["sessions"][str(second)]
+        assert {f: after["sessions"][str(third)][f] for f in opened} == opened
+        assert after["total"]["bytes_up"] == ledgers["total"]["bytes_up"] + wire.bytes_up
+        assert after["total"]["bytes_down"] == ledgers["total"]["bytes_down"] + wire.bytes_down
+
+
 HUGE_INT = b"1" + b"0" * 400  # an integer literal beyond the float range
 
 # Each frame once escaped handle_frame with an exception: the connection

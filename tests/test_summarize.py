@@ -13,8 +13,6 @@ from atlas.summarize import (
     StaleSolutionError,
     SummarizationProblem,
     apply_summarization,
-    build_coobservability,
-    build_cost_vector,
     build_problem,
     solve,
     solve_exact,
@@ -216,21 +214,20 @@ def test_problem_validation():
     assert normalized.coverage([0, 1]).tolist() == [2, 1]  # a repeated vertex counts once
 
 
-def test_build_cost_vector_hand_values():
-    m = two_session_map()
-    ids, costs = build_cost_vector(m, obs_weight=0.1)
-    assert ids == (1, 2, 3, 4, 5)
+def test_build_problem_costs_hand_values():
+    problem = build_problem(two_session_map(), keep_count=5)
+    assert problem.landmark_ids == (1, 2, 3, 4, 5)
     want = [1 / 2.2, 1 / 2.2, 1 / 3.5, 1 / 2.2, 1 / 2.2]
-    assert costs == pytest.approx(want, abs=1e-12)
+    assert problem.costs == pytest.approx(want, abs=1e-12)
 
 
-def test_build_coobservability_hand_values():
+def test_build_problem_coverage_hand_values():
     m = two_session_map()
-    vertex_ids, landmark_ids, vertices, ptr = build_coobservability(m)
-    assert vertex_ids == tuple(range(1, 11))
-    assert landmark_ids == (1, 2, 3, 4, 5)
-    assert vertices.tolist() == [0, 1, 1, 2, 2, 3, 7, 8, 5, 9, 8, 9]
-    assert ptr.tolist() == [0, 2, 4, 8, 10, 12]
+    problem = build_problem(m, keep_count=5)
+    assert problem.n_vertices == 10 and problem.n_landmarks == 5
+    assert problem.vertices.tolist() == [0, 1, 1, 2, 2, 3, 7, 8, 5, 9, 8, 9]
+    assert np.shares_memory(problem.vertices, m.obs_vertices)
+    assert problem.ptr.tolist() == [0, 2, 4, 8, 10, 12]
 
 
 def test_apply_summarization_round_trip():
