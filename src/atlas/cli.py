@@ -68,19 +68,38 @@ def _split_csv(text: str) -> list[str]:
     return [t for t in (s.strip() for s in text.split(",")) if t]
 
 
-def _apply_config(args: argparse.Namespace, keys: tuple[str, ...]) -> None:
-    """Fill unset args from the JSON config file, strictly by known key."""
-    if not getattr(args, "config", None):
+def _config_value(action: argparse.Action, value):
+    """value as action's flag sets it, or None if the flag cannot take it: a switch
+    takes a bool, --runs a non-empty list of scalars, any other flag one scalar."""
+    if action.nargs == 0:
+        return value if type(value) is bool else None
+    many = action.nargs == "+"
+    if many != (type(value) is list):
+        return None
+    values = value if many else [value]
+    if not values or any(type(v) not in (str, int, float) for v in values):
+        return None
+    return [str(v) for v in values] if many else str(value)
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset args from the JSON config file, keyed by the verb's own flags."""
+    if not args.config:
         return
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise SystemExit(f"config {args.config} must hold a JSON object")
-    unknown = set(doc) - set(keys)
-    if unknown:
+    (verbs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in verbs.choices[args.verb]._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    if unknown := set(doc) - set(flags):
         raise SystemExit(f"config {args.config} has unknown keys: {sorted(unknown)}")
     for key, value in doc.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        setting = _config_value(flags[key], value)
+        if setting is None:
+            raise SystemExit(f"config {args.config}: {key} cannot be {json.dumps(value)}")
+        if getattr(args, key) is None:
+            setattr(args, key, setting)
 
 
 class Checks:
@@ -120,17 +139,14 @@ def _read_metrics(path: Path) -> list[dict]:
 # -- run --
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _apply_config(args, ("scenario", "seeds", "caps", "policies", "out",
-                         "threshold_m", "regression"))
     scenario = get_scenario(args.scenario or "city_dusk")
     if args.threshold_m is not None:
         scenario = with_overrides(scenario, threshold_m=float(args.threshold_m))
     seeds = tuple(int(s) for s in _split_csv(args.seeds or "42"))
     caps = tuple(_parse_cap(c) for c in _split_csv(args.caps)) if args.caps else ()
     policy_names = tuple(_split_csv(args.policies)) if args.policies else ()
-    regression = True if args.regression is None else bool(args.regression)
     spec = ExperimentSpec(scenario, seeds, caps=caps, policy_names=policy_names,
-                          regression=regression)
+                          regression=args.regression is not False)
     out = Path(args.out or f"runs/{scenario.name}")
     summary = run_experiment(spec, out)
     print(f"wrote {out}/metrics.csv, composition.csv, run_meta.json, summary.json")
@@ -181,7 +197,6 @@ CONVERGED_COLUMNS = ["scenario", "seed", "policy", "mean_r_obs"]
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    _apply_config(args, ("scenario", "seeds", "policy", "converged_policies", "out"))
     scenario = get_scenario(args.scenario or "parking_year")
     seeds = tuple(int(s) for s in _split_csv(args.seeds or "42,7,2026"))
     policy = parse_policy(args.policy or "class_ratio@0.2")
@@ -261,7 +276,6 @@ def cmd_regress(args: argparse.Namespace) -> int:
 # -- compare --
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _apply_config(args, ("runs", "gaps", "out"))
     run_dirs = [Path(d) for d in (args.runs or [])]
     if not run_dirs:
         print("compare: at least one --runs directory is required", file=sys.stderr)
@@ -381,7 +395,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # -- serve --
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    _apply_config(args, ("listen", "map", "cap", "threshold_m", "kernels", "sensor_range"))
     host, port = _parse_listen(args.listen or "127.0.0.1:0")
     if args.map:
         m = load_map(args.map)
@@ -406,8 +419,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # -- drive --
 
 def cmd_drive(args: argparse.Namespace) -> int:
-    _apply_config(args, ("connect", "scenario", "seed", "indices", "policy",
-                         "sensor_range", "upload"))
     host, port = _parse_listen(args.connect or "127.0.0.1:0")
     scenario = get_scenario(args.scenario or "city_dusk")
     seed = int(args.seed if args.seed is not None else 42)
@@ -417,7 +428,7 @@ def cmd_drive(args: argparse.Namespace) -> int:
         else list(range(len(scenario.schedule)))
     )
     policy = args.policy or "all@1"
-    upload = True if args.upload is None else bool(args.upload)
+    upload = args.upload is not False
     world = build_world(scenario, seed)
     kernels: dict = {}
     try:
@@ -512,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _apply_config(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"atlas {args.verb}: {exc}", file=sys.stderr)

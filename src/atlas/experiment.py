@@ -25,7 +25,6 @@ import numpy as np
 from atlas.locsim import (
     LocalizationRun,
     ObservationRatio,
-    PipelineConfig,
     SortieReport,
     decide_update,
     localize_dataset,
@@ -119,7 +118,7 @@ class ChronologicalResult:
     seed: int
     cap: int
     final_map: MultiSessionMap
-    kernels: dict
+    kernels: dict  # the kernel registry of final_map
     reports: list[SortieReport]
     # the schedule's sorties in order, proposals dropped: what regression re-localizes
     datasets: list[SortieDataset]
@@ -165,8 +164,7 @@ def run_chronological(
     """
     cap = scenario.landmark_cap if cap is None else cap
     world = build_world(scenario, seed)
-    m = MultiSessionMap(landmark_cap=cap)
-    cfg = PipelineConfig(threshold_m=scenario.threshold_m)
+    m, kernels = MultiSessionMap(landmark_cap=cap), {}
     ref = reference_policy()
     base = {"scenario": scenario.name, "seed": seed, "cap": _cap_str(cap)}
     reports: list[SortieReport] = []
@@ -178,13 +176,15 @@ def run_chronological(
     for i in range(len(scenario.schedule)):
         ds = build_dataset(world, i, seed)
         probed = (ref, *policies) if len(m.landmarks) else (ref,)
-        ref_run, *probe_runs = localize_policies(m, ds, probed, cfg.kernels)
+        ref_run, *probe_runs = localize_policies(m, ds, probed, kernels)
         measured = [
             _measured(p, run, observation_ratio(run, ref_run))
             for p, run in zip(probed, (ref_run, *probe_runs))
         ]
         del probe_runs  # released before ingest and summarization raise the peak
-        m, report = process_sortie(m, ds, cfg, run=ref_run)
+        m, kernels, report = process_sortie(
+            m, ds, kernels, run=ref_run, threshold_m=scenario.threshold_m
+        )
         if cap != UNBOUNDED_CAP and len(m.landmarks) > cap:
             violations += 1
         reports.append(report)
@@ -210,7 +210,7 @@ def run_chronological(
             )
 
     return ChronologicalResult(
-        scenario, seed, cap, m, cfg.kernels, reports, datasets,
+        scenario, seed, cap, m, kernels, reports, datasets,
         metrics, composition, violations,
     )
 
@@ -298,9 +298,7 @@ def observation_session_gap(
     """
     sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
     world = build_world(sc, seed)
-    m = MultiSessionMap()
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    kernels = cfg.kernels
+    m, kernels = MultiSessionMap(), {}
     ref = reference_policy()
     gaps: dict[int, list[float]] = {}
     with_r: dict[int, list[float]] = {}
@@ -321,7 +319,7 @@ def observation_session_gap(
             with_r.setdefault(stage, []).append(r_with)
             without_r.setdefault(stage, []).append(r_without)
         del draws  # released before ingestion raises the peak
-        m, _ = process_sortie(m, ds, cfg, run=ref_run)
+        m, kernels, _ = process_sortie(m, ds, kernels, run=ref_run, threshold_m=sc.threshold_m)
 
     converged: dict[str, float] = {}
     if converged_policies:

@@ -433,17 +433,8 @@ def decide_update(run: LocalizationRun, threshold_m: float = DEFAULT_THRESHOLD_M
 
 
 @dataclass
-class PipelineConfig:
-    """Everything process_sortie needs besides the map and the dataset."""
-
-    kernels: KernelRegistry = field(default_factory=dict)
-    threshold_m: float = DEFAULT_THRESHOLD_M
-
-
-@dataclass
 class SortieReport:
     label: str
-    condition: float
     session_kind: SessionKind
     session_id: int
     rms_m: float
@@ -454,35 +445,43 @@ class SortieReport:
     summarized: bool
     objective: float | None
     n_proposals: int
+    # the new landmarks that survive summarization and the proposal row of each
+    new_landmark_ids: list[int]
+    new_landmark_rows: list[int]
 
 
 def process_sortie(
     m: MultiSessionMap,
     dataset: SortieDataset,
-    cfg: PipelineConfig,
+    kernels: KernelRegistry,
     run: LocalizationRun | None = None,
-) -> tuple[MultiSessionMap, SortieReport]:
+    *,
+    threshold_m: float = DEFAULT_THRESHOLD_M,
+) -> tuple[MultiSessionMap, KernelRegistry, SortieReport]:
     """Localize, decide rich vs observation, ingest, and re-summarize.
 
     Map updates are decided from an unranked full-selection run, so the
     rich/observation choice never depends on which vehicle uploaded.  That
     `reference_policy()` run may be passed in to avoid localizing twice;
-    ValueError if it is another policy's.  The input map is never mutated,
-    so a failure leaves the caller's state untouched.
+    ValueError if it is another policy's.  Nothing passed in is mutated, so
+    a failure leaves the caller's state untouched.  Returns the new map, its
+    registry (less the kernels of landmarks summarization dropped, plus those
+    of new landmarks that survive; `kernels` itself after an observation
+    update) and the report.
     """
     ref = reference_policy()
     if run is None:
-        run = localize_dataset(m, dataset, ref, cfg.kernels)
+        run = localize_dataset(m, dataset, ref, kernels)
     elif run.policy != ref:
         raise ValueError("map updates are decided from the reference policy's run")
-    kind = decide_update(run, cfg.threshold_m)
-    n_before = len(m.landmarks)
+    kind = decide_update(run, threshold_m)
     work = m.copy()
-    summarized = False
-    objective = None
+    solution = None
+    new_ids, new_rows = [], []
 
     if kind is SessionKind.RICH:
         proposals = dataset.proposals
+        first_id = work.next_landmark_id
         session_id = work.add_rich_session(
             dataset.poses,
             proposals.positions,
@@ -490,18 +489,16 @@ def process_sortie(
             run.observations,
             label=dataset.label,
         )
-        add_kernels(cfg.kernels, work.landmarks_created_by(session_id), range(len(proposals)), proposals)
         if work.landmark_cap != UNBOUNDED_CAP and len(work.landmarks) > work.landmark_cap:
-            problem = build_problem(
+            solution = solve(build_problem(
                 work, keep_count=work.landmark_cap, min_per_vertex=COVERAGE_FLOOR_PER_VERTEX
-            )
-            solution = solve(problem)
-            kept = apply_summarization(work, solution)
-            for lid in np.setdiff1d(work.landmark_ids, kept.landmark_ids).tolist():
-                cfg.kernels.pop(lid, None)  # landmark ids are never reused
-            work = kept
-            summarized = True
-            objective = solution.objective
+            ))
+            work = apply_summarization(work, solution)
+        new_ids = work.landmarks_created_by(session_id)
+        new_rows = [lid - first_id for lid in new_ids]  # ids are numbered in proposal order
+        dropped = set(np.setdiff1d(m.landmark_ids, work.landmark_ids).tolist())
+        kernels = {lid: k for lid, k in kernels.items() if lid not in dropped}
+        add_kernels(kernels, new_ids, new_rows, proposals)
     else:
         seen = run.observations
         vertex = work.nearest_vertices(dataset.poses)[seen[:, 1]]
@@ -512,16 +509,17 @@ def process_sortie(
 
     report = SortieReport(
         label=dataset.label,
-        condition=dataset.condition,
         session_kind=kind,
         session_id=session_id,
         rms_m=run.rms_translation_m,
-        n_landmarks_before=n_before,
+        n_landmarks_before=len(m.landmarks),
         n_landmarks_after=len(work.landmarks),
         n_rich_sessions=work.n_rich_sessions,
         n_observation_sessions=work.n_observation_sessions,
-        summarized=summarized,
-        objective=objective,
+        summarized=solution is not None,
+        objective=None if solution is None else solution.objective,
         n_proposals=len(dataset.proposals),
+        new_landmark_ids=new_ids,
+        new_landmark_rows=new_rows,
     )
-    return work, report
+    return work, kernels, report

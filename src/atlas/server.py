@@ -7,7 +7,7 @@ run one at a time under its lock.  Uploads run the full sortie
 pipeline under a single writer lock and publish a fresh snapshot
 atomically, so a query sees either the old map or the new one, never a
 half-updated hybrid.  What is derived from a map version is published
-with it in the same swap: the kernel registry the upload extended, and a
+with it in the same swap: the kernel registry the pipeline returned, and a
 reply table holding each landmark's class id and its position pre-encoded
 as a JSON fragment.  ``landmarks`` replies are joined from those fragments
 and are byte-identical to what the canonical encoder ``encode_frame``
@@ -33,8 +33,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .locsim import DEFAULT_THRESHOLD_M, PipelineConfig, process_sortie
-from .mapcore import EquivalenceClassIndex, MultiSessionMap, SessionKind
+from .locsim import DEFAULT_THRESHOLD_M, process_sortie
+from .mapcore import EquivalenceClassIndex, MultiSessionMap
 from .protocol import (
     ERR_BAD_REPORT,
     ERR_BAD_REQUEST,
@@ -372,20 +372,12 @@ class MapBackend:
             return msg.error(ERR_BAD_REQUEST, f"malformed sortie: {exc}")
         del doc
         with self._write_lock:
-            # process_sortie extends and prunes the registry it is given, so it
-            # gets a copy; a failed upload leaves the published registry as it was.
-            kernels = dict(self.kernels)
-            first_id = self.snapshot.next_landmark_id
-            cfg = PipelineConfig(kernels=kernels, threshold_m=self.threshold_m)
             try:
-                new_map, report = process_sortie(self.snapshot, dataset, cfg)
+                new_map, kernels, report = process_sortie(
+                    self.snapshot, dataset, self.kernels, threshold_m=self.threshold_m
+                )
             except (TypeError, ValueError) as exc:
                 return msg.error(ERR_BAD_REQUEST, f"sortie rejected: {exc}")
-            new_ids = (
-                new_map.landmarks_created_by(report.session_id)
-                if report.session_kind is SessionKind.RICH
-                else []
-            )
             # Atomic publish of the map, its registry and its reply table;
             # readers hold old refs.
             self._published = _Published.of(new_map, kernels)
@@ -397,9 +389,8 @@ class MapBackend:
                 "session_kind": report.session_kind.value,
                 "map_version": new_map.version,
                 "n_landmarks": len(new_map.landmarks),
-                "new_landmark_ids": [int(i) for i in new_ids],
-                # the proposal each id was made from: ids are numbered in proposal order
-                "new_landmark_rows": [int(i) - first_id for i in new_ids],
+                "new_landmark_ids": report.new_landmark_ids,
+                "new_landmark_rows": report.new_landmark_rows,
                 "rms_m": report.rms_m,
                 "summarized": report.summarized,
             },

@@ -13,7 +13,6 @@ import numpy as np
 from atlas.experiment import GapStudy, build_dataset, build_world
 from atlas.locsim import (
     POSE_ERROR,
-    PipelineConfig,
     decide_update,
     localize_dataset,
     observation_ratio,
@@ -351,7 +350,7 @@ def reference_gap_study(
     sc = with_overrides(scenario, landmark_cap=UNBOUNDED_CAP)
     world = build_world(sc, seed)
     twins = {True: MultiSessionMap(), False: MultiSessionMap()}
-    cfgs = {w: PipelineConfig(threshold_m=sc.threshold_m) for w in twins}
+    registries = {w: {} for w in twins}
     ref = reference_policy()
     gaps: dict[int, list[float]] = {}
     with_r: dict[int, list[float]] = {}
@@ -362,13 +361,15 @@ def reference_gap_study(
         n_obs = twins[True].n_observation_sessions
         r: dict[bool, float] = {}
         for w, m in twins.items():
-            ref_run = localize_dataset(m, ds, ref, cfgs[w].kernels)
+            ref_run = localize_dataset(m, ds, ref, registries[w])
             revisit = decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
             if stage >= 1 and n_obs >= 1 and revisit:
-                run = localize_dataset(m, ds, policy, cfgs[w].kernels)
+                run = localize_dataset(m, ds, policy, registries[w])
                 r[w] = observation_ratio(run, ref_run).mean_of_ratios
             if w or not revisit:  # the twin without observation sessions takes rich ones only
-                twins[w], _ = process_sortie(m, ds, cfgs[w], run=ref_run)
+                twins[w], registries[w], _ = process_sortie(
+                    m, ds, registries[w], run=ref_run, threshold_m=sc.threshold_m
+                )
         assert np.array_equal(twins[True].landmark_ids, twins[False].landmark_ids)
         if len(r) == 2:
             gaps.setdefault(stage, []).append(r[True] - r[False])
@@ -376,7 +377,7 @@ def reference_gap_study(
             without_r.setdefault(stage, []).append(r[False])
     converged: dict[str, float] = {}
     if converged_policies:
-        m, kernels = twins[True], cfgs[True].kernels
+        m, kernels = twins[True], registries[True]
         probe = generate_sortie(
             world, sc.schedule[-1].condition, derive_seed(seed, "probe"), label="probe"
         )

@@ -25,7 +25,7 @@ from atlas.experiment import (
     run_experiment,
     run_regression,
 )
-from atlas.locsim import PipelineConfig, localize_dataset, process_sortie
+from atlas.locsim import localize_dataset, process_sortie
 from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.protocol import Message, MessageKind, decode_body, encode_frame, read_frame
 from atlas.ranking import (
@@ -193,13 +193,14 @@ def test_04_ranking_arithmetic_and_full_selection_equivalence():
 
     scenario = tiny_scenario()
     world = build_world(scenario, 5)
-    cfg = PipelineConfig(threshold_m=scenario.threshold_m)
-    built = MultiSessionMap()
+    built, kernels = MultiSessionMap(), {}
     for i in range(2):
-        built, _ = process_sortie(built, build_dataset(world, i, 5), cfg)
+        built, kernels, _ = process_sortie(
+            built, build_dataset(world, i, 5), kernels, threshold_m=scenario.threshold_m
+        )
     probe = build_dataset(world, 2, 5)
-    ranked_run = localize_dataset(built, probe, parse_policy("class_ratio@1.0"), cfg.kernels)
-    full_run = localize_dataset(built, probe, reference_policy(), cfg.kernels)
+    ranked_run = localize_dataset(built, probe, parse_policy("class_ratio@1.0"), kernels)
+    full_run = localize_dataset(built, probe, reference_policy(), kernels)
     # the same ids at every pose: equal per-pose counts and equal ids, pose after pose
     same_observed = np.array_equal(
         ranked_run.observed_counts, full_run.observed_counts

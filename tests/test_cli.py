@@ -68,6 +68,31 @@ def test_unknown_config_key_refused(tiny_path, tmp_path):
         run_cli(["run", "--config", str(config)])
 
 
+@pytest.mark.parametrize("key, value", [("seeds", [42]), ("regression", "false")])
+def test_config_value_the_flag_cannot_take_refused(tiny_path, tmp_path, key, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"scenario": tiny_path, "out": str(tmp_path / "x"), key: value}))
+    with pytest.raises(SystemExit, match=key):
+        run_cli(["run", "--config", str(config)])
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_switch_takes_a_bool_and_a_flag_a_number(tiny_path, tmp_path, capsys):
+    out = tmp_path / "cfg_out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "scenario": tiny_path, "seeds": 7, "policies": "random@0.5", "regression": False,
+        "out": str(out),
+    }))
+    assert run_cli(["run", "--config", str(config)]) == 0
+    assert "check regression_rms_within_tolerance: PASS (regression disabled)" in (
+        capsys.readouterr().out
+    )
+    assert json.loads((out / "run_meta.json").read_text())["seeds"] == [7]
+    with (out / "metrics.csv").open(newline="") as fh:
+        assert {row["mode"] for row in csv.DictReader(fh)} == {"chronological"}
+
+
 def test_bad_cap_and_unknown_scenario_exit_2(tmp_path, capsys):
     assert run_cli(["run", "--scenario", "nowhere", "--out", str(tmp_path / "x")]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -22,7 +22,7 @@ from atlas.experiment import (
     run_regression,
     sortie_seed,
 )
-from atlas.locsim import PipelineConfig, localize_dataset, observation_ratio, process_sortie
+from atlas.locsim import localize_dataset, observation_ratio, process_sortie
 from atlas.mapcore import MultiSessionMap, UNBOUNDED_CAP
 from atlas.mapio import dumps_map
 from atlas.ranking import parse_policy, reference_policy
@@ -175,15 +175,16 @@ def test_converged_probe_reference_is_exact():
         # Oracle: build the uncapped map sortie by sortie on its own, then probe it.
         uncapped = with_overrides(sc, landmark_cap=UNBOUNDED_CAP)
         world = build_world(uncapped, seed=42)
-        cfg = PipelineConfig(threshold_m=uncapped.threshold_m)
-        m = MultiSessionMap()
+        m, kernels = MultiSessionMap(), {}
         for i in range(len(uncapped.schedule)):
-            m, _ = process_sortie(m, build_dataset(world, i, seed=42), cfg)
+            m, kernels, _ = process_sortie(
+                m, build_dataset(world, i, seed=42), kernels, threshold_m=uncapped.threshold_m
+            )
         probe = generate_sortie(
             world, uncapped.schedule[-1].condition, derive_seed(42, "probe"), label="probe"
         )
-        ref_run = localize_dataset(m, probe, reference_policy(), cfg.kernels)
-        runs = {p.name: localize_dataset(m, probe, p, cfg.kernels) for p in policies}
+        ref_run = localize_dataset(m, probe, reference_policy(), kernels)
+        runs = {p.name: localize_dataset(m, probe, p, kernels) for p in policies}
         expected = {name: observation_ratio(r, ref_run).mean_of_ratios for name, r in runs.items()}
         assert out == expected
         assert set(out) == {"all@1", "class_ratio@0.3", "random@0.3"}

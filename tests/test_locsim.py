@@ -1,7 +1,8 @@
 """Localization proxy, selection/observation loop, and sortie ingestion."""
 
+import copy
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from atlas.experiment import build_dataset, build_world
 from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
 from atlas.locsim import (
     LocalizationRun,
-    PipelineConfig,
     PoseErrorParams,
     decide_update,
     localize_dataset,
@@ -89,17 +89,16 @@ def built():
     sc = tiny_scenario()
     world = generate_world(sc, seed=11)
     first = generate_sortie(world, 0.10, seed=101, label="first")
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, report = process_sortie(MultiSessionMap(), first, cfg)
+    m, kernels, report = process_sortie(MultiSessionMap(), first, {}, threshold_m=sc.threshold_m)
     assert report.session_kind is SessionKind.RICH
     revisit = generate_sortie(world, 0.11, seed=102, label="revisit")
-    return m, cfg, revisit
+    return m, kernels, revisit
 
 
 def test_localize_invariants(built):
-    m, cfg, dataset = built
-    run = localize_dataset(m, dataset, parse_policy("class_ratio@0.3"), cfg.kernels)
-    draws = sortie_draws(m, dataset, cfg.kernels)
+    m, kernels, dataset = built
+    run = localize_dataset(m, dataset, parse_policy("class_ratio@0.3"), kernels)
+    draws = sortie_draws(m, dataset, kernels)
     candidates = by_pose(draws.ids, np.diff(draws.ptr))
     assert run.n_iterations == dataset.n_iterations == draws.n_poses
     selected = by_pose(run.selected_ids, run.selected_counts)
@@ -145,16 +144,15 @@ def many_classes():
     """A map grown by seven sorties under varying conditions, with a revisit."""
     sc = tiny_scenario()
     world = generate_world(sc, seed=11)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m = MultiSessionMap()
+    m, kernels = MultiSessionMap(), {}
     for i, condition in enumerate((0.10, 0.12, 0.45, 0.5, 0.11, 0.3, 0.13)):
         sortie = generate_sortie(world, condition, seed=700 + i, label=f"s{i}")
-        m, _ = process_sortie(m, sortie, cfg)
+        m, kernels, _ = process_sortie(m, sortie, kernels, threshold_m=sc.threshold_m)
     revisit = generate_sortie(world, 0.12, seed=799, label="revisit")
     # Pose 7 is moved out of sensor range of every landmark.
     poses = revisit.poses.copy()
     poses[7, :2] = 1e4
-    return m, cfg.kernels, replace(revisit, poses=poses)
+    return m, kernels, replace(revisit, poses=poses)
 
 
 ORACLE_POLICIES = [reference_policy()] + [
@@ -199,8 +197,8 @@ def test_localize_policies_on_an_empty_map(many_classes):
 
 
 def test_tiebreak_order_breaks_equal_words_by_id(built, monkeypatch):
-    m, cfg, dataset = built
-    draws = sortie_draws(m, dataset, cfg.kernels)
+    m, kernels, dataset = built
+    draws = sortie_draws(m, dataset, kernels)
     poses = np.repeat(np.arange(draws.n_poses), np.diff(draws.ptr))
     words = hash_stream(3, poses, draws.ids)
     assert np.array_equal(draws.tiebreak_order(3), np.lexsort((draws.ids, words, poses)))
@@ -211,29 +209,29 @@ def test_tiebreak_order_breaks_equal_words_by_id(built, monkeypatch):
 
 
 def test_shared_draws_give_the_runs_built_alone(built):
-    m, cfg, dataset = built
+    m, kernels, dataset = built
     policies = [reference_policy()] + [
         parse_policy(f"{name}@{ratio}")
         for name in ("class_ratio", "session_weight", "random")
         for ratio in (0.2, 0.4)
     ] + [parse_policy("random@0.4", seed=7)]  # tie-break orders are kept per seed
-    draws = sortie_draws(m, dataset, cfg.kernels)
-    shared = localize_policies(m, dataset, policies, cfg.kernels, draws=draws)
+    draws = sortie_draws(m, dataset, kernels)
+    shared = localize_policies(m, dataset, policies, kernels, draws=draws)
     for policy, run in zip(policies, shared):
-        assert_same_runs(run, localize_dataset(m, dataset, policy, cfg.kernels))
+        assert_same_runs(run, localize_dataset(m, dataset, policy, kernels))
     other = generate_sortie(generate_world(tiny_scenario(), seed=11), 0.11, seed=999)
     with pytest.raises(ValueError):
-        localize_dataset(m, other, policies[1], cfg.kernels, draws=draws)
+        localize_dataset(m, other, policies[1], kernels, draws=draws)
     for twin in (m.copy(), m.without_observation_sessions()):  # the same landmark column
         for a, b in zip(
-            localize_policies(twin, dataset, policies, cfg.kernels, draws=draws),
-            localize_policies(twin, dataset, policies, cfg.kernels),
+            localize_policies(twin, dataset, policies, kernels, draws=draws),
+            localize_policies(twin, dataset, policies, kernels),
         ):
             assert_same_runs(a, b)
     fewer = m.copy()
     fewer.drop_landmarks([int(m.landmark_ids[-1])])
     with pytest.raises(ValueError):
-        localize_policies(fewer, dataset, policies, cfg.kernels, draws=draws)
+        localize_policies(fewer, dataset, policies, kernels, draws=draws)
 
 
 def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
@@ -272,12 +270,12 @@ def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
 
 
 def test_detection_matches_keyed_uniform_oracle(built):
-    m, cfg, dataset = built
+    m, kernels, dataset = built
     for spec in ("all", "class_ratio@0.2", "random@0.4"):
-        run = localize_dataset(m, dataset, parse_policy(spec), cfg.kernels)
+        run = localize_dataset(m, dataset, parse_policy(spec), kernels)
         observed = by_pose(run.observed_ids, run.observed_counts)
         for k, selected in enumerate(by_pose(run.selected_ids, run.selected_counts)):
-            kern = [cfg.kernels[int(i)] for i in selected]
+            kern = [kernels[int(i)] for i in selected]
             p_det = detection_probabilities(
                 np.array([q.center for q in kern]),
                 np.array([q.width for q in kern]),
@@ -289,9 +287,9 @@ def test_detection_matches_keyed_uniform_oracle(built):
 
 
 def test_run_observations_match_per_iteration_recount(built):
-    m, cfg, dataset = built
+    m, kernels, dataset = built
     for policy in (reference_policy(), parse_policy("class_ratio@0.3")):
-        run = localize_dataset(m, dataset, policy, cfg.kernels)
+        run = localize_dataset(m, dataset, policy, kernels)
         recount = [
             (lid, k, 1)
             for k, observed in enumerate(by_pose(run.observed_ids, run.observed_counts))
@@ -303,24 +301,24 @@ def test_run_observations_match_per_iteration_recount(built):
 
 
 def test_bootstrap_selects_everything_first(built):
-    m, cfg, dataset = built
+    m, kernels, dataset = built
     policy = parse_policy("random@0.2")
-    n_candidates = np.diff(sortie_draws(m, dataset, cfg.kernels).ptr)
-    run = localize_dataset(m, dataset, policy, cfg.kernels)
+    n_candidates = np.diff(sortie_draws(m, dataset, kernels).ptr)
+    run = localize_dataset(m, dataset, policy, kernels)
     first = by_pose(run.selected_ids, run.selected_counts)[0]
     assert len(first) == n_candidates[0] > 0
     assert first.tolist() == sorted(first.tolist())  # the whole first set, by id
     assert run.selected_counts[1] < n_candidates[1]
-    no_boot = localize_dataset(m, dataset, policy, cfg.kernels, bootstrap_full_first=False)
+    no_boot = localize_dataset(m, dataset, policy, kernels, bootstrap_full_first=False)
     assert no_boot.selected_counts[0] == max(1, math.ceil(0.2 * n_candidates[0] - 1e-9))
 
 
 def test_policy_observations_subset_of_reference(built):
-    m, cfg, dataset = built
-    ref = localize_dataset(m, dataset, reference_policy(), cfg.kernels)
+    m, kernels, dataset = built
+    ref = localize_dataset(m, dataset, reference_policy(), kernels)
     ref_observed = by_pose(ref.observed_ids, ref.observed_counts)
     for spec in ("class_ratio@0.2", "session_weight@0.3", "random@0.4"):
-        run = localize_dataset(m, dataset, parse_policy(spec), cfg.kernels)
+        run = localize_dataset(m, dataset, parse_policy(spec), kernels)
         for got, full in zip(by_pose(run.observed_ids, run.observed_counts), ref_observed):
             assert set(got.tolist()) <= set(full.tolist())
         ratio = observation_ratio(run, ref)
@@ -331,22 +329,22 @@ def test_policy_observations_subset_of_reference(built):
 
 
 def test_full_ratio_ranked_policy_matches_reference_exactly(built):
-    m, cfg, dataset = built
-    ref = localize_dataset(m, dataset, reference_policy(), cfg.kernels)
-    ranked_full = localize_dataset(m, dataset, parse_policy("class_ratio@1.0"), cfg.kernels)
+    m, kernels, dataset = built
+    ref = localize_dataset(m, dataset, reference_policy(), kernels)
+    ranked_full = localize_dataset(m, dataset, parse_policy("class_ratio@1.0"), kernels)
     assert np.array_equal(ranked_full.observed_counts, ref.observed_counts)
     assert np.array_equal(ranked_full.observed_ids, ref.observed_ids)
     assert observation_ratio(ranked_full, ref).mean_of_ratios == pytest.approx(1.0)
 
 
 def test_observation_ratio_validations(built):
-    m, cfg, dataset = built
-    ref = localize_dataset(m, dataset, reference_policy(), cfg.kernels)
-    run = localize_dataset(m, dataset, parse_policy("random@0.5"), cfg.kernels)
+    m, kernels, dataset = built
+    ref = localize_dataset(m, dataset, reference_policy(), kernels)
+    run = localize_dataset(m, dataset, parse_policy("random@0.5"), kernels)
     with pytest.raises(ValueError):
         observation_ratio(run, run)  # reference must be full selection
     other = generate_sortie(generate_world(tiny_scenario(), seed=11), 0.11, seed=999)
-    ref_other = localize_dataset(m, other, reference_policy(), cfg.kernels)
+    ref_other = localize_dataset(m, other, reference_policy(), kernels)
     with pytest.raises(ValueError):
         observation_ratio(run, ref_other)  # different dataset
 
@@ -368,25 +366,27 @@ def test_observation_ratio_degenerate_is_nan():
 def test_process_sortie_rich_then_observation():
     sc = tiny_scenario()
     world = generate_world(sc, seed=21)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
     first = generate_sortie(world, 0.10, seed=201, label="first")
     empty = MultiSessionMap()
-    m1, rep1 = process_sortie(empty, first, cfg)
+    m1, k1, rep1 = process_sortie(empty, first, {}, threshold_m=sc.threshold_m)
     assert rep1.session_kind is SessionKind.RICH
     assert rep1.rms_m > sc.threshold_m
     assert rep1.n_landmarks_before == 0
     assert rep1.n_landmarks_after == len(first.proposals) == rep1.n_proposals
     assert m1.n_rich_sessions == 1 and m1.n_observation_sessions == 0
     assert len(m1.vertices) == first.n_iterations
-    assert all(lid in cfg.kernels for lid in m1.landmarks)
+    assert all(lid in k1 for lid in m1.landmarks)
+    assert rep1.new_landmark_ids == m1.landmark_ids.tolist()
+    assert rep1.new_landmark_rows == list(range(len(first.proposals)))
     # the input map is a different object and stayed empty
     assert len(empty.landmarks) == 0 and len(empty.sessions) == 0
 
     second = generate_sortie(world, 0.11, seed=202, label="second")
-    m2, rep2 = process_sortie(m1, second, cfg)
+    m2, k2, rep2 = process_sortie(m1, second, k1, threshold_m=sc.threshold_m)
     assert rep2.session_kind is SessionKind.OBSERVATION
     assert rep2.rms_m <= sc.threshold_m
     assert rep2.n_landmarks_after == rep2.n_landmarks_before
+    assert k2 is k1 and rep2.new_landmark_ids == rep2.new_landmark_rows == []
     assert m2.n_observation_sessions == 1
     assert len(m2.vertices) == len(m1.vertices)  # no new geometry
     assert len(m1.sessions) == 1  # prior map untouched
@@ -403,15 +403,16 @@ def test_process_sortie_rich_then_observation():
 def test_process_sortie_decides_from_the_reference_run_only():
     sc = tiny_scenario()
     world = generate_world(sc, seed=21)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m1, _ = process_sortie(MultiSessionMap(), generate_sortie(world, 0.10, seed=201), cfg)
+    m1, kernels, _ = process_sortie(
+        MultiSessionMap(), generate_sortie(world, 0.10, seed=201), {}, threshold_m=sc.threshold_m
+    )
     second = generate_sortie(world, 0.11, seed=202)
-    ranked = localize_dataset(m1, second, parse_policy("class_ratio@0.2"), cfg.kernels)
+    ranked = localize_dataset(m1, second, parse_policy("class_ratio@0.2"), kernels)
     with pytest.raises(ValueError, match="reference policy"):
-        process_sortie(m1, second, cfg, run=ranked)
+        process_sortie(m1, second, kernels, run=ranked, threshold_m=sc.threshold_m)
     assert len(m1.sessions) == 1 and m1.n_rich_sessions == 1
-    ref_run = localize_dataset(m1, second, reference_policy(), cfg.kernels)
-    m2, rep = process_sortie(m1, second, cfg, run=ref_run)
+    ref_run = localize_dataset(m1, second, reference_policy(), kernels)
+    m2, _, rep = process_sortie(m1, second, kernels, run=ref_run, threshold_m=sc.threshold_m)
     assert rep.session_kind is SessionKind.OBSERVATION and m2.n_observation_sessions == 1
 
 
@@ -420,16 +421,18 @@ def test_without_observation_sessions_is_the_map_that_never_ingested_them():
     conditions = (("one", 0.10), ("two", 0.30), ("three", 0.11), ("four", 0.29), ("five", 0.20))
     sc = tiny_scenario(schedule=[SortieSpec(label, c) for label, c in conditions])
     world = build_world(sc, seed=42)
-    cfg, rich_cfg = (PipelineConfig(threshold_m=sc.threshold_m) for _ in range(2))
     m, rich_only = MultiSessionMap(), MultiSessionMap()
+    kernels, rich_kernels = {}, {}
     shared = ("landmark_ids", "landmark_positions", "landmark_origins", "vertex_ids",
               "vertex_poses", "vertex_sessions", "obs_landmarks", "obs_vertices", "obs_counts")
     split = False
     for i in range(len(sc.schedule)):
         ds = build_dataset(world, i, seed=42)
-        m, report = process_sortie(m, ds, cfg)
+        m, kernels, report = process_sortie(m, ds, kernels, threshold_m=sc.threshold_m)
         if report.session_kind is SessionKind.RICH:
-            rich_only, _ = process_sortie(rich_only, ds, rich_cfg)
+            rich_only, rich_kernels, _ = process_sortie(
+                rich_only, ds, rich_kernels, threshold_m=sc.threshold_m
+            )
         index, sessions, pairs = m.index, list(m.sessions), m.pair_sessions
         view = m.without_observation_sessions()
         view.validate()
@@ -445,10 +448,11 @@ def test_without_observation_sessions_is_the_map_that_never_ingested_them():
 def test_process_sortie_enforces_cap_by_summarizing():
     sc = tiny_scenario(landmark_cap=40)
     world = generate_world(sc, seed=31)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
     dataset = generate_sortie(world, 0.10, seed=301, label="big")
     assert len(dataset.proposals) > 40
-    m, rep = process_sortie(MultiSessionMap(landmark_cap=40), dataset, cfg)
+    m, _, rep = process_sortie(
+        MultiSessionMap(landmark_cap=40), dataset, {}, threshold_m=sc.threshold_m
+    )
     assert rep.session_kind is SessionKind.RICH
     assert rep.summarized
     assert rep.objective is not None
@@ -460,19 +464,41 @@ def test_process_sortie_enforces_cap_by_summarizing():
 def test_summarization_prunes_kernels_of_dropped_landmarks():
     sc = tiny_scenario(landmark_cap=40)
     world = generate_world(sc, seed=31)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m = MultiSessionMap(landmark_cap=40)
+    m, kernels = MultiSessionMap(landmark_cap=40), {}
     for condition, seed in ((0.10, 301), (0.50, 302)):
         dataset = generate_sortie(world, condition, seed=seed)
-        m, rep = process_sortie(m, dataset, cfg)
+        m, kernels, rep = process_sortie(m, dataset, kernels, threshold_m=sc.threshold_m)
         assert rep.summarized
-        assert set(cfg.kernels) == set(m.landmarks)
+        assert set(kernels) == set(m.landmarks)
+
+
+def test_summarizing_sortie_leaves_its_input_registry_unchanged():
+    sc = tiny_scenario(landmark_cap=40)
+    world = generate_world(sc, seed=31)
+    m1, k1, _ = process_sortie(
+        MultiSessionMap(landmark_cap=40), generate_sortie(world, 0.10, seed=301), {},
+        threshold_m=sc.threshold_m,
+    )
+    dataset = generate_sortie(world, 0.50, seed=302)
+    before = copy.deepcopy(k1)
+    m2, k2, rep = process_sortie(m1, dataset, k1, threshold_m=sc.threshold_m)
+    assert rep.session_kind is SessionKind.RICH and rep.summarized
+    assert k1 == before
+    assert set(k2) == set(m2.landmarks)
+    # the surviving new landmarks, each with the kernel of its proposal row
+    first_id = m1.next_landmark_id
+    assert rep.new_landmark_ids == m2.landmarks_created_by(rep.session_id)
+    assert rep.new_landmark_rows == [lid - first_id for lid in rep.new_landmark_ids]
+    assert 0 < len(rep.new_landmark_ids) < len(dataset.proposals)
+    for lid, row in zip(rep.new_landmark_ids, rep.new_landmark_rows):
+        assert astuple(k2[lid]) == tuple(dataset.proposals.kernels[row])
 
 
 def test_uncapped_map_never_summarizes():
     sc = tiny_scenario(landmark_cap=UNBOUNDED_CAP)
     world = generate_world(sc, seed=31)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, rep = process_sortie(MultiSessionMap(), generate_sortie(world, 0.10, seed=301), cfg)
+    m, _, rep = process_sortie(
+        MultiSessionMap(), generate_sortie(world, 0.10, seed=301), {}, threshold_m=sc.threshold_m
+    )
     assert not rep.summarized and rep.objective is None
     assert len(m.landmarks) == rep.n_proposals

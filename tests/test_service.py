@@ -15,9 +15,10 @@ import pytest
 import atlas.locsim
 import atlas.server
 from atlas.client import BackendError, VehicleClient, drive_sortie, sortie_json
-from atlas.experiment import build_dataset, build_world
-from atlas.locsim import PipelineConfig, localize_dataset, process_sortie
+from atlas.experiment import build_dataset, build_world, run_chronological
+from atlas.locsim import localize_dataset, process_sortie
 from atlas.mapcore import MultiSessionMap
+from atlas.mapio import dumps_map
 from atlas.protocol import (
     EncodedBody,
     MessageKind,
@@ -506,10 +507,9 @@ def grown():
     sc = tiny_scenario()
     world = generate_world(sc, seed=11)
     first = generate_sortie(world, 0.10, seed=101, label="first")
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, _ = process_sortie(MultiSessionMap(), first, cfg)
+    m, kernels, _ = process_sortie(MultiSessionMap(), first, {}, threshold_m=sc.threshold_m)
     revisit = generate_sortie(world, 0.11, seed=102, label="revisit")
-    return sc, m, cfg.kernels, revisit
+    return sc, m, kernels, revisit
 
 
 def test_upload_updates_map_and_registers_kernels(grown):
@@ -595,11 +595,11 @@ def city_revisit():
     upload of sortie 1, which that map turns into an observation update."""
     sc = get_scenario("city_dusk")
     world = build_world(sc, 42)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m, _ = process_sortie(
-        MultiSessionMap(landmark_cap=sc.landmark_cap), build_dataset(world, 0, 42), cfg
+    m, kernels, _ = process_sortie(
+        MultiSessionMap(landmark_cap=sc.landmark_cap), build_dataset(world, 0, 42), {},
+        threshold_m=sc.threshold_m,
     )
-    return m, cfg.kernels, sortie_to_doc(build_dataset(world, 1, 42))
+    return m, kernels, sortie_to_doc(build_dataset(world, 1, 42))
 
 
 # Written once into a frame, then swapped for a token the canonical encoder refuses.
@@ -856,13 +856,12 @@ def many_classes():
     """A map grown by seven sorties under varying conditions, with a revisit."""
     sc = tiny_scenario()
     world = generate_world(sc, seed=11)
-    cfg = PipelineConfig(threshold_m=sc.threshold_m)
-    m = MultiSessionMap()
+    m, kernels = MultiSessionMap(), {}
     for i, condition in enumerate((0.10, 0.12, 0.45, 0.5, 0.11, 0.3, 0.13)):
         sortie = generate_sortie(world, condition, seed=700 + i, label=f"s{i}")
-        m, _ = process_sortie(m, sortie, cfg)
+        m, kernels, _ = process_sortie(m, sortie, kernels, threshold_m=sc.threshold_m)
     revisit = generate_sortie(world, 0.12, seed=799, label="revisit")
-    return sc, m, cfg.kernels, revisit
+    return sc, m, kernels, revisit
 
 
 @pytest.mark.parametrize("spec", ["class_ratio@0.2", "session_weight@0.3", "random@0.4"])
@@ -971,20 +970,29 @@ def test_vehicle_sidecar_matches_the_backend_after_every_capped_upload():
     # the created ids that survived, so ids and proposals no longer pair up
     # in order.  The vehicle is never told which landmarks were dropped, so
     # it keeps their kernels; ids are never reused, so those are never read.
+    # The served schedule is the chronological run's: the same decisions,
+    # map and registry.
     scenario = get_scenario("city_dusk")
     world = build_world(scenario, 42)
+    chrono = run_chronological(scenario, 42)
     backend = MapBackend(MultiSessionMap(landmark_cap=scenario.landmark_cap))
     client = in_process_client(backend)
     sidecar: dict = {}
     summarized = 0
-    for i in range(len(scenario.schedule)):
+    for i, report in enumerate(chrono.reports):
         client.open_session(policy="all@1", sensor_range=scenario.sensor_range)
         ack = drive_sortie(client, build_dataset(world, i, 42), sidecar, upload=True).upload_ack
         client.close_session()
         summarized += ack["summarized"]
         assert sidecar.keys() >= backend.kernels.keys(), f"upload {i + 1}"
         assert {lid: sidecar[lid] for lid in backend.kernels} == backend.kernels, f"upload {i + 1}"
+        assert (ack["session_kind"], ack["n_landmarks"], ack["rms_m"], ack["summarized"]) == (
+            report.session_kind.value, report.n_landmarks_after, report.rms_m, report.summarized
+        ), f"upload {i + 1}"
+    assert len(chrono.reports) == len(scenario.schedule)
     assert summarized == 1 and len(backend.snapshot.landmarks) == scenario.landmark_cap
+    assert dumps_map(backend.snapshot) == dumps_map(chrono.final_map)
+    assert backend.kernels == chrono.kernels
 
 
 def test_client_raises_backend_errors():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atlas.experiment import build_dataset, build_world
-from atlas.locsim import COVERAGE_FLOOR_PER_VERTEX, PipelineConfig, process_sortie
+from atlas.locsim import COVERAGE_FLOOR_PER_VERTEX, process_sortie
 from atlas.mapcore import MapValidationError, MultiSessionMap
 from atlas.summarize import (
     EXACT_SIZE_LIMIT,
@@ -150,10 +150,11 @@ def city_dusk_maps():
     cap (the instance a capped run summarizes) and the final map."""
     scenario = get_scenario("city_dusk")
     world = build_world(scenario, 42)
-    cfg = PipelineConfig(threshold_m=scenario.threshold_m)
-    m, first_over = MultiSessionMap(), None
+    m, kernels, first_over = MultiSessionMap(), {}, None
     for i in range(len(scenario.schedule)):
-        m, _ = process_sortie(m, build_dataset(world, i, 42), cfg)
+        m, kernels, _ = process_sortie(
+            m, build_dataset(world, i, 42), kernels, threshold_m=scenario.threshold_m
+        )
         if first_over is None and len(m.landmarks) > scenario.landmark_cap:
             first_over = m
     return scenario, first_over, m

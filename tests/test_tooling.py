@@ -1,11 +1,17 @@
-"""Checks on the package source that need no linter: every import is used."""
+"""Checks that need no linter: every import of the package is used, and the
+benchmark harness still finds the names it hooks."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "atlas"
+from atlas.server import MapBackend, MapServer
+
+from helpers import two_session_map
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "atlas"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +59,38 @@ def test_unused_import_scan_finds_what_it_should():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["2: sys", "3: dataclass", "3: replace"]
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+
+
+def test_benchmark_wraps_and_restores_every_layer_name(perfbench):
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)  # KeyError if a wrapped name is gone
+    finally:
+        wrong = tracer.restore()  # the names installed so far, unwrapped either way
+    assert wrong == []
+
+
+def test_benchmark_fleet_client_tallies_what_the_close_reply_charges(perfbench):
+    import workloads
+
+    with MapServer(MapBackend(two_session_map())) as server:
+        client = workloads._timed_client_class()(*server.address)
+        try:
+            client.open_session("class_ratio@0.5", sensor_range=50.0)
+            selected = client.query([0.0, 0.0, 0.0]).landmark_ids
+            assert selected
+            client.report(selected[:1])
+            ledger = client.close_session()["ledger"]
+        finally:
+            client.close_transport()
+    assert client.tally == ledger
+    assert ledger["queries"] == 1 and ledger["landmarks_sent"] == len(selected)
+    assert client.requests == 4
