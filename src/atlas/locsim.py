@@ -37,7 +37,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from atlas.mapcore import EquivalenceClassIndex, MultiSessionMap, SessionKind, UNBOUNDED_CAP
+from atlas.mapcore import (
+    EquivalenceClassIndex,
+    MultiSessionMap,
+    SessionKind,
+    UNBOUNDED_CAP,
+    within_radius,
+)
 from atlas.ranking import (
     RankingKind,
     RollingSelectionStats,
@@ -67,8 +73,8 @@ DEFAULT_THRESHOLD_M = 0.10
 # 0.35*n - sqrt(n*0.35*0.65) >= 4 is 18.
 COVERAGE_FLOOR_PER_VERTEX = 18
 
-# Poses per candidate_mask call in sortie_draws: bounds its dense
-# (poses x landmarks) temporaries.  One pose per call costs CPU.
+# Poses per candidate block in sortie_draws: bounds its dense (poses x
+# landmarks) temporaries.  One pose per call costs CPU.
 CANDIDATE_BLOCK_POSES = 32
 
 
@@ -203,23 +209,47 @@ class SortieDraws:
         return order
 
 
+def _box_rows(xy: np.ndarray, poses: np.ndarray, pad: float) -> np.ndarray:
+    """Rows of xy inside the x/y bounding box of poses padded by pad, ascending.
+
+    NaN pose coordinates are passed over (the candidate test accepts
+    nothing at them), and an infinite pad keeps every row.
+    """
+    if pad == np.inf:
+        return np.arange(len(xy))
+    lo = np.fmin.reduce(poses[:, :2], axis=0) - pad
+    hi = np.fmax.reduce(poses[:, :2], axis=0) + pad
+    inside = (xy >= lo) & (xy <= hi)
+    return np.flatnonzero(inside[:, 0] & inside[:, 1])
+
+
 def sortie_draws(
     m: MultiSessionMap, dataset: SortieDataset, kernels: Mapping[int, ObservabilityKernel]
 ) -> SortieDraws:
     """Candidates, detection outcomes and error draws of every pose of the dataset on m.
 
-    Detections are drawn per block of CANDIDATE_BLOCK_POSES poses, salted
-    with each candidate's pose index, so each pose sees the draws
-    uniform01(observation_seed, k, candidates of k) that a per-pose call gives.
+    Candidates are searched per block of CANDIDATE_BLOCK_POSES poses, and
+    the candidate test runs only on the landmarks in the block's x/y
+    bounding box.  The box is padded by the sensor range r (at least
+    2**-511, below which squares underflow) and a relative slack, so that
+    rounding never leaves out a landmark the test accepts; where r * r
+    overflows, the test accepts every finite distance and the box every
+    landmark.  Detections are drawn per block, salted with each
+    candidate's pose index, so each pose sees the draws
+    uniform01(observation_seed, k, candidates of k) that a per-pose call
+    gives.
     """
-    ids = m.landmark_ids
+    ids, pos = m.landmark_ids, m.landmark_positions
     p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
-    n_poses = len(dataset.poses)
+    n_poses, r = len(dataset.poses), float(dataset.sensor_range)
+    pad = max(r, 2.0**-511) * (1.0 + 1e-9) if r * r < np.inf else np.inf
     counts, rows, hits = [], [], []
     for start in range(0, n_poses, CANDIDATE_BLOCK_POSES):
         block = dataset.poses[start : start + CANDIDATE_BLOCK_POSES]
-        mask = m.candidate_mask(block, dataset.sensor_range)
-        poses, block_rows = np.nonzero(mask)  # pose-major, rows ascending within a pose
+        near = _box_rows(pos[:, :2], block, pad)
+        mask = within_radius(block, pos[near], r)
+        poses, block_rows = np.nonzero(mask)  # pose-major, ascending within a pose
+        block_rows = near[block_rows]
         counts.append(mask.sum(axis=1))
         rows.append(block_rows)
         draw = uniform01(dataset.observation_seed, poses + start, ids[block_rows])
@@ -450,6 +480,24 @@ class SortieReport:
     new_landmark_rows: list[int]
 
 
+def pair_tallies(ids: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """(id, vertex, count) rows of the distinct (ids[i], vertex[i]) pairs, ascending.
+
+    Poses that share a nearest vertex merge their observations of a
+    landmark into one row.  With base = the largest vertex + 1, each pair
+    is tallied as the one int64 key id * base + vertex, which sorts as the
+    pair does, when both ids are non-negative and every key fits in int64;
+    otherwise as a row pair.
+    """
+    base = int(vertex.max(initial=0)) + 1
+    fits = (int(ids.max(initial=0)) + 1) * base < 2**63
+    if fits and min(ids.min(initial=0), vertex.min(initial=0)) >= 0:
+        keys, counts = np.unique(ids * base + vertex, return_counts=True)
+        return np.column_stack((keys // base, keys % base, counts))
+    pairs, counts = np.unique(np.column_stack((ids, vertex)), axis=0, return_counts=True)
+    return np.column_stack((pairs, counts))
+
+
 def process_sortie(
     m: MultiSessionMap,
     dataset: SortieDataset,
@@ -502,9 +550,7 @@ def process_sortie(
     else:
         seen = run.observations
         vertex = work.nearest_vertices(dataset.poses)[seen[:, 1]]
-        # Poses that share a nearest vertex merge their tallies; every count is 1.
-        pairs, counts = np.unique(np.column_stack((seen[:, 0], vertex)), axis=0, return_counts=True)
-        observed = np.column_stack((pairs, counts))
+        observed = pair_tallies(seen[:, 0], vertex)
         session_id = work.add_observation_session(observed, label=dataset.label)
 
     report = SortieReport(

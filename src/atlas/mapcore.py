@@ -105,6 +105,24 @@ def check_new_landmarks(
     return positions, new
 
 
+def within_radius(
+    query_poses: Sequence[Sequence[float]] | np.ndarray, positions: np.ndarray, radius: float
+) -> np.ndarray:
+    """Row k marks the positions within `radius` (inclusive) of query pose k.
+
+    Distance is Euclidean between the 3-D position and the planar query
+    point lifted to z = 0.  This is the one candidate test: every candidate
+    search applies it, to all landmarks or to a prefiltered superset of
+    the ones it accepts.
+    """
+    if radius < 0 or not np.isfinite(radius):
+        raise ValueError("radius must be finite and non-negative")
+    q = np.asarray(query_poses, dtype=np.float64)
+    dx = q[:, 0:1] - positions[None, :, 0]
+    dy = q[:, 1:2] - positions[None, :, 1]
+    return dx * dx + dy * dy + positions[None, :, 2] ** 2 <= radius * radius
+
+
 @dataclass(frozen=True)
 class SessionRecord:
     id: int
@@ -166,8 +184,9 @@ class EquivalenceClassIndex:
     tuples, so the numbering is deterministic for a given map state.  The
     index is rebuilt lazily after every ingestion or removal.
 
-    The class keys are also held in CSR form: the sessions of class c are
-    key_sessions[key_ptr[c]:key_ptr[c + 1]], ascending.
+    The class keys are also held as a dense bool (class, session) incidence
+    matrix, with one column per session of some key, ascending.  It is built
+    with the index, so an index, once made, is only ever read.
     """
 
     def __init__(self, m: MultiSessionMap):
@@ -191,18 +210,15 @@ class EquivalenceClassIndex:
         self.ids = m.landmark_ids
         self.class_ids = np.empty(n, dtype=np.int64)
         self.class_ids[order] = np.cumsum(first) - 1
-        self.key_ptr = np.zeros(len(unique) + 1, dtype=np.int64)
-        np.cumsum(filled.sum(axis=1), out=self.key_ptr[1:])
-        self.key_sessions = unique[filled]
         self.keys: list[tuple[int, ...]] = [
-            tuple(self.key_sessions[a:b].tolist()) for a, b in zip(self.key_ptr, self.key_ptr[1:])
+            tuple(key[present].tolist()) for key, present in zip(unique, filled)
         ]
+        sessions, column = np.unique(unique[filled], return_inverse=True)
+        self.incidence = np.zeros((len(unique), len(sessions)), dtype=bool)
+        self.incidence[np.nonzero(filled)[0], column] = True
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def class_of_landmark(self, landmark_id: int) -> int:
-        return int(self.classes_of([landmark_id])[0])
 
     def classes_of(self, landmark_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Class id of each landmark, in input order, as an int64 array."""
@@ -332,25 +348,9 @@ class MultiSessionMap:
         """Ids of landmarks whose origin is the given session, ascending."""
         return self.landmark_ids[self.landmark_origins == session_id].tolist()
 
-    def candidate_mask(
-        self, query_poses: Sequence[Sequence[float]] | np.ndarray, radius: float
-    ) -> np.ndarray:
-        """Row k marks the landmarks within `radius` (inclusive) of query pose k.
-
-        Columns follow landmark_ids.  Distance is Euclidean between
-        the landmark position and the planar query point lifted to z = 0.
-        """
-        if radius < 0 or not np.isfinite(radius):
-            raise ValueError("radius must be finite and non-negative")
-        pos = self.landmark_positions
-        q = np.asarray(query_poses, dtype=np.float64)
-        dx = q[:, 0:1] - pos[None, :, 0]
-        dy = q[:, 1:2] - pos[None, :, 1]
-        return dx * dx + dy * dy + pos[None, :, 2] ** 2 <= radius * radius
-
     def candidate_set(self, query_pose: Sequence[float], radius: float) -> np.ndarray:
         """Ids of landmarks within `radius` (inclusive) of the query position, ascending."""
-        return self.landmark_ids[self.candidate_mask([query_pose], radius)[0]]
+        return self.landmark_ids[within_radius([query_pose], self.landmark_positions, radius)[0]]
 
     def nearest_vertices(self, query_poses: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
         """Id of the vertex closest (planar) to each query pose; lowest id wins ties."""

@@ -8,10 +8,11 @@ each class were selected and how many of those were then actually
 observed.  The class ratio observed/selected is the ranking signal.  A
 per-session variant (the max over the class's sessions of the session's
 observed/selected weight) is kept as a baseline; its session counts are
-derived from the class counts through the index's class keys, so the
-window holds no second table.  A window has one lane per policy: the
-simulator's ranked policies share one, and a served session has its own.
-A uniform random and an unranked reference policy complete the set.
+derived from the class counts through the index's (class, session)
+incidence matrix, so the window holds no second table.  A window has one
+lane per policy: the simulator's ranked policies share one, and a served
+session has its own.  A uniform random and an unranked reference policy
+complete the set.
 """
 
 from __future__ import annotations
@@ -127,28 +128,19 @@ def class_ratio_scores(selected: np.ndarray, observed: np.ndarray) -> np.ndarray
     return observed / np.maximum(selected, 1)
 
 
-def session_sums(index: EquivalenceClassIndex, counts: np.ndarray) -> np.ndarray:
-    """Per-session sums of per-class counts (the last axis), indexed by session id.
-
-    A class's count goes to every session of its key.  Every row of counts
-    is summed in one bincount, each into its own block of session ids.
-    """
-    n = int(index.key_sessions.max()) + 1 if len(index.key_sessions) else 0
-    counts = np.asarray(counts)
-    rows = counts.reshape(int(np.prod(counts.shape[:-1])), counts.shape[-1])
-    keys = (np.arange(len(rows))[:, None] * n + index.key_sessions).ravel()
-    weights = np.repeat(rows, np.diff(index.key_ptr), axis=-1).ravel()
-    sums = np.bincount(keys, weights=weights, minlength=len(rows) * n)
-    return sums.reshape(*counts.shape[:-1], n)
-
-
 def session_weight_scores(
     index: EquivalenceClassIndex, selected: np.ndarray, observed: np.ndarray
 ) -> np.ndarray:
-    """Best observed/selected weight among the sessions of each class (the last axis)."""
-    by_session = session_sums(index, np.stack((selected, observed)))
+    """Best observed/selected weight among the sessions of each class (the last axis).
+
+    A session's counts are the sums of its classes' counts, exact in int64.
+    Weights are never negative, so zeroing the weights of the sessions
+    outside a class leaves its best unchanged, and an index without
+    sessions takes the initial 0.
+    """
+    by_session = np.stack((selected, observed)) @ index.incidence
     weight = class_ratio_scores(*by_session)
-    return np.maximum.reduceat(weight[..., index.key_sessions], index.key_ptr[:-1], axis=-1)
+    return (weight[..., None, :] * index.incidence).max(axis=-1, initial=0.0)
 
 
 def _lanes(mask: list[bool]) -> slice | np.ndarray | None:

@@ -27,7 +27,6 @@ from atlas.ranking import (
     reference_policy,
     selection_order,
     selection_size,
-    session_weight_scores,
 )
 from atlas.rng import derive_seed, hash_stream
 from atlas.summarize import SummarizationProblem
@@ -261,6 +260,32 @@ class DequeWindow:
         return selected, observed
 
 
+def session_totals(index, selected, observed) -> np.ndarray:
+    """(selected, observed) sums per session id of per-class counts, one class at a time.
+
+    A class's counts go to every session of its key.
+    """
+    n = max((s for key in index.keys for s in key), default=-1) + 1
+    totals = np.zeros((2, n), dtype=np.int64)
+    for c, key in enumerate(index.keys):
+        for s in key:
+            totals[0, s] += int(selected[c])
+            totals[1, s] += int(observed[c])
+    return totals
+
+
+def session_weight_oracle(index, selected, observed) -> np.ndarray:
+    """Per class of index, the best observed/selected ratio among the sessions of
+    its key, a session never selected weighing 0; one class at a time.
+
+    The oracle for ranking.session_weight_scores on one lane.
+    """
+    sel, obs = session_totals(index, selected, observed).tolist()
+    return np.array(
+        [max(obs[s] / max(sel[s], 1) for s in key) for key in index.keys], dtype=np.float64
+    )
+
+
 def class_scores(policy, window: DequeWindow, index, class_ids: np.ndarray) -> np.ndarray:
     """Rank score of each entry of class_ids from a DequeWindow.
 
@@ -271,7 +296,7 @@ def class_scores(policy, window: DequeWindow, index, class_ids: np.ndarray) -> n
     if policy.ranking is RankingKind.CLASS_RATIO:
         return class_ratio_scores(*window.recount())[class_ids]
     if policy.ranking is RankingKind.SESSION_WEIGHT:
-        return session_weight_scores(index, *window.recount())[class_ids]
+        return session_weight_oracle(index, *window.recount())[class_ids]
     return np.zeros(len(class_ids))
 
 

@@ -184,12 +184,12 @@ def test_04_ranking_arithmetic_and_full_selection_equivalence():
     selected = np.array([1, 2])
     for _ in range(2):
         update_window(stats, index.classes_of(selected), selected == 1, index)
-    cid = index.class_of_landmark(1)
+    cid = index.classes_of([1])[0]
     ratio_exact = stats.class_ratio(cid) == 0.5  # 2 observed over 4 selected
-    constancy = stats.class_ratio(index.class_of_landmark(1)) == stats.class_ratio(
-        index.class_of_landmark(2)
+    constancy = stats.class_ratio(index.classes_of([1])[0]) == stats.class_ratio(
+        index.classes_of([2])[0]
     )
-    unselected_zero = stats.class_ratio(index.class_of_landmark(4)) == 0.0
+    unselected_zero = stats.class_ratio(index.classes_of([4])[0]) == 0.0
 
     scenario = tiny_scenario()
     world = build_world(scenario, 5)

@@ -143,16 +143,38 @@ OUTPUT_SHA256 = {
 }
 
 
+# The same files for seed 7, a second guard on every path a seed steers.
+OUTPUT_SHA256_SEED_7 = {
+    ("run", "city_dusk"): {
+        "metrics.csv": "dd88a9024a187e8f3a6eb790590a0019fafd6504f3096b8d690f605cfd4a6f62",
+        "composition.csv": "272d895f73a9f07e2b892df0296f94607383d5cd837c27aa2160b1370670c265",
+        "run_meta.json": "f9f9ab42fb787ea7d26e42e34670b81338f816f172bde7296a0293c9b2224e9f",
+        "summary.json": "2e368e4f37ed4cc3284f2565865a2348bf3a85e8bbeff60e4f55db6d7f75bab9",
+    },
+    ("regress", "parking_year"): {
+        "gaps.csv": "d15504d844200f5fe8085f2b2ce4450bd9e61731d6c2f509db79d50ee75a5e05",
+        "converged.csv": "61e515d5f7de51f466e86de066fa9fca4e0d6eac154e3f5032721fd7fe5fd875",
+        "regress_summary.json": "86fc83472e58d5f6b2c64acbed0da35a72071256e6ef0c703020971e83c1d0ee",
+    },
+}
+
+
+def output_digests(verb, scenario, seed, names, out) -> dict[str, str]:
+    """sha256 of the named files one verb writes for one seed."""
+    assert run_cli([verb, "--scenario", scenario, "--seeds", str(seed), "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 @pytest.mark.parametrize("verb, scenario", sorted(OUTPUT_SHA256))
-def test_output_files_are_pinned(verb, scenario, tmp_path, capsys):
-    out = tmp_path / verb
-    assert run_cli([verb, "--scenario", scenario, "--seeds", "42", "--out", str(out)]) == 0
-    capsys.readouterr()
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in OUTPUT_SHA256[verb, scenario]
-    }
-    assert digests == OUTPUT_SHA256[verb, scenario]
+def test_output_files_are_pinned(verb, scenario, tmp_path):
+    pins = OUTPUT_SHA256[verb, scenario]
+    assert output_digests(verb, scenario, 42, pins, tmp_path / verb) == pins
+
+
+@pytest.mark.parametrize("verb, scenario", sorted(OUTPUT_SHA256_SEED_7))
+def test_output_files_are_pinned_on_seed_7(verb, scenario, tmp_path):
+    pins = OUTPUT_SHA256_SEED_7[verb, scenario]
+    assert output_digests(verb, scenario, 7, pins, tmp_path / verb) == pins
 
 
 def test_compare_verb(tiny_path, tmp_path, capsys):

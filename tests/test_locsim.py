@@ -9,7 +9,7 @@ import pytest
 
 import atlas.locsim
 from atlas.experiment import build_dataset, build_world
-from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP
+from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP, within_radius
 from atlas.locsim import (
     LocalizationRun,
     PoseErrorParams,
@@ -17,15 +17,25 @@ from atlas.locsim import (
     localize_dataset,
     localize_policies,
     observation_ratio,
+    pair_tallies,
     pose_errors,
     process_sortie,
     sortie_draws,
 )
 from atlas.ranking import RankingKind, SelectionPolicy, parse_policy, reference_policy
 from atlas.rng import hash_stream, normal_pair_stream, uniform01
-from atlas.worldgen import SortieSpec, detection_probabilities, generate_sortie, generate_world
+from atlas.worldgen import (
+    KernelTable,
+    ObservabilityKernel,
+    Proposals,
+    SortieDataset,
+    SortieSpec,
+    detection_probabilities,
+    generate_sortie,
+    generate_world,
+)
 
-from helpers import by_pose, reference_localize, tiny_scenario
+from helpers import LINE_POSES, by_pose, reference_localize, tiny_scenario
 
 
 PARAMS = PoseErrorParams()
@@ -194,6 +204,86 @@ def test_localize_policies_on_an_empty_map(many_classes):
     for policy, run in zip(ORACLE_POLICIES, runs):
         assert_same_run(run, reference_localize(draws, empty.index, policy))
         assert run.total_selected == 0 and run.n_failures == dataset.n_iterations
+
+
+def edge_landmarks(rng, poses: np.ndarray, r: float) -> list[list[float]]:
+    """Landmarks where a bounding-box prefilter could go wrong around poses
+    at sensor range r.
+
+    Random points with z != 0 around the poses; for some poses, points at
+    exactly r along x or y, on the floats around x +- r (where the exact
+    test may accept what lies a rounding step past x - r), and around
+    x +- r (1 + 1e-9), the padded box edge.  Points 1e-170 past a pose lie
+    at a distance whose square underflows.
+    """
+    lo, hi = poses[:, :2].min(axis=0) - 2 * r - 1, poses[:, :2].max(axis=0) + 2 * r + 1
+    points = [[*rng.uniform(lo, hi), rng.uniform(-r, r)] for _ in range(60)]
+    for x, y, _ in poses[rng.permutation(len(poses))[:12]]:
+        points += [[x + r, y, 0.0], [x, y - r, 0.0], [x + 0.6 * r, y, 0.8 * r]]
+        points += [[x + 1e-170, y, 0.0], [x, y - 1e-170, 0.0]]
+        for edge in (x - r, x + r, x - r * (1 + 1e-9), x + r * (1 + 1e-9)):
+            for step in range(-3, 4):
+                points.append([edge + step * math.ulp(edge), y, 0.0])
+    return points
+
+
+def edge_dataset(rng, n_poses: int, r: float) -> SortieDataset:
+    """A random trajectory at small coordinates (where rounding is coarse
+    against r), one pose within 1e-160 of the origin."""
+    poses = np.column_stack((np.cumsum(rng.uniform(-r, r, (n_poses, 2)), axis=0), np.zeros(n_poses)))
+    poses[rng.integers(n_poses), :2] = 1e-160
+    none = Proposals(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty((0, 3)))
+    return SortieDataset("edges", 0.4, poses, none, r, int(rng.integers(2**31)), 1)
+
+
+def unfiltered_draws(m, dataset, kernels):
+    """ptr, rows and detected of sortie_draws from the candidate test over all landmarks."""
+    mask = within_radius(dataset.poses, m.landmark_positions, dataset.sensor_range)
+    poses, rows = np.nonzero(mask)
+    ids = m.landmark_ids
+    p_det = detection_probabilities(*KernelTable(kernels).lookup(ids), dataset.condition)
+    detected = uniform01(dataset.observation_seed, poses, ids[rows]) < p_det[rows]
+    return np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), rows, detected
+
+
+@pytest.mark.parametrize("block", [1, 32])
+@pytest.mark.parametrize("seed", range(6))
+def test_prefiltered_candidates_equal_the_unfiltered_search(seed, block, monkeypatch):
+    monkeypatch.setattr(atlas.locsim, "CANDIDATE_BLOCK_POSES", block)
+    rng = np.random.default_rng(seed)
+    r = [1.0, 0.3, 25.0, 0.0, 1 / 3, 7.1][seed]
+    dataset = edge_dataset(rng, int(rng.integers(1, 80)), r)
+    points = edge_landmarks(rng, dataset.poses, r)
+    if len(dataset.poses) > 1:  # a NaN coordinate: no candidates for that pose alone
+        dataset.poses[rng.integers(len(dataset.poses)), rng.integers(2)] = np.nan
+    assert_draws_equal_the_unfiltered_search(rng, dataset, points)
+
+
+def test_prefiltered_candidates_where_the_range_squared_overflows(monkeypatch):
+    """At r = 1e160, r * r is inf, so the test accepts every finite distance."""
+    monkeypatch.setattr(atlas.locsim, "CANDIDATE_BLOCK_POSES", 8)
+    rng = np.random.default_rng(11)
+    dataset = edge_dataset(rng, 40, 1e160)
+    points = edge_landmarks(rng, dataset.poses, 1e160) + [[1e300, -1e300, 0.0], [-1e307, 0.0, 5.0]]
+    with np.errstate(over="ignore"):
+        assert_draws_equal_the_unfiltered_search(rng, dataset, points)
+
+
+def assert_draws_equal_the_unfiltered_search(rng, dataset, points):
+    """sortie_draws on a map of the points, and on an empty map, against unfiltered_draws."""
+    m = MultiSessionMap()
+    m.add_rich_session(
+        LINE_POSES[:2], points, [(i, k, 1) for i in range(len(points)) for k in (0, 1)]
+    )
+    kernels = {
+        int(lid): ObservabilityKernel(float(rng.uniform(0, 1)), 0.3, 0.9) for lid in m.landmark_ids
+    }
+    for on in (m, MultiSessionMap()):
+        draws = sortie_draws(on, dataset, kernels)
+        want = unfiltered_draws(on, dataset, kernels)
+        for name, column in zip(("ptr", "rows", "detected"), want):
+            assert np.array_equal(getattr(draws, name), column), name
+        assert draws.ptr[-1] > 0 or on is not m
 
 
 def test_tiebreak_order_breaks_equal_words_by_id(built, monkeypatch):
@@ -398,6 +488,51 @@ def test_process_sortie_rich_then_observation():
     assert touched
     for lid in touched:
         assert set(m2.landmarks[lid].sessions) >= {1, obs_session}
+
+
+def old_pair_tallies(ids, vertex):
+    """The row-pair form of pair_tallies: np.unique over (id, vertex) rows."""
+    pairs, counts = np.unique(np.column_stack((ids, vertex)), axis=0, return_counts=True)
+    return np.column_stack((pairs, counts))
+
+
+def test_observation_update_hands_the_map_the_row_pair_tallies(monkeypatch):
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=21)
+    first = generate_sortie(world, 0.10, seed=201, label="first")
+    m1, kernels, _ = process_sortie(MultiSessionMap(), first, {}, threshold_m=sc.threshold_m)
+    second = generate_sortie(world, 0.11, seed=202, label="second")
+    handed = []
+    add = MultiSessionMap.add_observation_session
+
+    def spy(self, observations, label=""):
+        handed.append(np.array(observations))
+        return add(self, observations, label=label)
+
+    monkeypatch.setattr(MultiSessionMap, "add_observation_session", spy)
+    _, _, report = process_sortie(m1, second, kernels, threshold_m=sc.threshold_m)
+    assert report.session_kind is SessionKind.OBSERVATION
+    seen = localize_dataset(m1, second, reference_policy(), kernels).observations
+    want = old_pair_tallies(seen[:, 0], m1.nearest_vertices(second.poses)[seen[:, 1]])
+    (got,) = handed
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    # poses sharing a nearest vertex merged, and ids beyond the key base
+    assert want[:, 2].max() > 1 and want[:, 0].max() > m1.vertex_ids[-1] + 1
+
+
+@pytest.mark.parametrize("ids, vertex", [
+    ([], []),
+    ([5, 3, 5, 5, 3], [2, 9, 2, 0, 9]),
+    ([2**62, 2**62, 1], [3, 3, 3]),  # keys past int64: row pairs
+    ([0, 0], [2**63 - 1, 2**63 - 1]),  # a base past int64: row pairs
+    ([-4, 7, -4], [1, 1, 1]),  # a negative id: row pairs
+    ([4, 4], [-1, -1]),
+])
+def test_pair_tallies_equal_the_row_pair_form(ids, vertex):
+    ids, vertex = np.array(ids, dtype=np.int64), np.array(vertex, dtype=np.int64)
+    got = pair_tallies(ids, vertex)
+    assert got.dtype == np.int64
+    assert got.reshape(-1, 3).tolist() == old_pair_tallies(ids, vertex).reshape(-1, 3).tolist()
 
 
 def test_process_sortie_decides_from_the_reference_run_only():

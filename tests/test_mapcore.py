@@ -30,7 +30,7 @@ def class_members(m: MultiSessionMap) -> dict[int, set[int]]:
     """Landmark ids of each class id, read one landmark at a time."""
     members: dict[int, set[int]] = {}
     for lid in m.landmarks:
-        members.setdefault(m.index.class_of_landmark(lid), set()).add(lid)
+        members.setdefault(m.index.classes_of([lid])[0], set()).add(lid)
     return members
 
 
@@ -57,7 +57,7 @@ def test_index_matches_brute_force_and_is_deterministic():
         assert class_members(m)[cid] == members
         assert index.keys[cid] == key
         for lid in members:
-            assert index.class_of_landmark(lid) == cid
+            assert index.classes_of([lid])[0] == cid
     # class ids follow the sorted key order
     assert index.keys == sorted(index.keys)
 
@@ -73,7 +73,7 @@ def test_index_rebuilds_after_mutation():
     }
     assert m.landmarks[1].sessions == [1, 3]
     with pytest.raises(KeyError):
-        after.class_of_landmark(999)
+        after.classes_of([999])[0]
 
 
 def test_candidate_set_matches_linear_scan():
@@ -307,18 +307,19 @@ def grown_maps(draw):
 def test_property_grown_maps_valid_and_partitioned(m):
     m.validate()
     index = m.index
+    sessions = np.array(sorted({s for key in index.keys for s in key}), dtype=np.int64)
+    assert index.incidence.shape == (len(index), len(sessions))
     # the classes partition the landmark set
     seen = set()
     for cid, members in class_members(m).items():
         assert not (set(members) & seen)
         seen.update(members)
         key = index.keys[cid]
-        assert tuple(index.key_sessions[index.key_ptr[cid]:index.key_ptr[cid + 1]]) == key
+        assert tuple(sessions[index.incidence[cid]].tolist()) == key
         for lid in members:
             assert tuple(sorted(m.landmarks[lid].sessions)) == key
     assert seen == set(m.landmarks)
     assert brute_force_classes(m).keys() == set(index.keys)
-    assert len(index.key_ptr) == len(index) + 1 and index.key_ptr[-1] == len(index.key_sessions)
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,13 +17,13 @@ from atlas.ranking import (
     reference_policy,
     select_from_arrays,
     selection_size,
-    session_sums,
+    session_weight_scores,
     update_window,
 )
 from atlas.mapcore import MultiSessionMap
 from atlas.rng import hash_stream
 
-from helpers import LINE_POSES, DequeWindow, two_session_map
+from helpers import LINE_POSES, DequeWindow, session_totals, session_weight_oracle, two_session_map
 
 
 # -- selection_size --
@@ -111,7 +111,7 @@ def tallies(window, lane=0):
 
 def session_tallies(window, index, lane=0):
     """A lane's per-session (selected, observed) counts, indexed by session id."""
-    selected, observed = session_sums(index, np.stack(tallies(window, lane)))
+    selected, observed = session_totals(index, *tallies(window, lane))
     return selected, observed
 
 
@@ -123,9 +123,9 @@ def test_ratio_arithmetic_by_hand():
     push(window, m, [1, 2, 3], [1, 3])
     push(window, m, [1, 2], [2])
     # class {1, 2}: selected 4 times (1,2,1,2), observed 2 times (1,2) -> 0.5
-    assert window.class_ratio(index.class_of_landmark(1)).tolist() == [0.5, 0.5]
+    assert window.class_ratio(index.classes_of([1])[0]).tolist() == [0.5, 0.5]
     # class {3}: selected once, observed once -> 1.0
-    assert window.class_ratio(index.class_of_landmark(3)).tolist() == [1.0, 1.0]
+    assert window.class_ratio(index.classes_of([3])[0]).tolist() == [1.0, 1.0]
     # session 1 backs every selected landmark: 5 selected, 3 observed
     selected, observed = session_tallies(window, index)
     assert (selected[1], observed[1]) == (5, 3)
@@ -150,7 +150,7 @@ def test_zero_when_never_selected():
 
 def test_window_eviction():
     m = two_session_map()
-    cid = m.index.class_of_landmark(1)
+    cid = m.index.classes_of([1])[0]
     window = RollingSelectionStats([parse_policy("class_ratio", window_len=2)], len(m.index))
     push(window, m, [1], [1])
     push(window, m, [1], [])
@@ -218,8 +218,8 @@ def test_update_window_resolves_classes_and_sessions():
     index = m.index
     window = RollingSelectionStats([WEIGHT], len(index))
     push(window, m, [1, 2, 3], [3])
-    cid_12 = index.class_of_landmark(1)
-    cid_3 = index.class_of_landmark(3)
+    cid_12 = index.classes_of([1])[0]
+    cid_3 = index.classes_of([3])[0]
     selected, observed = tallies(window)
     assert (selected[cid_12], observed[cid_12]) == (2, 0)
     assert (selected[cid_3], observed[cid_3]) == (1, 1)
@@ -227,8 +227,8 @@ def test_update_window_resolves_classes_and_sessions():
     selected, observed = session_tallies(window, index)
     assert (selected[1], observed[1]) == (3, 1)
     assert (selected[2], observed[2]) == (1, 1)
-    assert window.class_ratio(index.class_of_landmark(1)).tolist() == [0.0]
-    assert window.class_ratio(index.class_of_landmark(3)).tolist() == [1.0]
+    assert window.class_ratio(index.classes_of([1])[0]).tolist() == [0.0]
+    assert window.class_ratio(index.classes_of([3])[0]).tolist() == [1.0]
     # best session weight wins for multi-session landmarks
     assert window.scores(index)[0, index.classes_of([3, 1])].tolist() == [1.0, 1 / 3]
 
@@ -289,7 +289,7 @@ def per_landmark_recount(m, records):
     for selected, observed in records:
         for slot, ids in ((0, selected), (1, observed)):
             for lid in ids:
-                classes[slot, index.class_of_landmark(lid)] += 1
+                classes[slot, index.classes_of([lid])[0]] += 1
                 for s in m.landmarks[lid].sessions:
                     sessions.setdefault(s, [0, 0])[slot] += 1
     return classes, sessions
@@ -318,20 +318,46 @@ def test_update_window_matches_per_landmark_recount(map_seed, window_len, step_s
         assert all(observed_s[s] == 0 for s in range(len(selected)) if not selected[s])
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_session_weight_scores_match_the_per_class_oracle(seed):
+    """Random maps (some thinned until sessions and classes vanish) and random
+    window sums over several lanes, with classes never selected."""
+    rng = np.random.default_rng(seed)
+    m = many_class_map(seed)
+    m.drop_landmarks([lid for lid in m.landmarks if rng.random() < seed / 12])
+    index = m.index
+    lanes, n = int(rng.integers(1, 4)), len(index)
+    selected = rng.integers(0, 7, (lanes, n)) * (rng.random((lanes, n)) < 0.7)
+    observed = rng.integers(0, selected + 1)
+    got = session_weight_scores(index, selected, observed)
+    want = [session_weight_oracle(index, *lane) for lane in zip(selected, observed)]
+    assert got.shape == (lanes, n)
+    assert got.tolist() == np.array(want).reshape(lanes, n).tolist()
+    assert session_weight_scores(index, selected[0], observed[0]).tolist() == want[0].tolist()
+
+
+def test_session_weight_scores_of_an_empty_index():
+    index = MultiSessionMap().index
+    assert len(index) == 0 and session_weight_oracle(index, [], []).shape == (0,)
+    none = np.zeros((3, 0), dtype=np.int64)
+    assert session_weight_scores(index, none, none).shape == (3, 0)
+    assert session_weight_scores(index, none[0], none[0]).shape == (0,)
+
+
 def test_classes_of_agrees_with_class_of_landmark():
     m = many_class_map(3)
     index = m.index
     ids = sorted(m.landmarks)
     assert len(index) >= 3
-    assert index.classes_of(ids).tolist() == [index.class_of_landmark(i) for i in ids]
+    assert index.classes_of(ids).tolist() == [index.classes_of([i])[0] for i in ids]
     assert index.classes_of(np.array(ids[::-1])).tolist() == [
-        index.class_of_landmark(i) for i in ids[::-1]
+        index.classes_of([i])[0] for i in ids[::-1]
     ]
     assert index.classes_of([]).dtype == np.int64
     with pytest.raises(KeyError, match="landmark 999"):
         index.classes_of([ids[0], 999])
     with pytest.raises(KeyError):
-        index.class_of_landmark(999)
+        index.classes_of([999])[0]
 
 
 # -- selection --

@@ -29,7 +29,7 @@ from atlas.protocol import (
     encode_frame,
     read_frame,
 )
-from atlas.ranking import parse_policy, reference_policy, session_sums
+from atlas.ranking import parse_policy, reference_policy
 from atlas.server import MapBackend, MapServer
 from atlas.worldgen import (
     Proposals,
@@ -41,7 +41,7 @@ from atlas.worldgen import (
     sortie_to_doc,
 )
 
-from helpers import DequeWindow, by_pose, tiny_scenario, two_session_map
+from helpers import DequeWindow, by_pose, session_totals, tiny_scenario, two_session_map
 
 
 class Wire:
@@ -161,9 +161,9 @@ def test_report_credits_duplicate_ids_once():
     selected = unobserved + observed
     index = backend.snapshot.index
     # landmark 3 is alone in its class and carries sessions {1, 2}
-    cid = index.class_of_landmark(3)
+    cid = index.classes_of([3])[0]
     assert (selected[cid], observed[cid]) == (1, 1)
-    by_session = session_sums(index, np.stack((selected, observed)))
+    by_session = session_totals(index, selected, observed)
     assert by_session.tolist() == [[0, 3, 3], [0, 1, 1]]
 
 
@@ -879,7 +879,7 @@ def test_served_selection_matches_simulated_selection(many_classes, spec):
             for k, (sel, obs) in enumerate(zip(selected, observed)):
                 result = client.query(revisit.poses[k])
                 assert result.landmark_ids == sel.tolist(), f"iteration {k}"
-                assert result.class_ids == [m.index.class_of_landmark(i) for i in sel]
+                assert result.class_ids == [m.index.classes_of([i])[0] for i in sel]
                 client.report(obs.tolist())
 
 
@@ -1042,7 +1042,7 @@ def _dict_built_landmarks_frame(snap, reply, pose, sensor_range):
     body = {
         "landmark_ids": ids,
         "positions": [[float(x) for x in snap.landmarks[i].position] for i in ids],
-        "class_ids": [snap.index.class_of_landmark(i) for i in ids],
+        "class_ids": [int(snap.index.classes_of([i])[0]) for i in ids],
         "n_candidates": len(snap.candidate_set(pose, sensor_range)),
         "map_version": snap.version,
     }
