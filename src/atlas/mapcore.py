@@ -20,7 +20,8 @@ is read-only: a mutation builds new arrays and assigns them, so a copy
 shares all of them with its original.  Ingestion takes observations in the
 same form, as int64 (landmark, pose or vertex, count) rows.  `landmarks`
 and `vertices` are read-only views that build Landmark and Vertex records
-on access; their obs_counts dict is the form map documents store.
+on access, for readers of one landmark at a time; map documents are
+written from the columns and read back into them (`from_columns`).
 """
 
 from __future__ import annotations
@@ -63,16 +64,11 @@ def _triples(values: Sequence[Sequence[float]] | np.ndarray, what: str, dtype: t
     return triples
 
 
-def _int_column(values: Iterable[int]) -> np.ndarray:
-    """A new int64 array of the values."""
-    return np.array(values if isinstance(values, np.ndarray) else list(values), dtype=np.int64)
-
-
-def _rows(
+def rows_of(
     ids: np.ndarray, keys: Iterable[int], message: str, error: type = MapValidationError
 ) -> np.ndarray:
     """Rows of keys in the ascending id column; error(message) names the first absent key."""
-    keys = _int_column(keys)
+    keys = np.array(keys if isinstance(keys, np.ndarray) else list(keys), dtype=np.int64)
     rows = np.searchsorted(ids, keys)
     found = rows < len(ids)
     found[found] = ids[rows[found]] == keys[found]
@@ -96,10 +92,10 @@ def check_new_landmarks(
     positions = _triples(positions, "new positions", np.float64)
     new = _triples(new_observations, "new observations", np.int64)
     n_new = len(positions)
-    _rows(np.arange(n_new), new[:, 0], "new landmark row {} out of range")
+    rows_of(np.arange(n_new), new[:, 0], "new landmark row {} out of range")
     if np.any(np.bincount(new[:, 0], minlength=n_new) < 2):
         raise MapValidationError("each new landmark needs >= 2 observing poses")
-    _rows(np.arange(n_poses), new[:, 1], "observation from pose index {} out of range")
+    rows_of(np.arange(n_poses), new[:, 1], "observation from pose index {} out of range")
     if np.any(new[:, 2] <= 0):
         raise MapValidationError("observation counts must be positive")
     return positions, new
@@ -173,7 +169,7 @@ class _Records(Mapping):
     def __getitem__(self, key: int):
         if not isinstance(key, (int, np.integer)):
             raise KeyError(key)
-        return self._record(int(_rows(self._ids, [key], "{}", KeyError)[0]))
+        return self._record(int(rows_of(self._ids, [key], "{}", KeyError)[0]))
 
 
 class EquivalenceClassIndex:
@@ -222,7 +218,7 @@ class EquivalenceClassIndex:
 
     def classes_of(self, landmark_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Class id of each landmark, in input order, as an int64 array."""
-        rows = _rows(self.ids, landmark_ids, "landmark {} is not in the index", KeyError)
+        rows = rows_of(self.ids, landmark_ids, "landmark {} is not in the index", KeyError)
         return self.class_ids[rows]
 
 
@@ -240,56 +236,35 @@ class MultiSessionMap:
             raise MapValidationError("landmark_cap must be a positive integer")
         self.landmark_cap = landmark_cap
         self._version = 0
-        self._fill([], [], [])
+        self.sessions: list[SessionRecord] = []
+        ints, points = np.empty(0, dtype=np.int64), np.empty((0, 3))
+        self._assign(
+            vertex_ids=ints, vertex_poses=points, vertex_sessions=ints,
+            landmark_ids=ints, landmark_positions=points, landmark_origins=ints,
+            pair_landmarks=ints, pair_sessions=ints,
+            obs_landmarks=ints, obs_vertices=ints, obs_counts=ints,
+        )
+        self._next_landmark_id = 1
 
     @classmethod
-    def from_records(
-        cls,
-        landmark_cap: int,
-        sessions: Sequence[SessionRecord],
-        vertices: Iterable[Vertex],
-        landmarks: Iterable[Landmark],
+    def from_columns(
+        cls, landmark_cap: int, sessions: Sequence[SessionRecord], **columns: np.ndarray
     ) -> "MultiSessionMap":
-        """A validated map holding the given records, in any order of ids.
-
-        Records are read as the views return them; headings are wrapped as
-        on ingestion.
-        """
+        """A validated map of the sessions and of every column the module docstring
+        lists, in the form it sets out.  Poses and positions may be any (n, 3)
+        nested sequences; headings are wrapped as on ingestion.  The map takes
+        the other arrays.  The next landmark id is the largest id + 1."""
         m = cls(landmark_cap)
-        m._fill(sessions, vertices, landmarks)
+        if columns.keys() != {k for k, v in vars(m).items() if isinstance(v, np.ndarray)}:
+            raise TypeError("from_columns takes every stored column, by name")
+        m.sessions = list(sessions)
+        poses = _triples(columns.pop("vertex_poses"), "vertex poses", np.float64)
+        poses[:, 2] = _wrap_headings(poses[:, 2])
+        positions = _triples(columns.pop("landmark_positions"), "positions", np.float64)
+        m._assign(vertex_poses=poses, landmark_positions=positions, **columns)
+        m._next_landmark_id = int(m.landmark_ids[-1]) + 1 if len(m.landmark_ids) else 1
         m.validate()
         return m
-
-    def _fill(
-        self,
-        sessions: Sequence[SessionRecord],
-        vertices: Iterable[Vertex],
-        landmarks: Iterable[Landmark],
-    ) -> None:
-        """Replace the whole content by the given records."""
-        self.sessions = list(sessions)
-        vertices = sorted(vertices, key=lambda v: v.id)
-        landmarks = sorted(landmarks, key=lambda lm: lm.id)
-        vids = _int_column(v.id for v in vertices)
-        poses = _triples([v.pose for v in vertices], "vertex poses", np.float64)
-        poses[:, 2] = _wrap_headings(poses[:, 2])
-        rows = np.arange(len(landmarks))
-        observed = sorted((r, *p) for r, lm in enumerate(landmarks) for p in lm.obs_counts.items())
-        obs = _triples(observed, "observations", np.int64)
-        self._assign(
-            vertex_ids=vids,
-            vertex_poses=poses,
-            vertex_sessions=_int_column(v.session for v in vertices),
-            landmark_ids=_int_column(lm.id for lm in landmarks),
-            landmark_positions=_triples([lm.position for lm in landmarks], "positions", np.float64),
-            landmark_origins=_int_column(lm.origin_session for lm in landmarks),
-            pair_landmarks=np.repeat(rows, [len(lm.sessions) for lm in landmarks]),
-            pair_sessions=_int_column(s for lm in landmarks for s in lm.sessions),
-            obs_landmarks=obs[:, 0].copy(),
-            obs_vertices=_rows(vids, obs[:, 1], "observation from unknown vertex {}"),
-            obs_counts=obs[:, 2].copy(),
-        )
-        self._next_landmark_id = int(self.landmark_ids[-1]) + 1 if len(rows) else 1
 
     # -- Read operations --
 
@@ -393,8 +368,8 @@ class MultiSessionMap:
         seen = _triples([] if seen is None else seen, "seen observations", np.int64)
         n_new = len(positions)
         n_vertices, n_landmarks = len(self.vertex_ids), len(self.landmark_ids)
-        seen_rows = _rows(self.landmark_ids, seen[:, 0], "observed landmark {} is not in the map")
-        _rows(np.arange(n_poses), seen[:, 1], "observation from pose index {} out of range")
+        seen_rows = rows_of(self.landmark_ids, seen[:, 0], "observed landmark {} is not in the map")
+        rows_of(np.arange(n_poses), seen[:, 1], "observation from pose index {} out of range")
         triples = self._with_observations(
             np.concatenate([n_landmarks + new[:, 0], seen_rows]),
             n_vertices + np.concatenate([new[:, 1], seen[:, 1]]),
@@ -435,8 +410,8 @@ class MultiSessionMap:
         update.
         """
         obs = _triples(observations, "observations", np.int64)
-        rows = _rows(self.landmark_ids, obs[:, 0], "observed landmark {} is not in the map")
-        vertex_rows = _rows(self.vertex_ids, obs[:, 1], "observed vertex {} is not in the map")
+        rows = rows_of(self.landmark_ids, obs[:, 0], "observed landmark {} is not in the map")
+        vertex_rows = rows_of(self.vertex_ids, obs[:, 1], "observed vertex {} is not in the map")
         triples = self._with_observations(rows, vertex_rows, obs[:, 2], len(self.vertex_ids))
         rows = np.unique(rows)
         sid, ts = self._next_session_stamp()
@@ -451,7 +426,7 @@ class MultiSessionMap:
 
     def drop_landmarks(self, landmark_ids: Iterable[int]) -> None:
         """Remove landmarks (summarization).  Vertices and sessions stay."""
-        rows = _rows(self.landmark_ids, landmark_ids, "cannot drop unknown landmark {}")
+        rows = rows_of(self.landmark_ids, landmark_ids, "cannot drop unknown landmark {}")
         keep = np.ones(len(self.landmark_ids), dtype=bool)
         keep[rows] = False
         new_row = np.cumsum(keep) - 1

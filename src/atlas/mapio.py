@@ -2,25 +2,24 @@
 
 A map is one self-describing JSON document with sorted keys and no
 insignificant whitespace, so saving the same map twice produces identical
-bytes.  A sha256 checksum over the canonical payload (computed with the
-checksum field absent) guards against torn or corrupted files: a load either
-returns a fully validated map or raises, never a partial map.
+bytes.  It is written straight from the map's columns: the body is dumped
+once, and its sha256 checksum is spliced in front as the first key, which
+keeps the document canonical since "checksum" sorts before every other key.
+The checksum guards against torn or corrupted files: a load either returns
+a fully validated map or raises, never a partial map.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
+from itertools import pairwise
 from pathlib import Path
 
-from atlas.mapcore import (
-    Landmark,
-    MapValidationError,
-    MultiSessionMap,
-    SessionKind,
-    SessionRecord,
-    Vertex,
-)
+import numpy as np
+
+from atlas.mapcore import MapValidationError, MultiSessionMap, SessionKind, SessionRecord, rows_of
 
 
 class MapFormatError(MapValidationError):
@@ -39,39 +38,42 @@ def _canonical(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
-def map_to_document(m: MultiSessionMap) -> dict:
-    doc = {
+def dumps_map(m: MultiSessionMap) -> bytes:
+    """Serialize to canonical bytes (deterministic for equal map content)."""
+    pair_spans, obs_spans = (  # (start, end) of each landmark's entries, sorted by landmark row
+        pairwise([0, *np.cumsum(np.bincount(rows, minlength=len(m.landmark_ids))).tolist()])
+        for rows in (m.pair_landmarks, m.obs_landmarks)
+    )
+    sessions = m.pair_sessions[np.argsort(m.pair_landmarks, kind="stable")].tolist()
+    keys, counts = m.vertex_ids[m.obs_vertices].astype(str).tolist(), m.obs_counts.tolist()
+    vertices = zip(m.vertex_ids.tolist(), m.vertex_poses.tolist(), m.vertex_sessions.tolist())
+    landmarks = zip(
+        m.landmark_ids.tolist(), m.landmark_positions.tolist(), m.landmark_origins.tolist(),
+        pair_spans, obs_spans,
+    )
+    body = _canonical({
         "format_version": MultiSessionMap.FORMAT_VERSION,
         "landmark_cap": m.landmark_cap,
         "sessions": [
             {"id": s.id, "kind": s.kind.value, "timestamp": s.timestamp, "label": s.label}
             for s in m.sessions
         ],
-        "vertices": [
-            {"id": v.id, "pose": v.pose.tolist(), "session": v.session} for v in m.vertices.values()
-        ],
+        "vertices": [{"id": i, "pose": pose, "session": s} for i, pose, s in vertices],
         "landmarks": [
-            {
-                "id": lm.id,
-                "position": lm.position.tolist(),
-                "origin_session": lm.origin_session,
-                "sessions": lm.sessions,
-                "obs_counts": {str(vid): c for vid, c in lm.obs_counts.items()},
-            }
-            for lm in m.landmarks.values()
+            {"id": i, "position": position, "origin_session": origin, "sessions": sessions[a:b],
+             "obs_counts": dict(zip(keys[c:d], counts[c:d]))}
+            for i, position, origin, (a, b), (c, d) in landmarks
         ],
-    }
-    doc["checksum"] = hashlib.sha256(_canonical(doc)).hexdigest()
-    return doc
-
-
-def dumps_map(m: MultiSessionMap) -> bytes:
-    """Serialize to canonical bytes (deterministic for equal map content)."""
-    return _canonical(map_to_document(m))
+    })
+    return b'{"checksum":"' + hashlib.sha256(body).hexdigest().encode() + b'",' + body[1:]
 
 
 def save_map(m: MultiSessionMap, path: str | Path) -> None:
     Path(path).write_bytes(dumps_map(m))
+
+
+def _ints(values: Iterable) -> np.ndarray:
+    return np.array([int(v) for v in values], dtype=np.int64)
 
 
 def map_from_document(doc: dict) -> MultiSessionMap:
@@ -80,48 +82,65 @@ def map_from_document(doc: dict) -> MultiSessionMap:
     version = doc.get("format_version")
     if version != MultiSessionMap.FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported map format version {version!r}")
-    expected = doc.get("checksum")
-    if expected is not None:
-        body = {k: v for k, v in doc.items() if k != "checksum"}
-        actual = hashlib.sha256(_canonical(body)).hexdigest()
-        if actual != expected:
-            raise ChecksumMismatchError("map checksum does not match content")
     try:
-        sessions = [
-            SessionRecord(
-                id=int(s["id"]),
-                kind=SessionKind(s["kind"]),
-                timestamp=int(s["timestamp"]),
-                label=str(s.get("label", "")),
-            )
-            for s in doc["sessions"]
-        ]
-        vertices = [
-            Vertex(id=int(v["id"]), pose=v["pose"], session=int(v["session"]))
-            for v in doc["vertices"]
-        ]
-        landmarks = [
-            Landmark(
-                id=int(l["id"]),
-                position=l["position"],
-                origin_session=int(l["origin_session"]),
-                sessions=[int(s) for s in l["sessions"]],
-                obs_counts={int(k): int(c) for k, c in l["obs_counts"].items()},
-            )
-            for l in doc["landmarks"]
-        ]
-        for kind, records in (("vertex", vertices), ("landmark", landmarks)):
-            if len({r.id for r in records}) != len(records):
+        expected = doc.get("checksum")
+        body = {k: v for k, v in doc.items() if k != "checksum"}
+        if expected is not None and hashlib.sha256(_canonical(body)).hexdigest() != expected:
+            raise ChecksumMismatchError("map checksum does not match content")
+        sessions = [SessionRecord(int(s["id"]), SessionKind(s["kind"]), int(s["timestamp"]),
+                                  str(s.get("label", ""))) for s in doc["sessions"]]
+        vertices = sorted(doc["vertices"], key=lambda v: int(v["id"]))
+        landmarks = sorted(doc["landmarks"], key=lambda l: int(l["id"]))
+        vertex_ids = _ints(v["id"] for v in vertices)
+        landmark_ids = _ints(l["id"] for l in landmarks)
+        for kind, ids in (("vertex", vertex_ids), ("landmark", landmark_ids)):
+            if np.any(np.diff(ids) == 0):
                 raise MapFormatError(f"a {kind} id is listed more than once")
-        for lm, l in zip(landmarks, doc["landmarks"]):
-            if len(lm.obs_counts) != len(l["obs_counts"]):
-                raise MapFormatError(f"landmark {lm.id} lists a vertex id more than once")
-        if not all(lm.sessions for lm in landmarks):
+
+        def require_ascending(rows: np.ndarray, keys: np.ndarray, problem: str) -> None:
+            """MapFormatError naming the first landmark whose keys do not strictly
+            ascend; rows holds each key's landmark row, ascending."""
+            falls = (np.diff(rows) == 0) & (np.diff(keys) <= 0)
+            if falls.any():
+                raise MapFormatError(f"landmark {landmark_ids[rows[np.argmax(falls)]]} {problem}")
+
+        rows, origins = np.arange(len(landmarks)), _ints(l["origin_session"] for l in landmarks)
+        n_sessions = [len(l["sessions"]) for l in landmarks]
+        if 0 in n_sessions:
             raise MapFormatError("a landmark lists no observing sessions")
-        return MultiSessionMap.from_records(int(doc["landmark_cap"]), sessions, vertices, landmarks)
+        pair_landmarks = np.repeat(rows, n_sessions)
+        pair_sessions = _ints(s for l in landmarks for s in l["sessions"])
+        require_ascending(pair_landmarks, pair_sessions, "sessions must be increasing")
+        # Pairs go back in the order ingestion records them: by session, and
+        # within a rich session its own landmarks before those it re-observed.
+        own = pair_sessions == origins[pair_landmarks]
+        recorded = np.lexsort((pair_landmarks, ~own, pair_sessions))
+        observed = [l["obs_counts"] for l in landmarks]
+        obs_landmarks = np.repeat(rows, [len(o) for o in observed])
+        obs_vertices = rows_of(
+            vertex_ids, _ints(v for o in observed for v in o), "observation from unknown vertex {}",
+            MapFormatError,
+        )
+        by_vertex = np.lexsort((obs_vertices, obs_landmarks))
+        require_ascending(obs_landmarks[by_vertex], obs_vertices[by_vertex], "lists a vertex twice")
+        return MultiSessionMap.from_columns(
+            int(doc["landmark_cap"]),
+            sessions,
+            vertex_ids=vertex_ids,
+            vertex_poses=[v["pose"] for v in vertices],
+            vertex_sessions=_ints(v["session"] for v in vertices),
+            landmark_ids=landmark_ids,
+            landmark_positions=[l["position"] for l in landmarks],
+            landmark_origins=origins,
+            pair_landmarks=pair_landmarks[recorded],
+            pair_sessions=pair_sessions[recorded],
+            obs_landmarks=obs_landmarks[by_vertex],
+            obs_vertices=obs_vertices[by_vertex],
+            obs_counts=_ints(c for o in observed for c in o.values())[by_vertex],
+        )
     except MapValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MapFormatError(f"malformed map document: {exc}") from exc
 
 

@@ -511,15 +511,19 @@ def _pose_counts(observations: list[Mapping]) -> np.ndarray:
 
 
 def sortie_from_doc(doc: Mapping) -> SortieDataset:
-    """Parse a sortie document; ValueError unless `poses` is a non-empty (n, 3)
-    array, `condition` is finite, and every proposal passes check_new_landmarks
-    and check_kernels, whatever update the sortie later becomes."""
+    """Parse a sortie document; ValueError unless `poses` is a non-empty, finite
+    (n, 3) array, `condition` is finite, `sensor_range` is finite and not
+    negative, and every proposal passes check_new_landmarks and check_kernels,
+    whatever update the sortie later becomes."""
     poses = np.asarray(doc["poses"], dtype=np.float64)  # an empty list parses to shape (0,)
-    if poses.ndim != 2 or poses.shape[1] != 3:
-        raise ValueError(f"poses must be a non-empty (n, 3) array, got shape {poses.shape}")
+    if poses.ndim != 2 or poses.shape[1] != 3 or not np.isfinite(poses).all():
+        raise ValueError(f"poses must be a non-empty, finite (n, 3) array, got shape {poses.shape}")
     condition = float(doc["condition"])
     if not math.isfinite(condition):
         raise ValueError(f"condition must be finite, got {condition}")
+    sensor_range = float(doc["sensor_range"])
+    if not (math.isfinite(sensor_range) and sensor_range >= 0):
+        raise ValueError(f"sensor_range must be finite and non-negative, got {sensor_range}")
     proposals = doc["proposals"]
     positions, observations = check_new_landmarks(
         len(poses),
@@ -534,7 +538,7 @@ def sortie_from_doc(doc: Mapping) -> SortieDataset:
         condition=condition,
         poses=poses,
         proposals=Proposals(positions, observations, kernels),
-        sensor_range=float(doc["sensor_range"]),
+        sensor_range=sensor_range,
         observation_seed=int(doc["observation_seed"]),
         error_seed=int(doc["error_seed"]),
     )

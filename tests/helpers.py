@@ -58,6 +58,22 @@ def two_session_map() -> MultiSessionMap:
     return m
 
 
+MAP_COLUMNS = (
+    "vertex_ids", "vertex_poses", "vertex_sessions",
+    "landmark_ids", "landmark_positions", "landmark_origins",
+    "pair_landmarks", "pair_sessions",
+    "obs_landmarks", "obs_vertices", "obs_counts",
+)
+
+
+def assert_same_columns(a: MultiSessionMap, b: MultiSessionMap) -> None:
+    """a and b hold the same cap, sessions and stored columns, dtypes included."""
+    assert a.landmark_cap == b.landmark_cap and a.sessions == b.sessions
+    for name in MAP_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 def compressed_columns(cols) -> tuple[np.ndarray, np.ndarray]:
     """(vertices, ptr) of per-landmark vertex lists: column j is vertices[ptr[j]:ptr[j + 1]].
 

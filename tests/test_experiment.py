@@ -24,12 +24,12 @@ from atlas.experiment import (
 )
 from atlas.locsim import localize_dataset, observation_ratio, process_sortie
 from atlas.mapcore import MultiSessionMap, UNBOUNDED_CAP
-from atlas.mapio import dumps_map
+from atlas.mapio import dumps_map, loads_map
 from atlas.ranking import parse_policy, reference_policy
 from atlas.rng import derive_seed
 from atlas.worldgen import SortieSpec, generate_sortie, get_scenario, with_overrides
 
-from helpers import reference_gap_study, tiny_scenario
+from helpers import assert_same_columns, reference_gap_study, tiny_scenario
 
 POLICIES = ("class_ratio@0.5", "random@0.5")
 
@@ -260,4 +260,8 @@ FINAL_MAP_SHA256 = {
 @pytest.mark.parametrize("name", sorted(FINAL_MAP_SHA256))
 def test_final_map_bytes_are_pinned(name):
     final = run_chronological(get_scenario(name), 42).final_map
-    assert hashlib.sha256(dumps_map(final)).hexdigest() == FINAL_MAP_SHA256[name]
+    data = dumps_map(final)
+    assert hashlib.sha256(data).hexdigest() == FINAL_MAP_SHA256[name]
+    again = loads_map(data)
+    assert dumps_map(again) == data
+    assert_same_columns(again, final)

@@ -1,6 +1,7 @@
 """Localization proxy, selection/observation loop, and sortie ingestion."""
 
 import copy
+import json
 import math
 from dataclasses import astuple, replace
 
@@ -10,6 +11,7 @@ import pytest
 import atlas.locsim
 from atlas.experiment import build_dataset, build_world
 from atlas.mapcore import MultiSessionMap, SessionKind, UNBOUNDED_CAP, within_radius
+from atlas.mapio import dumps_map, map_from_document
 from atlas.locsim import (
     LocalizationRun,
     PoseErrorParams,
@@ -350,9 +352,10 @@ def test_draws_on_a_twin_equal_draws_made_on_it(many_classes):
         assert any(not np.array_equal(a.selected_ids, b.selected_ids) for a, b in zip(shared, on_m))
     fewer = m.copy()
     fewer.drop_landmarks([int(m.landmark_ids[0])])
-    records = list(m.landmarks.values())
-    records[0] = replace(records[0], position=records[0].position + 0.5)
-    moved = MultiSessionMap.from_records(m.landmark_cap, m.sessions, m.vertices.values(), records)
+    doc = json.loads(dumps_map(m))
+    del doc["checksum"]
+    doc["landmarks"][0]["position"] = [c + 0.5 for c in doc["landmarks"][0]["position"]]
+    moved = map_from_document(doc)
     assert np.array_equal(moved.landmark_ids, m.landmark_ids)
     for other in (fewer, moved):
         with pytest.raises(ValueError):

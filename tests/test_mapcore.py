@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlas.mapcore import (
-    EquivalenceClassIndex,
-    MapValidationError,
-    MultiSessionMap,
-    SessionKind,
-    UNBOUNDED_CAP,
-)
+from atlas.mapcore import MapValidationError, MultiSessionMap, SessionKind, UNBOUNDED_CAP
 
 from helpers import LINE_POSES, two_session_map
 

@@ -1,6 +1,7 @@
 """Map persistence: canonical bytes, checksums, corruption detection."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from atlas.mapio import (
     load_map,
     loads_map,
     map_from_document,
-    map_to_document,
     save_map,
 )
 
-from helpers import two_session_map
+from helpers import assert_same_columns, two_session_map
+
+
+def document(m) -> dict:
+    return json.loads(dumps_map(m))
 
 
 def maps_equal(a, b) -> bool:
@@ -55,6 +59,22 @@ def test_dumps_is_deterministic_and_canonical():
     assert b"\n" not in data  # single canonical line
     doc = json.loads(data)
     assert list(doc) == sorted(doc)
+    # The checksum spliced in front of the body leaves the bytes canonical.
+    assert data == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_documents_load_whatever_the_order_of_ids():
+    m = two_session_map()
+    m.add_observation_session([[1, 1, 2], [4, 7, 1]], label="obs")
+    doc = document(m)
+    del doc["checksum"]  # the reversed lists are not what dumps_map writes
+    doc["landmarks"].reverse()
+    doc["vertices"].reverse()
+    for lm in doc["landmarks"]:
+        lm["obs_counts"] = dict(reversed(lm["obs_counts"].items()))
+    again = map_from_document(doc)
+    assert_same_columns(again, m)
+    assert dumps_map(again) == dumps_map(m)
 
 
 def test_save_and_load_file(tmp_path):
@@ -66,14 +86,14 @@ def test_save_and_load_file(tmp_path):
 
 def test_checksum_detects_content_corruption():
     m = two_session_map()
-    doc = map_to_document(m)
+    doc = document(m)
     doc["landmarks"][0]["position"][0] += 1.0
     with pytest.raises(ChecksumMismatchError):
         map_from_document(doc)
 
 
 def test_checksum_is_optional_but_format_is_not():
-    doc = map_to_document(two_session_map())
+    doc = document(two_session_map())
     del doc["checksum"]
     map_from_document(doc).validate()  # absent checksum: trusted load
     doc["format_version"] = 99
@@ -91,7 +111,7 @@ def test_malformed_documents_raise(data):
 
 
 def test_corrupt_structure_never_returns_partial_map():
-    doc = map_to_document(two_session_map())
+    doc = document(two_session_map())
     del doc["checksum"]
     doc["landmarks"][2]["sessions"] = [2, 1]  # violates strictly-increasing
     with pytest.raises(MapValidationError):  # well-formed JSON, invalid map
@@ -118,7 +138,7 @@ def test_cap_round_trips():
 
 @pytest.mark.parametrize("table", ["landmarks", "vertices"])
 def test_ids_listed_twice_are_refused(table):
-    doc = map_to_document(two_session_map())
+    doc = document(two_session_map())
     del doc["checksum"]
     twin = json.loads(json.dumps(doc[table][2]))
     twin["position" if table == "landmarks" else "pose"][0] += 5.0
@@ -128,7 +148,7 @@ def test_ids_listed_twice_are_refused(table):
 
 
 def test_vertex_ids_spelled_twice_in_obs_counts_are_refused():
-    doc = map_to_document(two_session_map())
+    doc = document(two_session_map())
     del doc["checksum"]
     doc["landmarks"][0]["obs_counts"] = {"1": 1, "01": 5, "2": 1}  # neither count may win
     with pytest.raises(MapFormatError):
@@ -136,8 +156,34 @@ def test_vertex_ids_spelled_twice_in_obs_counts_are_refused():
 
 
 def test_landmark_without_sessions_is_refused():
-    doc = map_to_document(two_session_map())
+    doc = document(two_session_map())
     del doc["checksum"]
     doc["landmarks"][0]["sessions"] = []  # not to be read as [origin_session]
     with pytest.raises(MapFormatError):
         map_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda d: d["landmarks"][0]["obs_counts"].update({"99": 1}),
+        lambda d: d["landmarks"][0].update(obs_counts=[[1, 1]]),
+        lambda d: d["landmarks"][0].update(id=2**70),
+        lambda d: d["vertices"][0].update(pose=[0.0, 1.0]),
+        lambda d: d["landmarks"][0]["position"].__setitem__(0, math.nan),  # json.loads reads NaN
+    ],
+    ids=["unknown_vertex", "obs_counts_not_an_object", "id_beyond_int64", "two_element_pose", "nan"],
+)
+def test_malformed_fields_are_refused(change):
+    doc = document(two_session_map())
+    del doc["checksum"]
+    change(doc)
+    with pytest.raises(MapValidationError):
+        map_from_document(doc)
+
+
+def test_non_finite_value_under_a_checksum_is_refused():
+    m = two_session_map()
+    first = repr(float(m.landmark_positions[0, 0])).encode()
+    with pytest.raises(MapFormatError):  # the checksum cannot be recomputed over NaN
+        loads_map(dumps_map(m).replace(first, b"NaN", 1))

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import socket
-import struct
 import sys
 import threading
 import time
@@ -617,6 +616,23 @@ PROPOSAL_DEFECTS = {
 }
 
 
+# Defects of the sortie itself, in the same form.
+SORTIE_DEFECTS = {
+    "nan_pose": ("poses", lambda v: [[SENTINEL] + v[0][1:]] + v[1:], b"NaN"),
+    "infinite_sensor_range": ("sensor_range", lambda v: SENTINEL, b"Infinity"),
+    "negative_sensor_range": ("sensor_range", lambda v: -v, None),
+}
+
+
+def defective_upload(token: int, sortie: dict, non_finite: bytes | None) -> bytes:
+    """The upload frame of sortie, its one SENTINEL swapped for non_finite if given."""
+    raw = encode_body(Message(MessageKind.UPLOAD_SORTIE, cid=1, token=token, body={"sortie": sortie}))
+    if non_finite is not None:
+        assert raw.count(repr(SENTINEL).encode()) == 1
+        raw = raw.replace(repr(SENTINEL).encode(), non_finite)
+    return raw
+
+
 @pytest.mark.parametrize("defect", sorted(PROPOSAL_DEFECTS))
 def test_malformed_proposal_is_refused_whatever_the_update_kind(city_revisit, defect):
     m, kernels, doc = city_revisit
@@ -626,18 +642,29 @@ def test_malformed_proposal_is_refused_whatever_the_update_kind(city_revisit, de
     field, change, non_finite = PROPOSAL_DEFECTS[defect]
     proposal = doc["proposals"][0]
     bad = {**doc, "proposals": [{**proposal, field: change(proposal[field])}] + doc["proposals"][1:]}
-    raw = encode_body(Message(MessageKind.UPLOAD_SORTIE, cid=1, token=token, body={"sortie": bad}))
-    if non_finite is not None:
-        assert raw.count(repr(SENTINEL).encode()) == 1
-        raw = raw.replace(repr(SENTINEL).encode(), non_finite)
     snap, registry = backend.snapshot, dict(backend.kernels)
-    reply = wire.send(None, raw=raw)
+    reply = wire.send(None, raw=defective_upload(token, bad, non_finite))
     assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
     assert "malformed sortie" in reply.body["detail"]
     assert backend.snapshot is snap and backend.kernels == registry
     # Intact, the same upload is an observation update: it ingests no proposal.
     ack = wire.send(MessageKind.UPLOAD_SORTIE, {"sortie": doc}, token=token)
     assert ack.kind is MessageKind.UPDATE_ACK and ack.body["session_kind"] == "observation"
+
+
+@pytest.mark.parametrize("defect", sorted(SORTIE_DEFECTS))
+def test_non_finite_pose_or_bad_sensor_range_is_refused_before_the_update(city_revisit, defect):
+    m, kernels, doc = city_revisit
+    backend = MapBackend(m, kernels)
+    wire = Wire(backend)
+    token = open_session(wire)
+    field, change, non_finite = SORTIE_DEFECTS[defect]
+    version = backend.map_version
+    # Intact, this upload localizes well enough to be published as an observation update.
+    reply = wire.send(None, raw=defective_upload(token, {**doc, field: change(doc[field])}, non_finite))
+    assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
+    assert "malformed sortie" in reply.body["detail"]
+    assert backend.map_version == version
 
 
 # sha256 of the upload frame of sortie 0 of each built-in scenario at seed 42.

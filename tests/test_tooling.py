@@ -1,5 +1,5 @@
-"""Checks that need no linter: every import of the package is used, and the
-benchmark harness still finds the names it hooks."""
+"""Checks that need no linter: every import of the package and of the tests
+is used, and the benchmark harness still finds the names it hooks."""
 
 import ast
 from pathlib import Path
@@ -43,6 +43,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name)
+def test_tests_have_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
