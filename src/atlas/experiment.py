@@ -310,10 +310,12 @@ def observation_session_gap(
         ref_run = localize_dataset(m, ds, ref, kernels, draws=draws)
         revisit = decide_update(ref_run, sc.threshold_m) is SessionKind.OBSERVATION
         if stage >= 1 and m.n_observation_sessions >= 1 and revisit:
+            maps = (m, m.without_observation_sessions())
             r_with, r_without = (
-                observation_ratio(localize_dataset(v, ds, policy, kernels, draws=draws), ref_run)
-                .mean_of_ratios
-                for v in (m, m.without_observation_sessions())
+                observation_ratio(run, ref_run).mean_of_ratios
+                for run in localize_policies(
+                    m, ds, (policy, policy), kernels, maps=maps, draws=draws
+                )
             )
             gaps.setdefault(stage, []).append(r_with - r_without)
             with_r.setdefault(stage, []).append(r_with)

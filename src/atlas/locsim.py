@@ -192,19 +192,26 @@ class SortieDraws:
     def tiebreak_order(self, seed: int) -> np.ndarray:
         """Rows pose by pose, each pose's candidates by (hash_stream(seed, k, id), id).
 
-        Computed on the first use of a seed and kept.
+        One sort of packed uint64 keys: a candidate's pose in the top b bits,
+        b the bit length of the pose count, above the top 64 - b bits of its
+        word.  Runs of equal keys are then put in (word, id) order by one
+        lexsort over their members.  Computed on the first use of a seed and
+        kept.
         """
         order = self._orders.get(seed)
         if order is None:
             poses = np.repeat(np.arange(self.n_poses), np.diff(self.ptr))
-            words = hash_stream(seed, poses, self.ids)
-            ptr = self.ptr.tolist()
-            # Stable, so equal words in a pose stay by id, which ascends.  One
-            # sort per pose: a whole-sortie sort of the words costs more.
-            order = np.concatenate(
-                [np.argsort(words[a:b], kind="stable") + a for a, b in zip(ptr, ptr[1:])]
-                + [np.empty(0, np.int64)]
-            )
+            words = hash_stream(seed, poses, self.ids).astype(np.uint64, copy=False)
+            b = np.uint64(self.n_poses.bit_length())
+            keys = (poses.astype(np.uint64) << (np.uint64(64) - b)) | (words >> b)
+            order = np.argsort(keys)
+            keys = keys[order]
+            tie = keys[1:] == keys[:-1]  # row i + 1 of the order ties with row i
+            if tie.any():
+                tied = np.flatnonzero(np.concatenate(([False], tie)) | np.append(tie, False))
+                run = np.cumsum(np.concatenate(([True], ~tie)))[tied]
+                members = order[tied]
+                order[tied] = members[np.lexsort((self.ids[members], words[members], run))]
             self._orders[seed] = order
         return order
 
@@ -270,38 +277,37 @@ def sortie_draws(
 
 def _lockstep_picks(
     draws: SortieDraws,
-    index: EquivalenceClassIndex,
-    policies: Sequence[SelectionPolicy],
+    lanes: Sequence[tuple[SelectionPolicy, EquivalenceClassIndex]],
     sizes: np.ndarray,
     bootstrap: bool,
 ) -> list[np.ndarray]:
-    """Ranked policies' selections on the map of class index `index`, stepped
-    through the poses together.
+    """Ranked selections stepped through the poses together, one lane per
+    (policy, class index) pair: the policy ranking on the map of that index.
 
-    Returns, per policy, the positions of its selections in its tie-break
+    Returns, per lane, the positions of its selections in its tie-break
     order, pose after pose and in rank order within a pose; sizes holds
-    each policy's selection size per pose.  The policies share one
-    RollingSelectionStats, one lane each, and every pose pushes one row.  A
-    pose's rank order is a stable sort of the negated class scores over
-    the tie-break order, which is selection_order's (score descending,
-    tie-break word, id) order.
+    each lane's selection size per pose.  The lanes share one
+    RollingSelectionStats, and every pose pushes one row.  A pose's rank
+    order is a stable sort of the negated class scores over the tie-break
+    order, which is selection_order's (score descending, tie-break word,
+    id) order.
     """
-    n_policies, n_classes, n_poses = len(policies), len(index), draws.n_poses
-    n_candidates = np.diff(draws.ptr)
-    # Each candidate's row key, 2 * (policy * n_classes + class) + detected, in
-    # tie-break order; and whether its rank in the pose is within the policy's size.
-    key = 2 * index.class_ids[draws.rows] + draws.detected
-    key = key.astype(np.min_scalar_type(2 * n_classes * n_policies))
-    by_seed = {p.seed: key[draws.tiebreak_order(p.seed)] for p in policies}
-    keys = np.stack([by_seed[p.seed] for p in policies])
-    keys += (2 * n_classes * np.arange(n_policies, dtype=key.dtype))[:, None]
-    local_rank = np.arange(len(key)) - np.repeat(draws.ptr[:-1], n_candidates)
+    window = RollingSelectionStats(lanes)
+    n_lanes, n_classes = window.sums.shape[:2]
+    n_poses, n_candidates = draws.n_poses, np.diff(draws.ptr)
+    # Each candidate's row key, 2 * (lane * n_classes + class) + detected, in its
+    # lane's tie-break order; and whether its rank in the pose is within the lane's size.
+    dtype = np.min_scalar_type(2 * n_classes * n_lanes)
+    key = {id(ix): (2 * ix.class_ids[draws.rows] + draws.detected).astype(dtype) for _, ix in lanes}
+    ordered = {(id(ix), p.seed): key[id(ix)][draws.tiebreak_order(p.seed)] for p, ix in lanes}
+    keys = np.stack([ordered[id(ix), p.seed] for p, ix in lanes])
+    keys += (2 * n_classes * np.arange(n_lanes, dtype=dtype))[:, None]
+    local_rank = np.arange(keys.shape[1]) - np.repeat(draws.ptr[:-1], n_candidates)
     takes = np.empty(keys.shape, dtype=bool)
     for size, take in zip(sizes, takes):
         np.less(local_rank, np.repeat(size, n_candidates), out=take)
-    window = RollingSelectionStats(policies, n_classes)
     empty = np.zeros(window.sums.shape, dtype=np.int64)
-    policy_col = np.arange(n_policies)[:, None]
+    lane_col = np.arange(n_lanes)[:, None]
     picks = []
     ptr = draws.ptr.tolist()
     for k, (a, b) in enumerate(zip(ptr, ptr[1:])):
@@ -311,17 +317,17 @@ def _lockstep_picks(
             if k == 0 and bootstrap:  # every candidate is selected: the order is set later
                 by_score, ranked_keys = np.broadcast_to(local_rank[a:b], take.shape), pose_keys
             else:
-                scores = -window.scores(index)
+                scores = -window.scores()
                 by_score = np.argsort(scores.ravel()[pose_keys >> 1], axis=1, kind="stable")
-                ranked_keys = pose_keys[policy_col, by_score]
+                ranked_keys = pose_keys[lane_col, by_score]
             picks.append(by_score[take])
             row = np.bincount(ranked_keys[take], minlength=empty.size).reshape(empty.shape)
         window.push_record(row)
-    # picks hold each pose's selections policy after policy; gather each policy's.
+    # picks hold each pose's selections lane after lane; gather each lane's.
     flat = np.concatenate(picks + [np.empty(0, np.int64)])
     del picks
     by_pose = sizes.T.ravel()
-    starts = (np.cumsum(by_pose) - by_pose).reshape(n_poses, n_policies).T
+    starts = (np.cumsum(by_pose) - by_pose).reshape(n_poses, n_lanes).T
     return [
         flat[_runs(start, size)] + np.repeat(draws.ptr[:-1], size)
         for start, size in zip(starts, sizes)
@@ -334,6 +340,7 @@ def localize_policies(
     policies: Sequence[SelectionPolicy],
     kernels: Mapping[int, ObservabilityKernel],
     *,
+    maps: Sequence[MultiSessionMap] | None = None,
     draws: SortieDraws | None = None,
     bootstrap_full_first: bool = True,
 ) -> list[LocalizationRun]:
@@ -342,22 +349,31 @@ def localize_policies(
     Each run equals what the policy's own loop gives: per pose, score the
     candidates from the policy's rolling window, take the first
     selection_size of selection_order, observe the detected ones, and push
-    the pose's class tallies to the window.  Runs over the same dataset on
-    maps that hold the same landmark id column may share one
+    the pose's class tallies to the window.  Each policy localizes on its
+    entry of maps, m for every policy when None: maps that hold m's
+    landmark id column (a map and its rich-sessions view do) share one
     `sortie_draws(m, dataset, kernels)`, each run reading the classes of
-    its own map; without one it is built here.  ValueError for draws made
-    on a map with another landmark column or for another dataset; equal
-    kernels are the caller's to ensure.  With bootstrap_full_first the
-    first pose selects every candidate, to warm the rolling window up.
+    its own map.  Draws may be passed in; without them they are built here.
+    ValueError for draws made on a map with another landmark column or for
+    another dataset; equal kernels are the caller's to ensure.  With
+    bootstrap_full_first the first pose selects every candidate, to warm
+    the rolling window up.
 
     The unranked policy takes each pose's lowest ids and the random one the
-    head of each pose's tie-break order, for every pose at once; the ranked
-    policies step through the poses together (_lockstep_picks).
+    head of each pose's tie-break order, for every pose at once.  A ranked
+    policy on a map of at most one class ranks nothing, so it takes the
+    random policy's path; the other ranked runs step through the poses
+    together (_lockstep_picks).
     """
+    maps = (m,) * len(policies) if maps is None else tuple(maps)
+    if len(maps) != len(policies):
+        raise ValueError("one map per policy")
     if draws is None:
         draws = sortie_draws(m, dataset, kernels)
-    elif draws.landmark_ids is not m.landmark_ids or draws.fingerprint != dataset.fingerprint():
-        raise ValueError("draws were made for another map state or dataset")
+    elif draws.fingerprint != dataset.fingerprint():
+        raise ValueError("draws were made for another dataset")
+    if any(on.landmark_ids is not draws.landmark_ids for on in (m, *maps)):
+        raise ValueError("draws were made for another map state")
     n_candidates = np.diff(draws.ptr)
     bootstrap = bootstrap_full_first and draws.n_poses > 0
     sizes = np.array(
@@ -368,12 +384,13 @@ def localize_policies(
         sizes[:, 0] = n_candidates[0]
     # Each policy's selections as positions in its order: rows for the
     # unranked policy, the seed's tie-break order for the others.
-    ranked = [i for i, p in enumerate(policies) if p.ranking.windowed]
+    ranked = [
+        i for i, (p, on) in enumerate(zip(policies, maps)) if p.ranking.windowed and len(on.index) > 1
+    ]
     picks = {}
     if ranked:
-        ranked_policies = [policies[i] for i in ranked]
-        lockstep = _lockstep_picks(draws, m.index, ranked_policies, sizes[ranked], bootstrap)
-        picks = dict(zip(ranked, lockstep))
+        lanes = [(policies[i], maps[i].index) for i in ranked]
+        picks = dict(zip(ranked, _lockstep_picks(draws, lanes, sizes[ranked], bootstrap)))
     runs = []
     for i, (p, size) in enumerate(zip(policies, sizes)):
         pos = picks.pop(i) if i in picks else _runs(draws.ptr[:-1], size)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -236,6 +237,11 @@ def encode_landmarks_frame(reply: LandmarksReply) -> bytes:
 _TRUSTED_DEPTH = 500
 # Byte classes of a frame: 1 for a digit, 2 for '[' or '{', 0 for the rest.
 _CLASSES = bytes(1 if 48 <= b <= 57 else 2 if b in b"[{" else 0 for b in range(256))
+# A JSON string token, escapes included.
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+# Each bracket's step in nesting depth, as an int8: +1 opens, -1 closes.
+_DEPTH_STEPS = bytes(1 if b in b"[{" else 255 if b in b"]}" else 0 for b in range(256))
+_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[]{}")
 # Every integer literal beyond 64 bits holds a run of this many digits.
 _LONG_DIGIT_RUN = b"\x01" * 19
 # orjson 3.8 parses into a buffer that it keeps for the life of the
@@ -265,7 +271,7 @@ def parse_json(raw: bytes) -> Any:
         payload = orjson.loads(raw)
     except orjson.JSONDecodeError:
         return _json_loads(raw)
-    if _beyond_orjson(raw, payload):
+    if _beyond_orjson(raw):
         return _json_loads(raw)
     return payload
 
@@ -274,9 +280,9 @@ def _json_loads(raw: bytes) -> Any:
     return json.loads(raw.decode("utf-8"))
 
 
-def _beyond_orjson(raw: bytes, payload: Any) -> bool:
-    """Whether raw may hold an integer literal beyond 64 bits, or payload
-    nests _TRUSTED_DEPTH deep.  False positives only cost a json.loads."""
+def _beyond_orjson(raw: bytes) -> bool:
+    """Whether raw, a JSON text, may hold an integer literal beyond 64 bits,
+    or nests _TRUSTED_DEPTH deep.  False positives only cost a json.loads."""
     classes = raw.translate(_CLASSES)
     start = classes.find(_LONG_DIGIT_RUN)
     while start >= 0:
@@ -292,14 +298,10 @@ def _beyond_orjson(raw: bytes, payload: Any) -> bool:
     # Each level of nesting opens with one '[' or '{'.
     if len(raw) < 2 * _TRUSTED_DEPTH or classes.count(2) < _TRUSTED_DEPTH:
         return False
-    level = [payload]  # payload itself, if a container, is level 1
-    for _ in range(_TRUSTED_DEPTH):
-        level = [node for node in level if isinstance(node, (dict, list))]
-        if not level:
-            return False
-        level = [child for node in level
-                 for child in (node.values() if isinstance(node, dict) else node)]
-    return True
+    # Outside its strings, a JSON text's brackets nest exactly as its values do.
+    brackets = _STRING.sub(b"", raw).translate(_DEPTH_STEPS, _NOT_BRACKETS)
+    steps = np.frombuffer(brackets, dtype=np.int8)
+    return int(np.cumsum(steps, dtype=np.int64).max(initial=0)) >= _TRUSTED_DEPTH
 
 
 def decode_body(raw: bytes) -> Message:

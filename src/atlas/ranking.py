@@ -10,7 +10,8 @@ per-session variant (the max over the class's sessions of the session's
 observed/selected weight) is kept as a baseline; its session counts are
 derived from the class counts through the index's (class, session)
 incidence matrix, so the window holds no second table.  A window has one
-lane per policy: the simulator's ranked policies share one, and a served
+lane per (policy, class index) pair: the simulator's ranked runs over a
+sortie share one, on one map or on a map and its view, and a served
 session has its own.  A uniform random and an unranked reference policy
 complete the set.
 """
@@ -32,6 +33,8 @@ from atlas.rng import hash_stream
 NO_BUDGET = 2**31
 # Largest max_selected: selection sizes are int64.
 MAX_BUDGET = 2**63 - 1
+# Largest window_len: a window keeps up to this many rows per lane.
+MAX_WINDOW_LEN = 1000
 
 
 class RankingKind(str, Enum):
@@ -81,8 +84,8 @@ class SelectionPolicy:
             raise ValueError("selection_ratio must be in (0, 1]")
         if not 1 <= self.max_selected <= MAX_BUDGET:
             raise ValueError(f"max_selected must be in [1, {MAX_BUDGET}]")
-        if self.window_len < 1:
-            raise ValueError("window_len must be >= 1")
+        if not 1 <= self.window_len <= MAX_WINDOW_LEN:
+            raise ValueError(f"window_len must be in [1, {MAX_WINDOW_LEN}]")
 
     @property
     def name(self) -> str:
@@ -151,25 +154,33 @@ def _lanes(mask: list[bool]) -> slice | np.ndarray | None:
 
 
 class RollingSelectionStats:
-    """Rolling windows of per-class selection/observation counts, one lane per policy.
+    """Rolling windows of per-class selection/observation counts, one lane per
+    (policy, class index) pair.
 
     A row is a (lane, class, [unobserved, observed]) count array: per lane,
-    how many members of each class one localization iteration selected and
-    did not observe, and how many it observed.  Each lane sums its policy's
-    last window_len rows, kept incrementally on push and eviction; a row is
-    dropped once no lane holds it, so memory follows the rows pushed, never
-    window_len.  A window is made for one class index; users make a new one
-    when the map, and therefore the class numbering, changes.
+    how many members of each class of its index one localization iteration
+    selected and did not observe, and how many it observed.  The class axis
+    is as long as the largest index; a lane never counts classes past its
+    own.  Each lane sums its policy's last window_len rows, kept
+    incrementally on push and eviction; a row is dropped once no lane holds
+    it, so memory follows the rows pushed, never window_len.  Users make a
+    new window when a map, and therefore its class numbering, changes.
     """
 
-    def __init__(self, policies: Sequence[SelectionPolicy], n_classes: int):
-        lens = [p.window_len for p in policies]
+    def __init__(self, lanes: Sequence[tuple[SelectionPolicy, EquivalenceClassIndex]]):
+        lens = [p.window_len for p, _ in lanes]
+        n_classes = max(len(index) for _, index in lanes)
         self.sums = np.zeros((len(lens), n_classes, 2), dtype=np.int64)
         self.rows: deque[np.ndarray] = deque()
         self._longest = max(lens)
-        # The lanes each window length evicts from, and the lanes ranked by weight.
+        # The lanes each window length evicts from, and the lanes ranked by
+        # weight, grouped by the index they score on.
         self._evictions = [(w, _lanes([n == w for n in lens])) for w in sorted(set(lens))]
-        self._by_weight = _lanes([p.ranking is RankingKind.SESSION_WEIGHT for p in policies])
+        weighted = [p.ranking is RankingKind.SESSION_WEIGHT for p, _ in lanes]
+        self._by_weight = [
+            (index, _lanes([w and ix is index for w, (_, ix) in zip(weighted, lanes)]))
+            for index in {id(ix): ix for w, (_, ix) in zip(weighted, lanes) if w}.values()
+        ]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -195,19 +206,20 @@ class RollingSelectionStats:
         observed = self.sums[:, class_ids, 1]
         return class_ratio_scores(self.sums[:, class_ids, 0] + observed, observed)
 
-    def scores(self, index: EquivalenceClassIndex) -> np.ndarray:
-        """(lane, class) rank scores of the classes of index.
+    def scores(self) -> np.ndarray:
+        """(lane, class) rank scores, each lane's of the classes of its own index.
 
         A lane scores a class by its class_ratio, or, when its policy ranks
         by session_weight, by the best weight among the sessions that define
-        the class.  The unranked and random policies read no score.
+        the class in the lane's index.  The unranked and random policies
+        read no score.
         """
         scores = self.class_ratio()
-        lanes = self._by_weight
-        if lanes is not None:
-            sums = self.sums[lanes]
+        for index, lanes in self._by_weight:
+            n = len(index)
+            sums = self.sums[lanes, :n]
             observed = sums[..., 1]
-            scores[lanes] = session_weight_scores(index, sums[..., 0] + observed, observed)
+            scores[lanes, :n] = session_weight_scores(index, sums[..., 0] + observed, observed)
         return scores
 
 

@@ -282,7 +282,7 @@ class MapBackend:
                 token=token,
                 policy=policy,
                 sensor_range=sensor_range,
-                window=RollingSelectionStats((policy,), len(snap.index)),
+                window=RollingSelectionStats([(policy, snap.index)]),
                 seen_version=snap.version,
             )
         return Message(
@@ -311,14 +311,14 @@ class MapBackend:
         snap = pub.map
         if session.seen_version != snap.version:
             # Class numbering moved with the map, so the window restarts.
-            session.window = RollingSelectionStats((session.policy,), len(snap.index))
+            session.window = RollingSelectionStats([(session.policy, snap.index)])
             session.seen_version = snap.version
         candidates = snap.candidate_set((float(pose[0]), float(pose[1])), session.sensor_range)
         # Ids are ascending in the map and among the candidates, so
         # searchsorted finds the map row of each candidate and each selection.
         rows = np.searchsorted(snap.landmark_ids, candidates)
         index = snap.index
-        scores = (session.window.scores(index)[0][index.class_ids[rows]]
+        scores = (session.window.scores()[0][index.class_ids[rows]]
                   if session.policy.ranking.windowed else np.zeros(len(candidates)))
         salt = session.n_queries
         session.n_queries += 1

@@ -180,7 +180,7 @@ def test_03_finite_caps_never_exceeded(city_runs, parking_run):
 def test_04_ranking_arithmetic_and_full_selection_equivalence():
     m = two_session_map()
     index = m.index
-    stats = RollingSelectionStats([parse_policy("class_ratio", window_len=10)], len(index))
+    stats = RollingSelectionStats([(parse_policy("class_ratio", window_len=10), index)])
     selected = np.array([1, 2])
     for _ in range(2):
         update_window(stats, index.classes_of(selected), selected == 1, index)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from atlas.protocol import Message, MessageKind, ProtocolError, decode_body, encode_body
-from atlas.ranking import SelectionPolicy, parse_policy, select_from_arrays
+from atlas.ranking import MAX_WINDOW_LEN, SelectionPolicy, parse_policy, select_from_arrays
 from atlas.server import MapBackend
 
 from helpers import DequeWindow, class_scores, two_session_map
@@ -90,14 +90,18 @@ class BackendModel(RuleBasedStateMachine):
     @rule(
         spec=st.sampled_from(POLICIES),
         seed=st.integers(0, 3),
-        window_len=st.sampled_from([1, 2, 3, 10**30]),
+        window_len=st.sampled_from([1, 2, 3, MAX_WINDOW_LEN, MAX_WINDOW_LEN + 1, 10**30]),
         sensor_range=st.sampled_from([1.5, 3.0, 25.0]),
     )
     def open_session(self, spec, seed, window_len, sensor_range):
+        body = {"policy": spec, "seed": seed, "window_len": window_len, "sensor_range": sensor_range}
+        if window_len > MAX_WINDOW_LEN:  # refused, and no token is used up
+            reply, _ = self.send(MessageKind.OPEN_SESSION, body, None)
+            assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
+            return
         token = len(self.shadows) + 1
         policy = parse_policy(spec, seed=seed, window_len=window_len)
         self.shadows[token] = Shadow(policy, sensor_range, DequeWindow(window_len, len(self.index)))
-        body = {"policy": spec, "seed": seed, "window_len": window_len, "sensor_range": sensor_range}
         reply, _ = self.send(MessageKind.OPEN_SESSION, body, None)
         assert reply.kind is MessageKind.UPDATE_ACK and reply.token == token
 

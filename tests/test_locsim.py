@@ -7,6 +7,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import atlas.locsim
 from atlas.experiment import build_dataset, build_world
@@ -15,6 +17,7 @@ from atlas.mapio import dumps_map, map_from_document
 from atlas.locsim import (
     LocalizationRun,
     PoseErrorParams,
+    SortieDraws,
     decide_update,
     localize_dataset,
     localize_policies,
@@ -198,6 +201,54 @@ def test_localize_policies_matches_the_per_policy_loop(many_classes, bootstrap):
         assert_same_runs(run, alone)
 
 
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_ranked_policies_on_a_one_class_map_take_the_random_path(built, bootstrap, monkeypatch):
+    m, kernels, dataset = built
+    assert len(m.index) == 1
+    draws = sortie_draws(m, dataset, kernels)
+
+    def no_lockstep(*args):
+        raise AssertionError("a one-class map ranks nothing")
+
+    monkeypatch.setattr(atlas.locsim, "_lockstep_picks", no_lockstep)
+    runs = localize_policies(
+        m, dataset, ORACLE_POLICIES, kernels, draws=draws, bootstrap_full_first=bootstrap
+    )
+    for policy, run in zip(ORACLE_POLICIES, runs):
+        assert_same_run(run, reference_localize(draws, m.index, policy, bootstrap_full_first=bootstrap))
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("fixture", ["built", "many_classes"])
+def test_runs_on_a_map_and_its_view_match_the_per_policy_loop(fixture, bootstrap, request):
+    """One call localizes every policy on a map and on its rich-sessions view,
+    each run ranking on the classes of its own map.  Grown from `built`, the
+    view has one class and the map several."""
+    m, kernels, dataset = request.getfixturevalue(fixture)
+    seen = m.copy()
+    some = m.landmark_ids[::3]
+    seen.add_observation_session(
+        np.column_stack((some, np.full(len(some), m.vertex_ids[0]), np.ones_like(some)))
+    )
+    view = seen.without_observation_sessions()
+    assert len(seen.index) > len(view.index) >= 1
+    policies = [p for p in ORACLE_POLICIES if p.ranking is not RankingKind.ALL]
+    maps = [seen] * len(policies) + [view] * len(policies)
+    draws = sortie_draws(seen, dataset, kernels)
+    runs = localize_policies(
+        seen, dataset, policies * 2, kernels, maps=maps, draws=draws, bootstrap_full_first=bootstrap
+    )
+    for policy, on, run in zip(policies * 2, maps, runs):
+        oracle = reference_localize(draws, on.index, policy, bootstrap_full_first=bootstrap)
+        assert_same_run(run, oracle)
+    with pytest.raises(ValueError):
+        localize_policies(seen, dataset, policies, kernels, maps=maps, draws=draws)
+    fewer = view.copy()
+    fewer.drop_landmarks([int(m.landmark_ids[-1])])
+    with pytest.raises(ValueError):
+        localize_policies(seen, dataset, policies, kernels, maps=[fewer] * len(policies))
+
+
 def test_localize_policies_on_an_empty_map(many_classes):
     _, _, dataset = many_classes
     empty = MultiSessionMap()
@@ -298,6 +349,47 @@ def test_tiebreak_order_breaks_equal_words_by_id(built, monkeypatch):
     monkeypatch.setattr(atlas.locsim, "hash_stream", lambda seed, salt, ids: (ids * 7) % 4)
     coarse = (draws.ids * 7) % 4
     assert np.array_equal(draws.tiebreak_order(4), np.lexsort((draws.ids, coarse, poses)))
+
+
+@st.composite
+def tiebreak_cases(draw):
+    """Per-pose candidate counts (some 0) for pose counts on both sides of a
+    bit boundary, candidate ids distinct within a pose, and words that tie:
+    few distinct values with 0 and 2**64 - 1, words equal but in the low b
+    bits the packed key drops, or any words."""
+    n_poses = draw(st.sampled_from([1, 2, 3, 255, 256, 257]))
+    b = n_poses.bit_length()
+    counts = draw(st.lists(st.integers(0, 3), min_size=n_poses, max_size=n_poses))
+    base = draw(st.integers(0, 2**64 - 1))
+    word = draw(st.sampled_from([
+        st.sampled_from([0, 2**64 - 1, base]),
+        st.integers(0, 2**b - 1).map(lambda low: base >> b << b | low),
+        st.integers(0, 2**64 - 1),
+    ]))
+    words = [draw(word) for _ in range(sum(counts))]
+    ids = [i for c in counts for i in draw(st.sets(st.integers(0, 40), min_size=c, max_size=c))]
+    return counts, np.array(words, dtype=np.uint64), np.array(ids, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiebreak_cases())
+def test_tiebreak_order_is_the_lexsort_of_pose_word_and_id(case):
+    counts, words, ids = case
+    n = len(ids)
+    ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    draws = SortieDraws(
+        (), np.empty(0, np.int64), ptr, np.arange(n), ids, np.zeros(n, bool), np.zeros(len(counts))
+    )
+    poses = np.repeat(np.arange(len(counts)), counts)
+
+    def words_of(seed, salt, candidate_ids):
+        assert np.array_equal(salt, poses) and np.array_equal(candidate_ids, ids)
+        return words
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(atlas.locsim, "hash_stream", words_of)
+        order = draws.tiebreak_order(0)
+    assert np.array_equal(order, np.lexsort((ids, words, poses)))
 
 
 def test_shared_draws_give_the_runs_built_alone(built):

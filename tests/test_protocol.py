@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atlas.protocol
 from atlas.protocol import (
     ERR_BAD_REQUEST,
     MAX_FRAME_BYTES,
@@ -347,6 +348,20 @@ nesting_depths = (
     st.builds(nested, nesting_depths, st.integers(0, 600), st.sampled_from(['"]"', '"\\"', "1", '"["'])),
 ))
 def test_parse_json_matches_json_loads(raw):
+    assert_parses_like_json_loads(raw)
+
+
+@pytest.mark.parametrize("text", ['"]]"', '"\\"]"', '"\\\\"', '"[[{"'])
+@pytest.mark.parametrize("depth", [499, 500, 501])
+def test_parse_json_at_the_trusted_depth(depth, text):
+    """Brackets, escaped quotes and backslashes inside strings leave the nesting
+    depth as the values give it: json.loads reads frames from 500 levels on."""
+    raw = (("[" + text + ",") * (depth - 1) + "[" + text + "]" + "]" * (depth - 1)).encode()
+    value = json.loads(raw)
+    for _ in range(depth - 1):
+        value = value[1]
+    assert value == [json.loads(text)]  # depth lists, one in the next
+    assert atlas.protocol._beyond_orjson(raw) == (depth >= 500)
     assert_parses_like_json_loads(raw)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atlas.ranking import (
+    MAX_WINDOW_LEN,
     NO_BUDGET,
     RankingKind,
     RollingSelectionStats,
@@ -98,7 +99,7 @@ def push(window, m, selected, observed):
     """One iteration of plain id lists, counted by update_window, pushed to every lane."""
     ids = np.asarray(selected, dtype=np.int64)
     index = m.index
-    one = RollingSelectionStats([RATIO], len(index))
+    one = RollingSelectionStats([(RATIO, index)])
     update_window(one, index.classes_of(ids), np.isin(ids, observed), index)
     window.push_record(np.repeat(one.rows[0], len(window.sums), axis=0))
 
@@ -119,7 +120,7 @@ def test_ratio_arithmetic_by_hand():
     # classes: {1, 2} (session 1), {3} (sessions 1, 2), {4, 5} (session 2)
     m = two_session_map()
     index = m.index
-    window = RollingSelectionStats([RATIO, WEIGHT], len(index))
+    window = RollingSelectionStats([(RATIO, index), (WEIGHT, index)])
     push(window, m, [1, 2, 3], [1, 3])
     push(window, m, [1, 2], [2])
     # class {1, 2}: selected 4 times (1,2,1,2), observed 2 times (1,2) -> 0.5
@@ -132,26 +133,26 @@ def test_ratio_arithmetic_by_hand():
     # session 2 backs only landmark 3 among them
     assert (selected[2], observed[2]) == (1, 1)
     # landmarks 1-2 have session 1 only; 3 takes its best session, 2; 4 has 2 as well
-    scores = window.scores(index)[:, index.classes_of([1, 3, 4])]
+    scores = window.scores()[:, index.classes_of([1, 3, 4])]
     assert scores.tolist() == [[0.5, 1.0, 0.0], [3 / 5, 1.0, 1.0]]
 
 
 def test_zero_when_never_selected():
     m = two_session_map()
     index = m.index
-    window = RollingSelectionStats([RATIO, WEIGHT], len(index))
-    assert window.scores(index).tolist() == [[0.0] * len(index)] * 2
+    window = RollingSelectionStats([(RATIO, index), (WEIGHT, index)])
+    assert window.scores().tolist() == [[0.0] * len(index)] * 2
     assert window.class_ratio(0).tolist() == [0.0, 0.0]
     push(window, m, [1], [])
     # selected, never observed; and never selected
     assert window.class_ratio(index.classes_of([1, 4])).tolist() == [[0.0, 0.0]] * 2
-    assert window.scores(index)[1, index.classes_of([1, 4])].tolist() == [0.0, 0.0]
+    assert window.scores()[1, index.classes_of([1, 4])].tolist() == [0.0, 0.0]
 
 
 def test_window_eviction():
     m = two_session_map()
     cid = m.index.classes_of([1])[0]
-    window = RollingSelectionStats([parse_policy("class_ratio", window_len=2)], len(m.index))
+    window = RollingSelectionStats([(parse_policy("class_ratio", window_len=2), m.index)])
     push(window, m, [1], [1])
     push(window, m, [1], [])
     push(window, m, [1], [])
@@ -165,7 +166,7 @@ def test_observed_must_be_subset_of_selected():
     # The observed row is counted from the selection's own class ids, so an
     # observed count can never exceed the selected count of its class.
     m = two_session_map()
-    window = RollingSelectionStats([RATIO], len(m.index))
+    window = RollingSelectionStats([(RATIO, m.index)])
     for observed in ([1, 2, 3, 4, 5], [3], [], [2, 4]):
         push(window, m, [1, 2, 3, 4, 5], observed)
         sel, obs = tallies(window)
@@ -175,13 +176,44 @@ def test_observed_must_be_subset_of_selected():
 
 def test_window_rejects_rows_of_another_index():
     m = two_session_map()
-    window = RollingSelectionStats([RATIO], len(m.index))
+    window = RollingSelectionStats([(RATIO, m.index)])
     push(window, m, [1], [1])
     other = many_class_map(0)
     assert len(other.index) != len(m.index)
     with pytest.raises(ValueError):
         update_window(window, other.index.classes_of([1]), np.array([True]), other.index)
     assert len(window) == 1
+
+
+def four_class_map() -> MultiSessionMap:
+    """two_session_map with landmark 1 re-observed by an observation session:
+    classes {1} (sessions {1, 3}), {2} ({1}), {3} ({1, 2}), {4, 5} ({2})."""
+    m = two_session_map()
+    m.add_observation_session([(1, int(m.vertex_ids[0]), 1)])
+    return m
+
+
+def test_lanes_score_on_their_own_index():
+    """Lanes on a map and on its view each score the classes of their own index,
+    as a window of that lane alone does; the longer class axis stays 0."""
+    m = four_class_map()
+    view = m.without_observation_sessions()
+    assert len(view.index) < len(m.index)
+    lanes = [(RATIO, m.index), (WEIGHT, view.index), (WEIGHT, m.index), (RATIO, view.index)]
+    window = RollingSelectionStats(lanes)
+    alone = [RollingSelectionStats([lane]) for lane in lanes]
+    assert window.sums.shape == (4, len(m.index), 2)
+    for selected, observed in (([1, 2, 3], [1, 3]), ([1, 4, 5], [4]), ([2, 3, 5], [2, 3, 5])):
+        ids = np.array(selected)
+        rows = []
+        for one, (_, index) in zip(alone, lanes):
+            update_window(one, index.classes_of(ids), np.isin(ids, observed), index)
+            rows.append(np.pad(one.rows[-1][0], ((0, len(m.index) - len(index)), (0, 0))))
+        window.push_record(np.stack(rows))
+        scores = window.scores()
+        for lane, (one, (_, index)) in enumerate(zip(alone, lanes)):
+            assert scores[lane, : len(index)].tolist() == one.scores()[0].tolist()
+            assert not scores[lane, len(index) :].any()
 
 
 @settings(max_examples=80, deadline=None)
@@ -191,9 +223,11 @@ def test_window_rejects_rows_of_another_index():
 )
 def test_window_tallies_match_recount_oracle(window_lens, steps):
     """Every lane of a window sums the same rows as its own deque window would."""
-    n_classes = 4
+    index = four_class_map().index
+    n_classes = len(index)
+    assert n_classes == 4
     policies = [parse_policy("class_ratio", window_len=w) for w in window_lens]
-    window = RollingSelectionStats(policies, n_classes)
+    window = RollingSelectionStats([(p, index) for p in policies])
     oracles = [DequeWindow(w, n_classes) for w in window_lens]
     for n_sel, seed in steps:
         local = np.random.default_rng(seed)
@@ -216,7 +250,7 @@ def test_window_tallies_match_recount_oracle(window_lens, steps):
 def test_update_window_resolves_classes_and_sessions():
     m = two_session_map()
     index = m.index
-    window = RollingSelectionStats([WEIGHT], len(index))
+    window = RollingSelectionStats([(WEIGHT, index)])
     push(window, m, [1, 2, 3], [3])
     cid_12 = index.classes_of([1])[0]
     cid_3 = index.classes_of([3])[0]
@@ -230,15 +264,15 @@ def test_update_window_resolves_classes_and_sessions():
     assert window.class_ratio(index.classes_of([1])[0]).tolist() == [0.0]
     assert window.class_ratio(index.classes_of([3])[0]).tolist() == [1.0]
     # best session weight wins for multi-session landmarks
-    assert window.scores(index)[0, index.classes_of([3, 1])].tolist() == [1.0, 1 / 3]
+    assert window.scores()[0, index.classes_of([3, 1])].tolist() == [1.0, 1 / 3]
 
 
 def test_class_constancy_within_a_class():
     m = two_session_map()
     index = m.index
-    window = RollingSelectionStats([RATIO, WEIGHT], len(index))
+    window = RollingSelectionStats([(RATIO, index), (WEIGHT, index)])
     push(window, m, [1, 2, 4, 5], [1, 4])
-    scores = window.scores(index)
+    scores = window.scores()
     for pair in ([1, 2], [4, 5]):
         cids = index.classes_of(pair)
         assert cids[0] == cids[1]
@@ -250,20 +284,20 @@ def test_class_scores_per_policy():
     m = two_session_map()
     index = m.index
     policies = [parse_policy(spec) for spec in ("class_ratio", "session_weight", "all", "random")]
-    window = RollingSelectionStats(policies, len(index))
+    window = RollingSelectionStats([(p, index) for p in policies])
     push(window, m, [1, 2, 3, 4], [1, 3])
     cids = index.classes_of([1, 2, 3, 4, 5])
-    ratio, weight = window.scores(index)[:2, cids]
+    ratio, weight = window.scores()[:2, cids]
     assert ratio.tolist() == window.class_ratio(cids)[0].tolist()
     assert ratio.tolist() == [0.5, 0.5, 1.0, 0.0, 0.0]
     # sessions: 1 backs landmarks 1-3 (2 of 3 observed), 2 backs 3-4 (1 of 2)
     assert weight.tolist() == [2 / 3, 2 / 3, 2 / 3, 0.5, 0.5]
     # the unranked and random policies read no score: their order ignores it
     ids = np.array([1, 2, 3, 4, 5])
-    for p, scores in zip(policies[2:], window.scores(index)[2:, cids]):
+    for p, scores in zip(policies[2:], window.scores()[2:, cids]):
         got = select_from_arrays(p, ids, scores, salt=4)
         assert got.tolist() == select_from_arrays(p, ids, np.zeros(5), salt=4).tolist()
-    assert window.scores(index)[:, cids[:0]].shape == (4, 0)
+    assert window.scores()[:, cids[:0]].shape == (4, 0)
 
 
 def many_class_map(seed: int) -> MultiSessionMap:
@@ -300,7 +334,7 @@ def per_landmark_recount(m, records):
 def test_update_window_matches_per_landmark_recount(map_seed, window_len, step_seeds):
     m = many_class_map(map_seed)
     index = m.index
-    window = RollingSelectionStats([parse_policy("class_ratio", window_len=window_len)], len(index))
+    window = RollingSelectionStats([(parse_policy("class_ratio", window_len=window_len), index)])
     pushed = []
     for seed in step_seeds:
         rng = np.random.default_rng(seed)
@@ -447,3 +481,6 @@ def test_policy_validation():
         SelectionPolicy(RankingKind.ALL, selection_ratio=-0.5)
     with pytest.raises(ValueError):
         SelectionPolicy(RankingKind.ALL, window_len=0)
+    with pytest.raises(ValueError):
+        SelectionPolicy(RankingKind.ALL, window_len=MAX_WINDOW_LEN + 1)
+    assert SelectionPolicy(RankingKind.ALL, window_len=MAX_WINDOW_LEN).window_len == MAX_WINDOW_LEN

@@ -28,7 +28,7 @@ from atlas.protocol import (
     encode_frame,
     read_frame,
 )
-from atlas.ranking import parse_policy, reference_policy
+from atlas.ranking import MAX_WINDOW_LEN, parse_policy, reference_policy
 from atlas.server import MapBackend, MapServer
 from atlas.worldgen import (
     Proposals,
@@ -487,10 +487,19 @@ def test_every_policy_serves_an_empty_map(spec):
         assert ack.body == {"n_recorded": 0, "window_fill": fill}
 
 
-@pytest.mark.parametrize("window_len", [10**12, 10**30])
-def test_sessions_accept_huge_window_lengths(window_len):
+def test_sessions_refuse_window_lengths_past_the_maximum():
     wire = Wire(fresh_backend())
-    token = open_session(wire, policy="session_weight@0.6", window_len=window_len)
+    for window_len in (MAX_WINDOW_LEN + 1, 10**30):
+        body = {"policy": "session_weight@0.6", "window_len": window_len}
+        reply = wire.send(MessageKind.OPEN_SESSION, body)
+        assert reply.kind is MessageKind.ERROR and reply.body["code"] == "bad_request"
+        assert f"[1, {MAX_WINDOW_LEN}]" in reply.body["detail"]
+    assert not wire.backend.sessions
+
+
+def test_sessions_accept_the_maximum_window_length():
+    wire = Wire(fresh_backend())
+    token = open_session(wire, policy="session_weight@0.6", window_len=MAX_WINDOW_LEN)
     for fill in (1, 2, 3):
         got = wire.send(MessageKind.QUERY, {"pose": [0.0, 1.0]}, token=token)
         assert got.kind is MessageKind.LANDMARKS
