@@ -91,8 +91,8 @@ class BackendError(RuntimeError):
 
 @dataclass
 class QueryResult:
-    landmark_ids: list[int]
-    class_ids: list[int]
+    landmark_ids: np.ndarray  # int64, in the order of the reply
+    class_ids: np.ndarray  # int64
     n_candidates: int
     map_version: int
 
@@ -165,8 +165,8 @@ class VehicleClient:
         reply = self.call(MessageKind.QUERY, EncodedBody(f'{{"pose":[{",".join(pose)}]}}'))
         b = reply.body
         return QueryResult(
-            landmark_ids=list(map(int, b["landmark_ids"])),
-            class_ids=list(map(int, b["class_ids"])),
+            landmark_ids=np.array(b["landmark_ids"], dtype=np.int64),
+            class_ids=np.array(b["class_ids"], dtype=np.int64),
             n_candidates=int(b["n_candidates"]),
             map_version=int(b["map_version"]),
         )
@@ -229,8 +229,7 @@ def drive_sortie(
     # One detection probability per kernel column, the sortie's condition being fixed.
     p_det = detection_probabilities(*table.params, dataset.condition)
     for k in range(n):
-        result = client.query(dataset.poses[k])
-        ids = np.array(result.landmark_ids, dtype=np.int64)
+        ids = client.query(dataset.poses[k]).landmark_ids
         selected_counts[k] = len(ids)
         hit = uniform01(dataset.observation_seed, k, ids) < p_det[table.columns(ids)]
         observed = ids[hit]

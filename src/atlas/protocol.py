@@ -23,13 +23,18 @@ safe to hash, diff, and count for bandwidth accounting.
 A body may also arrive already written as canonical JSON text
 (``EncodedBody``): the vehicle writes its queries, reports and sortie
 uploads from its arrays that way, and ``landmarks`` replies, the bulk of
-the traffic, are joined by ``encode_landmarks_frame`` from positions that
-were encoded once per map snapshot (``position_fragments``).  Both go
-through one envelope writer and give exactly the bytes ``encode_frame``
-writes for the same message with the body as a dict.
+the traffic, are joined by ``encode_landmarks_frame`` from the texts of
+ids and positions that the server keeps per map version
+(``position_fragments``).  Both go through one envelope writer and give
+exactly the bytes ``encode_frame`` writes for the same message with the
+body as a dict.
 
 Decoding gives exactly what ``json.loads`` gives, parsed by orjson where
-the two agree (see ``parse_json``).
+the two agree (see ``parse_json``).  An ``upload_sortie`` frame in the
+layout the vehicle writes is read straight into columns instead
+(``upload_sortie_text`` here, the sortie by ``worldgen.sortie_from_json``);
+any other frame, and any upload that reader does not take, is decoded as
+above.
 
 Every request receives exactly one reply carrying the same ``cid``: a
 ``query`` is answered by ``landmarks`` or ``error``; ``open_session``,
@@ -185,18 +190,20 @@ def _framed(body: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class LandmarksReply:
-    """A ``landmarks`` reply whose positions are already canonical JSON.
+    """A ``landmarks`` reply whose ids and positions are already canonical JSON.
 
-    ``positions`` holds one ``"[x,y,z]"`` fragment per landmark, as made by
-    position_fragments.  It stands for the Message whose body has the same
-    fields with each position as a list of three floats.
+    ``landmark_ids`` and ``class_ids`` hold the text of each int, as
+    json.dumps writes it, and ``positions`` one ``"[x,y,z]"`` fragment per
+    landmark, as made by position_fragments.  It stands for the Message
+    whose body has the same fields with each id as an int and each position
+    as a list of three floats.
     """
 
     kind: ClassVar[MessageKind] = MessageKind.LANDMARKS
     cid: int
     token: int
-    landmark_ids: list[int]
-    class_ids: list[int]
+    landmark_ids: Sequence[str]
+    class_ids: Sequence[str]
     positions: Sequence[str]
     n_candidates: int
     map_version: int
@@ -216,14 +223,14 @@ def position_fragments(positions: np.ndarray) -> np.ndarray:
 
 
 def encode_landmarks_frame(reply: LandmarksReply) -> bytes:
-    """The frame encode_frame makes for the same reply, joined from its parts.
+    """The frame encode_frame makes for the same reply, joined from its texts.
 
-    Body keys go in sorted order, ints are written with str (as json.dumps
-    writes them) and positions are joined from their fragments.
+    Body keys go in sorted order, and the two scalar ints are written with
+    str, as json.dumps writes them.
     """
     body = "".join((
-        '{"class_ids":[', ",".join(map(str, reply.class_ids)),
-        '],"landmark_ids":[', ",".join(map(str, reply.landmark_ids)),
+        '{"class_ids":[', ",".join(reply.class_ids),
+        '],"landmark_ids":[', ",".join(reply.landmark_ids),
         '],"map_version":', str(reply.map_version),
         ',"n_candidates":', str(reply.n_candidates),
         ',"positions":[', ",".join(reply.positions), "]}",
@@ -337,6 +344,32 @@ def decode_body(raw: bytes) -> Message:
         if not isinstance(code, str) or code not in _ERROR_CODES:
             raise ProtocolError(f"error reply carries unknown code {code!r}")
     return Message(kind=kind, cid=cid, token=token, body=body)
+
+
+# An upload_sortie frame as the vehicle writes it (client.upload_sortie): the
+# sortie object, then cid and token as JSON integers of at most 18 digits.
+_UPLOAD = re.compile(
+    rb'\{"body":\{"sortie":(\{.*\})\},"cid":(0|[1-9][0-9]{0,17}),"kind":"upload_sortie",'
+    rb'"token":(null|-?(?:0|[1-9][0-9]{0,17}))\}',
+    re.DOTALL,
+)
+
+
+def upload_sortie_text(raw: bytes) -> tuple[int, int | None, memoryview] | None:
+    """(cid, token, the text of the sortie) of an upload_sortie frame body in
+    the layout the vehicle writes, or None for any other frame body.
+
+    The envelope is checked here and the sortie's text is left to its
+    reader, which reads it into columns (worldgen.sortie_from_json).  When
+    that reader takes the text, decode_body reads the frame to the same
+    kind, cid and token, and sortie_from_doc its sortie to the same dataset.
+    """
+    envelope = _UPLOAD.fullmatch(raw)
+    if envelope is None:
+        return None
+    token = envelope[3]
+    return (int(envelope[2]), None if token == b"null" else int(token),
+            memoryview(raw)[envelope.start(1):envelope.end(1)])
 
 
 def read_frame(stream) -> bytes | None:

@@ -8,10 +8,11 @@ pipeline under a single writer lock and publish a fresh snapshot
 atomically, so a query sees either the old map or the new one, never a
 half-updated hybrid.  What is derived from a map version is published
 with it in the same swap: the kernel registry the pipeline returned, and a
-reply table holding each landmark's class id and its position pre-encoded
-as a JSON fragment.  ``landmarks`` replies are joined from those fragments
-and are byte-identical to what the canonical encoder ``encode_frame``
-writes for the same reply.
+reply table holding the JSON text of each landmark's id and position and
+of each class id.  ``landmarks`` replies are joined from those texts and
+are byte-identical to what the canonical encoder ``encode_frame`` writes
+for the same reply.  An upload in the layout the vehicle writes is read
+straight from its frame into columns; any other frame is decoded as JSON.
 
 Bandwidth accounting is byte-exact: every request and reply is counted
 at the frame level (4-byte length prefix plus JSON body) by the same
@@ -49,6 +50,7 @@ from .protocol import (
     encode_landmarks_frame,
     position_fragments,
     read_frame,
+    upload_sortie_text,
 )
 from .ranking import (
     RollingSelectionStats,
@@ -57,7 +59,7 @@ from .ranking import (
     select_from_arrays,
     update_window,
 )
-from .worldgen import KernelRegistry, sortie_from_doc
+from .worldgen import KernelRegistry, SortieDataset, sortie_from_doc, sortie_from_json
 
 DEFAULT_SENSOR_RANGE = 25.0
 
@@ -84,18 +86,37 @@ class BandwidthLedger:
 class _Published:
     """One map version and what is derived from it, swapped in as a unit.
 
-    Row r of the reply table is the JSON fragment of the position of
-    landmark map.landmark_ids[r], whose class is map.index.class_ids[r].
+    Row r of the reply table holds the JSON texts of the id and the position
+    of landmark map.landmark_ids[r]; class_texts[c] is the text of class id c.
     """
 
     map: MultiSessionMap
     kernels: KernelRegistry
+    id_texts: np.ndarray
     positions: np.ndarray
+    class_texts: np.ndarray
 
     @classmethod
-    def of(cls, m: MultiSessionMap, kernels: KernelRegistry) -> "_Published":
-        m.index  # built here, under the write lock, rather than by the first query
-        return cls(m, kernels, position_fragments(m.landmark_positions))
+    def of(cls, m: MultiSessionMap, kernels: KernelRegistry,
+           previous: "_Published | None" = None) -> "_Published":
+        """The reply table of m, reusing the texts of previous for the
+        landmarks that survive from it: a landmark never moves, so only the
+        new ones are written."""
+        ids = m.landmark_ids
+        id_texts = np.empty(len(ids), dtype=object)
+        positions = np.empty(len(ids), dtype=object)
+        fresh = np.ones(len(ids), dtype=bool)
+        if previous is not None and len(previous.map.landmark_ids):
+            old = previous.map.landmark_ids
+            rows = np.minimum(np.searchsorted(old, ids), len(old) - 1)
+            fresh = old[rows] != ids
+            id_texts[~fresh] = previous.id_texts[rows[~fresh]]
+            positions[~fresh] = previous.positions[rows[~fresh]]
+        id_texts[fresh] = list(map(str, ids[fresh].tolist()))
+        positions[fresh] = position_fragments(m.landmark_positions[fresh])
+        # The index is built here, under the write lock, rather than by the first query.
+        class_texts = np.array(list(map(str, range(len(m.index)))), dtype=object)
+        return cls(m, kernels, id_texts, positions, class_texts)
 
 
 @dataclass
@@ -129,6 +150,20 @@ def _finite_number(v: Any) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def read_upload(raw: bytes) -> Message | None:
+    """The upload_sortie request of a frame body in the layout the vehicle
+    writes, its sortie read straight into a SortieDataset; None for any
+    other frame body, which decode_body and sortie_from_doc then read."""
+    upload = upload_sortie_text(raw)
+    if upload is None:
+        return None
+    cid, token, text = upload
+    dataset = sortie_from_json(text)
+    if dataset is None:
+        return None
+    return Message(MessageKind.UPLOAD_SORTIE, cid=cid, token=token, body={"sortie": dataset})
 
 
 class MapBackend:
@@ -186,12 +221,14 @@ class MapBackend:
         its own.
         """
         bytes_up = 4 + len(raw)
-        try:
-            msg = decode_body(raw)
-        except ProtocolError as exc:
-            reply = Message(MessageKind.ERROR, cid=0, token=None,
-                            body={"code": ERR_BAD_REQUEST, "detail": str(exc)})
-            return self._account(None, bytes_up, reply)
+        msg = read_upload(raw)
+        if msg is None:
+            try:
+                msg = decode_body(raw)
+            except ProtocolError as exc:
+                reply = Message(MessageKind.ERROR, cid=0, token=None,
+                                body={"code": ERR_BAD_REQUEST, "detail": str(exc)})
+                return self._account(None, bytes_up, reply)
         session = self._resolve(msg.token)
         reply = self.handle_message(msg, session)
         if msg.kind is MessageKind.OPEN_SESSION:
@@ -329,9 +366,9 @@ class MapBackend:
         return LandmarksReply(
             cid=msg.cid,
             token=session.token,
-            landmark_ids=selected.tolist(),
-            class_ids=class_ids.tolist(),
-            positions=pub.positions[selected_rows],
+            landmark_ids=pub.id_texts[selected_rows].tolist(),
+            class_ids=pub.class_texts[class_ids].tolist(),
+            positions=pub.positions[selected_rows].tolist(),
             n_candidates=len(candidates),
             map_version=snap.version,
         )
@@ -364,12 +401,15 @@ class MapBackend:
     def _upload(self, msg: Message, session: _Session) -> Message:
         # Taken out of the request, the document is freed once parsed, before the update.
         doc = msg.body.pop("sortie", None)
-        if not isinstance(doc, dict):
+        if isinstance(doc, SortieDataset):  # read from the frame by read_upload
+            dataset = doc
+        elif not isinstance(doc, dict):
             return msg.error(ERR_BAD_REQUEST, "upload body must carry a sortie object")
-        try:
-            dataset = sortie_from_doc(doc)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            return msg.error(ERR_BAD_REQUEST, f"malformed sortie: {exc}")
+        else:
+            try:
+                dataset = sortie_from_doc(doc)
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+                return msg.error(ERR_BAD_REQUEST, f"malformed sortie: {exc}")
         del doc
         with self._write_lock:
             try:
@@ -380,7 +420,7 @@ class MapBackend:
                 return msg.error(ERR_BAD_REQUEST, f"sortie rejected: {exc}")
             # Atomic publish of the map, its registry and its reply table;
             # readers hold old refs.
-            self._published = _Published.of(new_map, kernels)
+            self._published = _Published.of(new_map, kernels, self._published)
         return Message(
             MessageKind.UPDATE_ACK,
             cid=msg.cid,

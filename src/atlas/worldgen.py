@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -514,7 +515,10 @@ def sortie_from_doc(doc: Mapping) -> SortieDataset:
     """Parse a sortie document; ValueError unless `poses` is a non-empty, finite
     (n, 3) array, `condition` is finite, `sensor_range` is finite and not
     negative, and every proposal passes check_new_landmarks and check_kernels,
-    whatever update the sortie later becomes."""
+    whatever update the sortie later becomes.
+
+    `proposals` is a list of proposal objects, or a Proposals block that
+    sortie_from_json read as columns."""
     poses = np.asarray(doc["poses"], dtype=np.float64)  # an empty list parses to shape (0,)
     if poses.ndim != 2 or poses.shape[1] != 3 or not np.isfinite(poses).all():
         raise ValueError(f"poses must be a non-empty, finite (n, 3) array, got shape {poses.shape}")
@@ -525,14 +529,19 @@ def sortie_from_doc(doc: Mapping) -> SortieDataset:
     if not (math.isfinite(sensor_range) and sensor_range >= 0):
         raise ValueError(f"sensor_range must be finite and non-negative, got {sensor_range}")
     proposals = doc["proposals"]
-    positions, observations = check_new_landmarks(
-        len(poses),
-        list(map(itemgetter("position"), proposals)),
-        _pose_counts(list(map(itemgetter("observations"), proposals))),
-    )
-    kernels = check_kernels(
-        list(map(itemgetter("center", "width", "peak"), map(itemgetter("kernel"), proposals)))
-    )
+    if isinstance(proposals, Proposals):
+        positions, observations = check_new_landmarks(
+            len(poses), proposals.positions, proposals.observations)
+        kernels = check_kernels(proposals.kernels)
+    else:
+        positions, observations = check_new_landmarks(
+            len(poses),
+            list(map(itemgetter("position"), proposals)),
+            _pose_counts(list(map(itemgetter("observations"), proposals))),
+        )
+        kernels = check_kernels(
+            list(map(itemgetter("center", "width", "peak"), map(itemgetter("kernel"), proposals)))
+        )
     return SortieDataset(
         label=str(doc["label"]),
         condition=condition,
@@ -542,6 +551,90 @@ def sortie_from_doc(doc: Mapping) -> SortieDataset:
         observation_seed=int(doc["observation_seed"]),
         error_seed=int(doc["error_seed"]),
     )
+
+
+# The layout client.sortie_json writes.  A number or a seed is any run of
+# the bytes a JSON number is made of, which json.loads then reads or
+# refuses; pose keys and counts are JSON integers of at most 18 digits, so
+# each fits an int64.
+_LAYOUT_TERMS = {
+    b"number": rb"[-+.eE0-9]+",
+    b"integer": rb"-?[0-9]+",
+    b"small": rb"(?:0|[1-9][0-9]{0,17})",
+}
+_LAYOUT_TERMS[b"xyz"] = b",".join([_LAYOUT_TERMS[b"number"]] * 3)
+# Groups: condition, error_seed, label, observation_seed, poses, proposals, sensor_range.
+_SORTIE = re.compile(
+    rb'\{"condition":(%(number)b),"error_seed":(%(integer)b),"label":"([^"\\\x00-\x1f]*)",'
+    rb'"observation_seed":(%(integer)b),"poses":\[(\[%(xyz)b\](?:,\[%(xyz)b\])*)\],'
+    rb'"proposals":\[(.*)\],"sensor_range":(%(number)b)\}' % _LAYOUT_TERMS,
+    re.DOTALL,
+)
+# One proposal, with the comma that follows it unless it is the last.
+# Groups: center, peak, width, observations, position.
+_PROPOSAL = re.compile(
+    rb'\{"kernel":\{"center":(%(number)b),"peak":(%(number)b),"width":(%(number)b)\},'
+    rb'"observations":\{((?:"%(small)b":%(small)b,)*"%(small)b":%(small)b)\},'
+    rb'"position":\[(%(xyz)b)\]\}(?:,(?=\{)|\Z)' % _LAYOUT_TERMS
+)
+# The bytes of a proposal outside its groups and its comma.
+_PROPOSAL_FRAME = len(b'{"kernel":{"center":,"peak":,"width":},"observations":{},"position":[]}')
+_KEYS_AND_COUNTS = bytes.maketrans(b":", b",")
+
+
+def sortie_from_json(text: bytes | memoryview) -> SortieDataset | None:
+    """The sortie of a text in the layout client.sortie_json writes, read
+    straight into columns: what sortie_from_doc(json.loads(text)) returns.
+
+    Every number and seed is read by json.loads from its own text, and pose
+    keys and counts as int64.  None for any other text (an escape in the
+    label, a key or count with a leading zero or over 18 digits, a pose named
+    twice in one proposal, a NaN, spacing, another key order, ...) and for
+    a sortie that sortie_from_doc refuses: the caller then reads the text
+    as JSON and hands the document to sortie_from_doc, which gives the verdict.
+    """
+    head = _SORTIE.fullmatch(text)
+    if head is None:
+        return None
+    start, end = head.span(6)
+    found = _PROPOSAL.findall(text, start, end)
+    # The matches tile the proposals' text: their bytes, one comma between
+    # each two included, add up to all of it.
+    matched = sum(map(len, chain.from_iterable(found))) + (_PROPOSAL_FRAME + 1) * len(found)
+    if matched != end - start + (end > start):
+        return None
+    centers, peaks, widths, observations, positions = zip(*found) if found else ((),) * 5
+    try:
+        label = head[3].decode("utf-8")
+        # Not UTF-8, not a JSON number, or an integer of over 4300 digits: ValueError.
+        condition, sensor_range, observation_seed, error_seed, poses, kernels, xyz = json.loads(
+            b"[%b,%b,%b,%b,[%b],[%b],[%b]]" % (
+                head[1], head[7], head[4], head[2], head[5],
+                b",".join(chain.from_iterable(zip(centers, widths, peaks))), b",".join(positions),
+            )
+        )
+        kernels = np.array(kernels, dtype=np.float64).reshape(-1, 3)
+        xyz = np.array(xyz, dtype=np.float64).reshape(-1, 3)
+    except (OverflowError, ValueError):
+        return None
+    keys, counts = np.fromstring(
+        b",".join(observations).translate(_KEYS_AND_COUNTS, b'"'), dtype=np.int64, sep=","
+    ).reshape(-1, 2).T
+    sizes = np.fromiter(map(methodcaller("count", b":"), observations), dtype=np.int64, count=len(found))
+    if keys.max(initial=0) >= len(poses):
+        return None  # a pose out of range, which sortie_from_doc refuses
+    rows = np.repeat(np.arange(len(found)), sizes)
+    order = np.argsort(rows * len(poses) + keys, kind="stable")
+    triples = np.column_stack((rows, keys[order], counts[order]))  # rows already ascend
+    if np.any((np.diff(triples[:, 1]) == 0) & (np.diff(rows) == 0)):
+        return None  # json.loads keeps the last count of a pose a proposal names twice
+    doc = {"label": label, "condition": condition, "poses": poses, "sensor_range": sensor_range,
+           "observation_seed": observation_seed, "error_seed": error_seed,
+           "proposals": Proposals(xyz, triples, kernels)}
+    try:
+        return sortie_from_doc(doc)
+    except (OverflowError, ValueError):
+        return None
 
 
 # -- Built-in scenarios --

@@ -162,12 +162,21 @@ def test_decode_accepts_null_token_and_zero_cid():
     assert encode_body(msg) == raw
 
 
-def _dict_built_landmarks_frame(reply: LandmarksReply, positions: np.ndarray) -> bytes:
-    """The canonical encoder on the reply as a Message with float-list positions."""
+def _texts_reply(landmark_ids: list[int], class_ids: list[int], positions: np.ndarray,
+                 **fields) -> LandmarksReply:
+    """A LandmarksReply holding the texts of the given ids and positions."""
+    return LandmarksReply(landmark_ids=list(map(str, landmark_ids)),
+                          class_ids=list(map(str, class_ids)),
+                          positions=position_fragments(positions), **fields)
+
+
+def _dict_built_landmarks_frame(reply: LandmarksReply, landmark_ids: list[int],
+                                class_ids: list[int], positions: np.ndarray) -> bytes:
+    """The canonical encoder on the reply as a Message with int ids and float-list positions."""
     body = {
-        "landmark_ids": list(reply.landmark_ids),
+        "landmark_ids": list(landmark_ids),
         "positions": [[float(x) for x in row] for row in positions],
-        "class_ids": list(reply.class_ids),
+        "class_ids": list(class_ids),
         "n_candidates": reply.n_candidates,
         "map_version": reply.map_version,
     }
@@ -189,16 +198,17 @@ def test_landmarks_frame_matches_canonical_encoder():
         ]
         positions = np.array(floats, dtype=np.float64).reshape(n, 3)
         id_top = rnd.choice([50, 2**31 + 5, 2**62])
-        reply = LandmarksReply(
+        landmark_ids = [rnd.randrange(id_top) for _ in range(n)]
+        class_ids = [rnd.randrange(2**32 if trial % 3 == 0 else 30) for _ in range(n)]
+        reply = _texts_reply(
+            landmark_ids, class_ids, positions,
             cid=rnd.choice([0, 1, rnd.randrange(2**40)]),
             token=rnd.choice([1, rnd.randrange(2**33)]),
-            landmark_ids=[rnd.randrange(id_top) for _ in range(n)],
-            class_ids=[rnd.randrange(2**32 if trial % 3 == 0 else 30) for _ in range(n)],
-            positions=position_fragments(positions),
             n_candidates=n + rnd.randrange(2**31 + 10 if trial % 7 == 0 else 100),
             map_version=rnd.randrange(2**35 if trial % 5 == 0 else 20),
         )
-        assert encode_landmarks_frame(reply) == _dict_built_landmarks_frame(reply, positions)
+        assert encode_landmarks_frame(reply) == _dict_built_landmarks_frame(
+            reply, landmark_ids, class_ids, positions)
 
 
 def test_landmarks_frame_edge_values_and_fragments():
@@ -206,22 +216,21 @@ def test_landmarks_frame_edge_values_and_fragments():
     fragments = position_fragments(positions)
     assert fragments.tolist() == ["[-0.0,3.0,1e+16]", "[1e-300,-2.5,0.0]"]
     assert position_fragments(np.empty((0, 3))).tolist() == []
-    reply = LandmarksReply(cid=4, token=2**31 + 1, landmark_ids=[2**31, 2**40], class_ids=[0, 7],
-                           positions=fragments, n_candidates=9, map_version=3)
+    reply = _texts_reply([2**31, 2**40], [0, 7], positions,
+                         cid=4, token=2**31 + 1, n_candidates=9, map_version=3)
     frame = encode_landmarks_frame(reply)
-    assert frame == _dict_built_landmarks_frame(reply, positions)
+    assert frame == _dict_built_landmarks_frame(reply, [2**31, 2**40], [0, 7], positions)
     decoded = decode_body(frame[4:])
     assert decoded.kind is MessageKind.LANDMARKS
     assert decoded.body["positions"][0] == [-0.0, 3.0, 1e16]
     assert str(decoded.body["positions"][0][0]) == "-0.0"
-    empty = LandmarksReply(cid=1, token=1, landmark_ids=[], class_ids=[],
-                           positions=fragments[:0], n_candidates=0, map_version=0)
-    assert encode_landmarks_frame(empty) == _dict_built_landmarks_frame(empty, np.empty((0, 3)))
+    empty = _texts_reply([], [], np.empty((0, 3)), cid=1, token=1, n_candidates=0, map_version=0)
+    assert encode_landmarks_frame(empty) == _dict_built_landmarks_frame(empty, [], [], np.empty((0, 3)))
 
 
 def test_oversized_landmarks_frame_refused():
     n = MAX_FRAME_BYTES // 16  # at least 18 body bytes per landmark
-    reply = LandmarksReply(cid=1, token=1, landmark_ids=[0] * n, class_ids=[0] * n,
+    reply = LandmarksReply(cid=1, token=1, landmark_ids=["0"] * n, class_ids=["0"] * n,
                            positions=["[0.0,0.0,0.0]"] * n, n_candidates=n, map_version=0)
     with pytest.raises(FrameTooLarge):
         encode_landmarks_frame(reply)

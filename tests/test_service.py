@@ -757,7 +757,7 @@ def test_vehicle_frames_equal_the_canonical_encoder():
         Message(MessageKind.UPDATE_ACK, cid=3, token=7, body=ack),
     ])
     result = client.query(ds.poses[0])
-    assert result.landmark_ids == [4, 2] and result.class_ids == [0, 1]
+    assert result.landmark_ids.tolist() == [4, 2] and result.class_ids.tolist() == [0, 1]
     client.report(np.array([4, 4], dtype=np.int64))
     assert client.upload_sortie(ds) == ack
     pose = [float(v) for v in ds.poses[0]]
@@ -914,8 +914,8 @@ def test_served_selection_matches_simulated_selection(many_classes, spec):
             observed = by_pose(local.observed_ids, local.observed_counts)
             for k, (sel, obs) in enumerate(zip(selected, observed)):
                 result = client.query(revisit.poses[k])
-                assert result.landmark_ids == sel.tolist(), f"iteration {k}"
-                assert result.class_ids == [m.index.classes_of([i])[0] for i in sel]
+                assert result.landmark_ids.tolist() == sel.tolist(), f"iteration {k}"
+                assert result.class_ids.tolist() == [m.index.classes_of([i])[0] for i in sel]
                 client.report(obs.tolist())
 
 
@@ -1029,6 +1029,27 @@ def test_vehicle_sidecar_matches_the_backend_after_every_capped_upload():
     assert summarized == 1 and len(backend.snapshot.landmarks) == scenario.landmark_cap
     assert dumps_map(backend.snapshot) == dumps_map(chrono.final_map)
     assert backend.kernels == chrono.kernels
+
+
+def test_served_vehicle_uploads_never_decode_json(monkeypatch):
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=11)
+    backend = MapBackend(MultiSessionMap(), threshold_m=sc.threshold_m)
+    decode = atlas.server.decode_body
+
+    def no_uploads(raw):
+        msg = decode(raw)
+        assert msg.kind is not MessageKind.UPLOAD_SORTIE, "an upload went to decode_body"
+        return msg
+
+    monkeypatch.setattr(atlas.server, "decode_body", no_uploads)
+    client = in_process_client(backend)
+    kernels: dict = {}
+    for i, spec in enumerate(sc.schedule):
+        client.open_session(policy="class_ratio@0.5", sensor_range=sc.sensor_range)
+        ack = drive_sortie(client, generate_sortie(world, spec.condition, seed=100 + i), kernels).upload_ack
+        client.close_session()
+        assert ack["map_version"] == backend.map_version
 
 
 def test_client_raises_backend_errors():
