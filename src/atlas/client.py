@@ -6,7 +6,8 @@ each landmark it knows about.  The backend sends ranked selections; the
 vehicle attempts to match them, reports what it actually observed, and
 finally uploads the sortie so the backend can grow or annotate the map.
 Requests are written from the vehicle's arrays as canonical JSON text
-(``EncodedBody``), the upload by ``sortie_json`` from the sortie's columns.
+(``EncodedBody``), the upload by ``sortie_json`` from the sortie's columns;
+``landmarks`` replies are read into id arrays (``protocol.landmarks_reply``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .protocol import (
     EncodedBody,
     Message,
     MessageKind,
+    ProtocolError,
     canonical_json,
     encode_frame,
     float_texts,
@@ -96,6 +98,29 @@ class QueryResult:
     n_candidates: int
     map_version: int
 
+    @classmethod
+    def of_reply(cls, body: dict) -> "QueryResult":
+        """The result a landmarks reply's body gives, read by landmarks_reply
+        or by decode_body; ProtocolError unless every id is an int within
+        int64 and both scalars are ints."""
+        n_candidates, map_version = body.get("n_candidates"), body.get("map_version")
+        if type(n_candidates) is not int or type(map_version) is not int:
+            raise ProtocolError("reply n_candidates and map_version must be integers")
+        return cls(_int64s(body, "landmark_ids"), _int64s(body, "class_ids"), n_candidates, map_version)
+
+
+def _int64s(body: dict, key: str) -> np.ndarray:
+    values = body.get(key)
+    if isinstance(values, np.ndarray):  # read by landmarks_reply
+        return values
+    # A decoded frame's integers are exactly int, so this also refuses bools.
+    if isinstance(values, list) and set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    raise ProtocolError(f"reply {key} must be a list of 64-bit integers")
+
 
 class VehicleClient:
     """One vehicle's connection to a map backend.
@@ -163,13 +188,7 @@ class VehicleClient:
     def query(self, pose) -> QueryResult:
         pose = float_texts(np.asarray(pose, dtype=np.float64))
         reply = self.call(MessageKind.QUERY, EncodedBody(f'{{"pose":[{",".join(pose)}]}}'))
-        b = reply.body
-        return QueryResult(
-            landmark_ids=np.array(b["landmark_ids"], dtype=np.int64),
-            class_ids=np.array(b["class_ids"], dtype=np.int64),
-            n_candidates=int(b["n_candidates"]),
-            map_version=int(b["map_version"]),
-        )
+        return QueryResult.of_reply(reply.body)
 
     def report(self, observed_ids) -> dict:
         ids = map(int, observed_ids.tolist() if isinstance(observed_ids, np.ndarray) else observed_ids)

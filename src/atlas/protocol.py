@@ -29,12 +29,14 @@ ids and positions that the server keeps per map version
 exactly the bytes ``encode_frame`` writes for the same message with the
 body as a dict.
 
-Decoding gives exactly what ``json.loads`` gives, parsed by orjson where
-the two agree (see ``parse_json``).  An ``upload_sortie`` frame in the
-layout the vehicle writes is read straight into columns instead
-(``upload_sortie_text`` here, the sortie by ``worldgen.sortie_from_json``);
-any other frame, and any upload that reader does not take, is decoded as
-above.
+Frames are parsed by ``json.loads`` (``decode_body``).  The two bulk
+frames each have a reader for the layout their writer gives them instead:
+an ``upload_sortie`` frame as the vehicle writes it is read straight into
+columns (``upload_sortie_text`` here, the sortie by
+``worldgen.sortie_from_json``), and a ``landmarks`` reply as
+``encode_landmarks_frame`` writes it into id arrays (``landmarks_reply``).
+Any other frame, and any such frame its reader does not take, goes to
+``decode_body``.
 
 Every request receives exactly one reply carrying the same ``cid``: a
 ``query`` is answered by ``landmarks`` or ``error``; ``open_session``,
@@ -53,7 +55,6 @@ from enum import Enum
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
-import orjson
 
 MAX_FRAME_BYTES = 16 * 2**20
 
@@ -238,83 +239,13 @@ def encode_landmarks_frame(reply: LandmarksReply) -> bytes:
     return _framed(_envelope(reply.kind, reply.cid, reply.token, body))
 
 
-# json.loads recurses once per nesting level and orjson does not recurse
-# at all.  From any call site with fewer than (recursion limit - this many)
-# frames on the stack, json.loads parses every frame nested less deeply.
-_TRUSTED_DEPTH = 500
-# Byte classes of a frame: 1 for a digit, 2 for '[' or '{', 0 for the rest.
-_CLASSES = bytes(1 if 48 <= b <= 57 else 2 if b in b"[{" else 0 for b in range(256))
-# A JSON string token, escapes included.
-_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
-# Each bracket's step in nesting depth, as an int8: +1 opens, -1 closes.
-_DEPTH_STEPS = bytes(1 if b in b"[{" else 255 if b in b"]}" else 0 for b in range(256))
-_NOT_BRACKETS = bytes(b for b in range(256) if b not in b"[]{}")
-# Every integer literal beyond 64 bits holds a run of this many digits.
-_LONG_DIGIT_RUN = b"\x01" * 19
-# orjson 3.8 parses into a buffer that it keeps for the life of the
-# process, and the part of it the largest frame so far touched stays
-# resident: about 1.5 MB once a server has parsed one 385 kB city_dusk
-# upload.  Uploads are longer than this; in a city_dusk fleet pass every
-# other frame is shorter, the largest being a 40 kB landmarks reply.
-_ORJSON_MAX_BYTES = 64 * 1024
-
-
-def parse_json(raw: bytes) -> Any:
-    """Exactly what json.loads(raw.decode("utf-8")) returns or raises.
-
-    orjson parses the frame; its result stands unless the frame is one on
-    which orjson differs from json.loads.  These go to json.loads itself:
-    frames orjson refuses (NaN and Infinity, lone surrogate escapes,
-    overflowing floats such as 1e400, and what is not JSON at all), frames
-    with a run of 19 or more digits that is not part of a float (every
-    integer literal beyond 64 bits has one, and orjson would make it a
-    float) and frames nested _TRUSTED_DEPTH or more levels deep (orjson
-    parses any depth; json.loads raises RecursionError).  Frames longer
-    than _ORJSON_MAX_BYTES (sortie uploads) go to json.loads as well.
-    """
-    if len(raw) > _ORJSON_MAX_BYTES:
-        return _json_loads(raw)
-    try:
-        payload = orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        return _json_loads(raw)
-    if _beyond_orjson(raw):
-        return _json_loads(raw)
-    return payload
-
-
-def _json_loads(raw: bytes) -> Any:
-    return json.loads(raw.decode("utf-8"))
-
-
-def _beyond_orjson(raw: bytes) -> bool:
-    """Whether raw, a JSON text, may hold an integer literal beyond 64 bits,
-    or nests _TRUSTED_DEPTH deep.  False positives only cost a json.loads."""
-    classes = raw.translate(_CLASSES)
-    start = classes.find(_LONG_DIGIT_RUN)
-    while start >= 0:
-        end = start + len(_LONG_DIGIT_RUN)
-        while end < len(raw) and classes[end] == 1:
-            end += 1
-        # A float's fraction or integer part reads alike in both parsers; a
-        # run inside a string is judged like a number and at worst costs a
-        # json.loads.
-        if raw[start - 1:start] != b"." and raw[end:end + 1] not in (b".", b"e", b"E"):
-            return True
-        start = classes.find(_LONG_DIGIT_RUN, end)
-    # Each level of nesting opens with one '[' or '{'.
-    if len(raw) < 2 * _TRUSTED_DEPTH or classes.count(2) < _TRUSTED_DEPTH:
-        return False
-    # Outside its strings, a JSON text's brackets nest exactly as its values do.
-    brackets = _STRING.sub(b"", raw).translate(_DEPTH_STEPS, _NOT_BRACKETS)
-    steps = np.frombuffer(brackets, dtype=np.int8)
-    return int(np.cumsum(steps, dtype=np.int64).max(initial=0)) >= _TRUSTED_DEPTH
-
-
 def decode_body(raw: bytes) -> Message:
-    """Parse and validate one frame body."""
+    """Parse and validate one frame body.
+
+    The body is decoded as UTF-8 first: json.loads would take bytes in
+    UTF-16 or UTF-32 as well."""
     try:
-        payload = parse_json(raw)
+        payload = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an integer of over 4300 digits
         raise ProtocolError(f"frame is not valid UTF-8 JSON: {exc}") from exc
     except RecursionError:
@@ -372,6 +303,42 @@ def upload_sortie_text(raw: bytes) -> tuple[int, int | None, memoryview] | None:
             memoryview(raw)[envelope.start(1):envelope.end(1)])
 
 
+# A landmarks reply as encode_landmarks_frame writes it: ids, class ids, the
+# two scalars, cid and token as JSON integers of at most 18 digits, and each
+# position three JSON numbers.  Possessive quantifiers keep the match linear.
+_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+_INTS = rb"(?:" + _INT + rb"(?:," + _INT + rb")*+)?+"
+_NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
+_POSITION = rb"\[" + _NUMBER + rb"," + _NUMBER + rb"," + _NUMBER + rb"\]"
+_LANDMARKS = re.compile(
+    rb'\{"body":\{"class_ids":\[(' + _INTS + rb')\],"landmark_ids":\[(' + _INTS + rb')\],'
+    rb'"map_version":(' + _INT + rb'),"n_candidates":(' + _INT + rb'),'
+    rb'"positions":\[(?:' + _POSITION + rb'(?:,' + _POSITION + rb')*+)?+\]\},'
+    rb'"cid":(0|[1-9][0-9]{0,17}),"kind":"landmarks","token":(null|' + _INT + rb')\}'
+)
+
+
+def landmarks_reply(raw: bytes) -> Message | None:
+    """The landmarks reply of a frame body in the layout encode_landmarks_frame
+    writes, or None for any other frame body.
+
+    Its body holds landmark_ids and class_ids as int64 arrays, and
+    n_candidates and map_version.  Positions, which the vehicle does not
+    read, are matched against the JSON number grammar and not converted.
+    When this reader takes a frame, decode_body reads it to the same kind,
+    cid and token, and to the same ids and scalars.
+    """
+    reply = _LANDMARKS.fullmatch(raw)
+    if reply is None:
+        return None
+    token = reply[6]
+    return Message(MessageKind.LANDMARKS, cid=int(reply[5]),
+                   token=None if token == b"null" else int(token),
+                   body={"landmark_ids": np.fromstring(reply[2], dtype=np.int64, sep=","),
+                         "class_ids": np.fromstring(reply[1], dtype=np.int64, sep=","),
+                         "n_candidates": int(reply[4]), "map_version": int(reply[3])})
+
+
 def read_frame(stream) -> bytes | None:
     """Read one frame body from a binary file-like stream.
 
@@ -399,7 +366,10 @@ def read_frame(stream) -> bytes | None:
 
 
 def read_message(stream) -> Message | None:
+    """The next message of a stream: a landmarks reply by its reader, any
+    other frame by decode_body; None on a clean end-of-stream."""
     raw = read_frame(stream)
     if raw is None:
         return None
-    return decode_body(raw)
+    msg = landmarks_reply(raw)
+    return decode_body(raw) if msg is None else msg

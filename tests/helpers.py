@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import string
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from atlas.client import VehicleClient
 from atlas.experiment import GapStudy, build_dataset, build_world
 from atlas.locsim import (
     POSE_ERROR,
@@ -29,6 +31,7 @@ from atlas.ranking import (
     selection_size,
 )
 from atlas.rng import derive_seed, hash_stream
+from atlas.server import MapBackend
 from atlas.summarize import SummarizationProblem
 from atlas.worldgen import GroundSite, Scenario, SortieSpec, World, generate_sortie, with_overrides
 
@@ -194,6 +197,32 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+class InProcessTransport:
+    """A vehicle's socket and read stream in one: each frame sent is answered
+    at once by the backend's handle_frame, with no socket or thread."""
+
+    def __init__(self, backend: MapBackend):
+        self.backend = backend
+        self.reply = io.BytesIO()
+        self.replies: list[bytes] = []  # every reply frame body, in order
+
+    def sendall(self, frame: bytes) -> None:
+        reply = self.backend.handle_frame(frame[4:])
+        self.replies.append(reply[4:])
+        self.reply = io.BytesIO(reply)
+
+    def read(self, n: int) -> bytes:
+        return self.reply.read(n)
+
+
+def in_process_client(backend: MapBackend) -> VehicleClient:
+    client = VehicleClient.__new__(VehicleClient)
+    client._sock = client._stream = InProcessTransport(backend)
+    client._next_cid = 1
+    client.token = None
+    return client
 
 
 def point_on_loop(waypoints, s: float) -> tuple[np.ndarray, np.ndarray, float]:

@@ -1,5 +1,6 @@
 """The fleet's bulk traffic: uploads read straight into columns, and
-landmarks replies joined from the texts the server keeps per map version."""
+landmarks replies joined from the texts the server keeps per map version
+and read by the vehicle into id arrays."""
 
 import json
 import random
@@ -11,12 +12,20 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import atlas.server
-from atlas.client import sortie_json
+from atlas.client import QueryResult, drive_sortie, sortie_json
 from atlas.experiment import build_dataset, build_world
 from atlas.locsim import process_sortie
 from atlas.mapcore import MultiSessionMap
 from atlas.mapio import dumps_map, loads_map
-from atlas.protocol import EncodedBody, Message, MessageKind, decode_body, encode_body, encode_frame
+from atlas.protocol import (
+    EncodedBody,
+    Message,
+    MessageKind,
+    decode_body,
+    encode_body,
+    encode_frame,
+    landmarks_reply,
+)
 from atlas.server import MapBackend, _Published, read_upload
 from atlas.worldgen import (
     SortieDataset,
@@ -27,7 +36,7 @@ from atlas.worldgen import (
     sortie_from_json,
 )
 
-from helpers import tiny_scenario
+from helpers import in_process_client, tiny_scenario
 
 
 def vehicle_upload(ds: SortieDataset, cid: int = 3, token: int | None = 1) -> bytes:
@@ -134,6 +143,10 @@ def _space(raw: bytes, draw) -> bytes:
     return raw[:at] + draw(st.sampled_from([b" ", b"\n", b"\t"])) + raw[at:]
 
 
+def _truncate(raw: bytes, draw) -> bytes:
+    return raw[:draw(st.integers(0, max(len(raw) - 1, 0)))]
+
+
 def _token(old: bytes, values: list[bytes]):
     """A perturbation that replaces one match of the pattern old by one of values."""
     def change(raw: bytes, draw) -> bytes:
@@ -148,7 +161,7 @@ PERTURBATIONS = {
     "space": _space,
     "reorder": _reorder,
     "label": _relabel,
-    "truncate": lambda raw, draw: raw[:draw(st.integers(0, len(raw) - 1))],
+    "truncate": _truncate,
     "duplicate_pose": _token(rb'"observations":\{"([0-9]+)":', [_named_twice]),
     "leading_zero_pose": _token(rb'":1,"', [b'":1,"0', b'":1,"00']),
     "count": _token(rb'":1,"', [b'":0,"', b'":01,"', b'":-1,"', b'":2,"', b'":1.0,"', b'":1e0,"',
@@ -305,3 +318,135 @@ def test_landmarks_replies_equal_the_canonical_encoder():
         assert reply.body["positions"] == m.landmark_positions[rows].tolist()
         report = Message(MessageKind.REPORT, cid=k, token=token, body={"observed": []})
         assert decode_body(backend.handle_frame(encode_body(report))[4:]).kind is MessageKind.UPDATE_ACK
+
+
+# -- landmarks replies read by the vehicle: the reader defers or agrees --
+
+
+def reader_agrees(raw: bytes) -> bool:
+    """Whether landmarks_reply takes raw; when it does, decode_body reads raw
+    to the same kind, cid and token, and both bodies to the same QueryResult."""
+    got = landmarks_reply(raw)
+    if got is None:
+        return False
+    want = decode_body(raw)
+    assert (got.kind, got.cid, got.token) == (want.kind, want.cid, want.token)
+    a, b = QueryResult.of_reply(got.body), QueryResult.of_reply(want.body)
+    for name in ("landmark_ids", "class_ids"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    for name in ("n_candidates", "map_version"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (type(x), x) == (type(y), y), name
+    return True
+
+
+def served_replies(sc, datasets, seed: int = 0) -> list[bytes]:
+    """Every landmarks reply frame body a backend capped at the scenario's
+    cap serves one vehicle driving the datasets, one session each, the
+    policies taken in the fleet's rotation."""
+    backend = MapBackend(MultiSessionMap(landmark_cap=sc.landmark_cap), threshold_m=sc.threshold_m)
+    client = in_process_client(backend)
+    kernels: dict = {}
+    for i, ds in enumerate(datasets):
+        policy = ("class_ratio@0.2", "session_weight@0.2", "all@1")[i % 3]
+        client.open_session(policy, seed=seed, sensor_range=sc.sensor_range)
+        drive_sortie(client, ds, kernels)
+        client.close_session()
+    return [raw for raw in client._stream.replies if decode_body(raw).kind is MessageKind.LANDMARKS]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", ["city_dusk", "parking_year"])
+def test_served_replies_take_the_reader_and_read_as_json_does(name, seed):
+    # city_dusk summarizes once under its cap, so replies after it name the
+    # ids that survived.
+    sc = get_scenario(name)
+    world = build_world(sc, seed)
+    replies = served_replies(sc, [build_dataset(world, i, seed) for i in range(len(sc.schedule))], seed)
+    assert len(replies) == len(sc.schedule) * sc.n_iterations
+    for k, raw in enumerate(replies):
+        assert reader_agrees(raw), f"reply {k} fell back to decode_body"
+
+
+def _tiny_replies() -> list[bytes]:
+    sc = tiny_scenario()
+    world = generate_world(sc, seed=11)
+    replies = served_replies(sc, [generate_sortie(world, c, seed=s) for c, s in ((0.10, 101), (0.6, 102))])
+    return [replies[0], replies[-1], max(replies, key=len)]  # the first to an empty map
+
+
+BASE_REPLIES = _tiny_replies()
+
+
+def _reorder_reply(raw: bytes, draw) -> bytes:
+    try:
+        doc = json.loads(raw)
+        obj = doc if draw(st.booleans()) else doc["body"]
+        items = list(obj.items())
+    except (ValueError, KeyError, TypeError, AttributeError):  # an earlier perturbation broke it
+        return raw
+    random.Random(draw(st.integers(0, 2**16))).shuffle(items)
+    obj.clear()
+    obj.update(items)
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+# An integer in the ids or class ids: one that follows '[' or ',' and is not
+# a position's number, which always holds a '.' or an 'e'.
+LIST_INT = rb"(?<=[\[,])-?[0-9]+(?=[,\]])"
+
+REPLY_PERTURBATIONS = {
+    "space": _space,
+    "reorder": _reorder_reply,
+    "truncate": _truncate,
+    "id": _token(LIST_INT, [b"-0", b"0", b"-1", b"07", b"00", b"123456789012345678", b"-123456789012345678",
+                            b"1234567890123456789", b"9223372036854775807", b"9223372036854775808",
+                            b"1" + b"0" * 30, b"1.5", b"1.0", b"1e0", b"-0.0", b"true", b"false", b"null",
+                            b'"1"', b"[1]", b""]),
+    "scalar": _token(rb'(?<="map_version":)[0-9]+|(?<="n_candidates":)[0-9]+',
+                     [b"-0", b"05", b"-5", b"5.0", b"1e400", b"true", b"null", b'"5"', b"1234567890123456789"]),
+    "number": _token(FLOAT, [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400", b"2e-400", b"1", b"-0",
+                             b"1E5", b"1.50", b"01.5", b"1.", b".5", b"+1", b"1e", b"--1", b"1e5e5", b'"1"',
+                             b"true"]),
+    "position": _token(rb'"positions":\[\[', [b'"positions":[[1,2],[', b'"positions":[[1,2,3,4],[',
+                                                b'"positions":[[],[', b'"positions":[null,[']),
+    "extra_key": _token(rb'"positions":', [b'"x":1,"positions":', b'"class_ids":[],"positions":']),
+    "cid": _token(rb',"cid":[0-9]+,', [b',"cid":0,', b',"cid":03,', b',"cid":-3,', b',"cid":' + b"9" * 19 + b",",
+                                       b',"cid":3.0,', b',"cid":true,']),
+    "token": _token(rb'"token":[0-9]+\}', [b'"token":null}', b'"token":-0}', b'"token":-1}', b'"token":01}',
+                                          b'"token":1.5}', b'"token":"1"}']),
+    "kind": _token(rb'"kind":"landmarks"', [b'"kind":"update_ack"', b'"kind":"error"', b'"kind":"query"',
+                                            b'"kind":"landmarksx"']),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_perturbed_replies_are_deferred_or_read_as_json_reads_them(data):
+    raw = data.draw(st.sampled_from(BASE_REPLIES))
+    for _ in range(data.draw(st.integers(1, 2))):
+        name = data.draw(st.sampled_from(sorted(REPLY_PERTURBATIONS)))
+        raw = REPLY_PERTURBATIONS[name](raw, data.draw)
+    # Agreement includes the verdicts: a reply decode_body or QueryResult
+    # refuses is never taken, since reader_agrees would raise on it.
+    event("read by the reader" if reader_agrees(raw) else "deferred to decode_body")
+
+
+@pytest.mark.parametrize("old, new, taken", [
+    (LIST_INT, b"07", False),  # a leading zero
+    (LIST_INT, b"1234567890123456789", False),  # 19 digits
+    (LIST_INT, b"1.5", False),
+    (FLOAT, b"NaN", False),
+    (rb'"kind":', b'"kind": ', False),  # spacing
+    (LIST_INT, b"-0", True),
+    (LIST_INT, b"123456789012345678", True),  # 18 digits
+    (FLOAT, b"1e400", True),  # a JSON number, read as inf by decode_body and by nobody here
+    (FLOAT, b"-0", True),
+    (rb'"token":[0-9]+\}', b'"token":null}', True),
+])
+def test_reply_perturbations_reach_both_paths(old, new, taken):
+    assert all(landmarks_reply(raw) is not None for raw in BASE_REPLIES)
+    raw = _replace_nth(BASE_REPLIES[2], old, new, 3)
+    assert raw != BASE_REPLIES[2]
+    assert reader_agrees(raw) == taken

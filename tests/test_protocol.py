@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import atlas.protocol
 from atlas.protocol import (
     ERR_BAD_REQUEST,
     MAX_FRAME_BYTES,
@@ -30,7 +29,6 @@ from atlas.protocol import (
     encode_frame,
     encode_landmarks_frame,
     float_texts,
-    parse_json,
     position_fragments,
     read_frame,
     read_message,
@@ -236,7 +234,7 @@ def test_oversized_landmarks_frame_refused():
         encode_landmarks_frame(reply)
 
 
-# -- decoding is json.loads, parsed by orjson where the two agree --
+# -- decoding is json.loads --
 
 
 def same_json(a, b) -> bool:
@@ -272,13 +270,8 @@ def reference_parse(raw: bytes):
 
 
 def assert_parses_like_json_loads(raw: bytes) -> None:
-    want = reference_parse(raw)
-    if isinstance(want, type):
-        with pytest.raises(want):
-            parse_json(raw)
-    else:
-        assert same_json(parse_json(raw), want)
-    # inside an envelope: the same value, or the same refusal as ProtocolError
+    """decode_body reads raw, inside an envelope, to the value json.loads
+    gives, or refuses it as ProtocolError where json.loads refuses it."""
     frame = b'{"body":{"v":' + raw + b'},"cid":1,"kind":"query","token":null}'
     if isinstance(reference_parse(frame), type):
         with pytest.raises(ProtocolError):
@@ -322,7 +315,7 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=4), children, max_size=4),
     max_leaves=30,
 )
-# json.dumps writes NaN and Infinity as json.loads reads them; orjson refuses them.
+# json.dumps writes NaN and Infinity, which json.loads reads.
 json_texts = st.builds(json.dumps, json_values)
 # Lone surrogates, broken UTF-8 and stray bytes, spliced into a valid text.
 json_splices = st.builds(
@@ -363,14 +356,13 @@ def test_parse_json_matches_json_loads(raw):
 @pytest.mark.parametrize("text", ['"]]"', '"\\"]"', '"\\\\"', '"[[{"'])
 @pytest.mark.parametrize("depth", [499, 500, 501])
 def test_parse_json_at_the_trusted_depth(depth, text):
-    """Brackets, escaped quotes and backslashes inside strings leave the nesting
-    depth as the values give it: json.loads reads frames from 500 levels on."""
+    """Brackets, escaped quotes and backslashes inside strings, nested about
+    500 levels deep, read as json.loads reads them."""
     raw = (("[" + text + ",") * (depth - 1) + "[" + text + "]" + "]" * (depth - 1)).encode()
     value = json.loads(raw)
     for _ in range(depth - 1):
         value = value[1]
     assert value == [json.loads(text)]  # depth lists, one in the next
-    assert atlas.protocol._beyond_orjson(raw) == (depth >= 500)
     assert_parses_like_json_loads(raw)
 
 

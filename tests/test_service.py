@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import atlas.locsim
+import atlas.protocol
 import atlas.server
 from atlas.client import BackendError, VehicleClient, drive_sortie, sortie_json
 from atlas.experiment import build_dataset, build_world, run_chronological
@@ -40,7 +42,14 @@ from atlas.worldgen import (
     sortie_to_doc,
 )
 
-from helpers import DequeWindow, by_pose, session_totals, tiny_scenario, two_session_map
+from helpers import (
+    DequeWindow,
+    by_pose,
+    in_process_client,
+    session_totals,
+    tiny_scenario,
+    two_session_map,
+)
 
 
 class Wire:
@@ -745,6 +754,43 @@ def recording_client(replies: list[Message]) -> VehicleClient:
     return client
 
 
+def hand_written_reply(ids: str = "4,2", classes: str = "0,1", n: str = "5", version: str = "3") -> bytes:
+    """A landmarks reply frame to the first request of recording_client,
+    written by hand with the given texts for its fields."""
+    body = (f'{{"body":{{"class_ids":[{classes}],"landmark_ids":[{ids}],"map_version":{version},'
+            f'"n_candidates":{n},"positions":[[0.0,0.0,0.0],[1.0,0.0,0.0]]}},'
+            '"cid":1,"kind":"landmarks","token":7}').encode()
+    return struct.pack(">I", len(body)) + body
+
+
+@pytest.mark.parametrize("frame, ids", [
+    (hand_written_reply("1234567890123456789,-2"), [1234567890123456789, -2]),  # 19 digits
+    (hand_written_reply("4, 2"), [4, 2]),  # spacing
+])
+def test_vehicle_reads_reply_ids_off_the_servers_layout(frame, ids):
+    client = recording_client([])
+    client._stream = io.BytesIO(frame)
+    result = client.query([0.0, 0.0, 0.0])
+    assert result.landmark_ids.dtype == np.int64 and result.landmark_ids.tolist() == ids
+    assert result.class_ids.tolist() == [0, 1]
+    assert (result.n_candidates, result.map_version) == (5, 3)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("ids", "1.5,7"), ("ids", "true,7"), ("ids", "1e0,7"), ("ids", "null,7"),
+    ("ids", "9223372036854775808,7"), ("ids", "-9223372036854775809,7"),
+    ("classes", "0,false"), ("classes", "0,1.0"),
+    ("n", "5.0"), ("n", "true"), ("version", '"3"'), ("version", "null"),
+])
+def test_vehicle_refuses_reply_ids_that_are_not_int64(field, text):
+    # A float or bool would otherwise be cast to a landmark id (1.5 and true
+    # to landmark 1), and an id beyond int64 escape as a bare OverflowError.
+    client = recording_client([])
+    client._stream = io.BytesIO(hand_written_reply(**{field: text}))
+    with pytest.raises(ProtocolError):
+        client.query([0.0, 0.0, 0.0])
+
+
 def test_vehicle_frames_equal_the_canonical_encoder():
     ds = awkward_sortie()
     assert sortie_json(ds) == json.dumps(sortie_to_doc(ds), sort_keys=True, separators=(",", ":"))
@@ -978,29 +1024,6 @@ def test_vehicle_client_drive_with_upload_extends_sidecar():
     assert backend.snapshot.n_rich_sessions == 1
 
 
-class InProcessTransport:
-    """A vehicle's socket and read stream in one: each frame sent is answered
-    at once by the backend's handle_frame, with no socket or thread."""
-
-    def __init__(self, backend: MapBackend):
-        self.backend = backend
-        self.reply = io.BytesIO()
-
-    def sendall(self, frame: bytes) -> None:
-        self.reply = io.BytesIO(self.backend.handle_frame(frame[4:]))
-
-    def read(self, n: int) -> bytes:
-        return self.reply.read(n)
-
-
-def in_process_client(backend: MapBackend) -> VehicleClient:
-    client = VehicleClient.__new__(VehicleClient)
-    client._sock = client._stream = InProcessTransport(backend)
-    client._next_cid = 1
-    client.token = None
-    return client
-
-
 def test_vehicle_sidecar_matches_the_backend_after_every_capped_upload():
     # The fleet's schedule and cap: one upload summarizes and reports only
     # the created ids that survived, so ids and proposals no longer pair up
@@ -1031,18 +1054,20 @@ def test_vehicle_sidecar_matches_the_backend_after_every_capped_upload():
     assert backend.kernels == chrono.kernels
 
 
-def test_served_vehicle_uploads_never_decode_json(monkeypatch):
+def drive_tiny_schedule(monkeypatch, module, kind: MessageKind) -> MapBackend:
+    """Drive tiny_scenario's schedule in process, failing on any frame of
+    the given kind that module.decode_body reads."""
     sc = tiny_scenario()
     world = generate_world(sc, seed=11)
     backend = MapBackend(MultiSessionMap(), threshold_m=sc.threshold_m)
-    decode = atlas.server.decode_body
+    decode = module.decode_body
 
-    def no_uploads(raw):
+    def refuse_kind(raw):
         msg = decode(raw)
-        assert msg.kind is not MessageKind.UPLOAD_SORTIE, "an upload went to decode_body"
+        assert msg.kind is not kind, f"a {kind.value} frame went to decode_body"
         return msg
 
-    monkeypatch.setattr(atlas.server, "decode_body", no_uploads)
+    monkeypatch.setattr(module, "decode_body", refuse_kind)
     client = in_process_client(backend)
     kernels: dict = {}
     for i, spec in enumerate(sc.schedule):
@@ -1050,6 +1075,18 @@ def test_served_vehicle_uploads_never_decode_json(monkeypatch):
         ack = drive_sortie(client, generate_sortie(world, spec.condition, seed=100 + i), kernels).upload_ack
         client.close_session()
         assert ack["map_version"] == backend.map_version
+    return backend
+
+
+def test_served_vehicle_uploads_never_decode_json(monkeypatch):
+    drive_tiny_schedule(monkeypatch, atlas.server, MessageKind.UPLOAD_SORTIE)
+
+
+def test_served_landmarks_replies_never_decode_json(monkeypatch):
+    # The guard of the vehicle's fast path: the backend's replies take
+    # protocol.landmarks_reply, and read_message hands none to decode_body.
+    backend = drive_tiny_schedule(monkeypatch, atlas.protocol, MessageKind.LANDMARKS)
+    assert backend.ledger.landmarks_sent > 0
 
 
 def test_client_raises_backend_errors():

@@ -1,7 +1,11 @@
 """Checks that need no linter: every import of the package and of the tests
-is used, and the benchmark harness still finds the names it hooks."""
+is used, the package's runtime dependencies are the third-party modules it
+imports, and the benchmark harness still finds the names it hooks."""
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -64,6 +68,28 @@ def test_unused_import_scan_finds_what_it_should():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["2: sys", "3: dataclass", "3: replace"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level modules a source imports anywhere, function bodies
+    included, leaving out the standard library and relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - sys.stdlib_module_names
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    assert third_party_imports(
+        "import os, numpy.linalg\nfrom . import x\ndef f():\n    from scipy import stats\n"
+    ) == {"numpy", "scipy"}
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", dep)[0].lower().replace("-", "_") for dep in dependencies}
+    imported = set().union(*(third_party_imports(path.read_text()) for path in SOURCE.glob("*.py")))
+    assert imported - {SOURCE.name} == declared
 
 
 @pytest.fixture()
